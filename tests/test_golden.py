@@ -1,0 +1,81 @@
+"""Golden outputs: seeded CLI runs and the reduction fixture's verdict.
+
+The hashes and files were recorded from the tool before any refactor of the
+trivializer or the CLI; a change that alters a single byte of these outputs
+fails here.  Re-record only for an intended format change, and say so in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from halfdensity import cli
+from halfdensity import trivializer as tz
+from test_trivializer import build_reduction_fixture
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CLI_CASES = {
+    "sample": (["sample", "--m", "2", "--ell", "10", "--density", "0.5", "--seed", "31"],
+               "e7ae8fa32a7778094bc528124e8bbbc019dd1af6ed66193ddeefc3367f5a95f5"),
+    "trivialize": (["trivialize", "--m", "2", "--ell", "14", "--density", "0.55",
+                    "--seed", "32"],
+                   "917f327cb469e8ad42dec6dc0a9d505aaaa5e0283dac63d9b6eecf50131758bf"),
+    "trivialize-k-override": (["trivialize", "--m", "2", "--ell", "10", "--density", "0.5",
+                               "--seed", "1", "--k-override", "2"],
+                              "9d394c8fc78a0ef7e89e299af0c533fff30bf8081c9c3863f4a0a0217d82f6f9"),
+    "trivialize-m3-rounds2": (["trivialize", "--m", "3", "--ell", "10", "--density", "0.5",
+                               "--seed", "5", "--max-rounds", "2"],
+                              "5bc7ba8836dc57e698741d5ccdfafb22ee45eaba9a7fca3a02930c9e156776d3"),
+    "verify-dist": (["verify-dist", "--m", "2", "--n", "4", "--samples", "20000",
+                     "--seed", "33"],
+                    "89afa4a6cc7203e7491e4202fda499fdce0bd2db2924fbfaba2642c1c48a2083"),
+    "pigeonhole": (["pigeonhole", "--n", "16", "--q", "2", "--z", "16", "--trials", "20000",
+                    "--seed", "34"],
+                   "238d176eb621379fd9239bcf49198dce3408b64c85b5a916fb8c6f9fc19046c1"),
+    "diagrams-census": (["diagrams", "census", "--max-n", "3"],
+                        "a03c780e864654a6a3d1470c9bf7af2352a0c94d557d382df28f9c19004c352b"),
+    "diagrams-tutte": (["diagrams", "tutte", "--n", "4", "--with-census"],
+                       "af82d3d7dc962149350c11016912c6814ba6c37916e976d42510da7c69b008dd"),
+    "conditions": (["conditions", "--which", "spade", "--k-expr", "threshold-k",
+                    "--ell-grid", "pow2:10:14"],
+                   "30e6a96a7a27aed65864ca63262c55347ded07c4ef4d0d2e34c22616ebf80c28"),
+    "phase-map": (["phase-map", "--alpha", "0:1.5:0.25", "--beta", "-1:2:0.5"],
+                  "ab78f106ba38c489fb5edb5bcb2404821cffeaabeb91977c144db0fe01758dfb"),
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_bytes(name, tmp_path, capsys):
+    argv, expected = CLI_CASES[name]
+    out = tmp_path / "out"
+    assert cli.run(argv + ["--out", str(out)]) == 0
+    assert sha256_of(out) == expected
+
+
+def test_trivialize_log_bytes(tmp_path, capsys):
+    out, log = tmp_path / "v.json", tmp_path / "v.log"
+    assert cli.run(["trivialize", "--m", "2", "--ell", "16", "--density", "0.55",
+                    "--seed", "0", "--out", str(out), "--log", str(log)]) == 0
+    assert sha256_of(out) == "8987901ec94529dd4c710c5a850f1be0921a3fd9d0d7198478f2686467923865"
+    assert sha256_of(log) == "fce621c47d0a57a2e82ca33f595bdf790170f8633f2ca4dea8fe342b3f16c680"
+
+
+# No CLI-reachable input fires the reduction stage, so the hand-built fixture
+# is the only golden for ReductionStep serialization and log text.
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_reduction_fixture_verdict_and_log(rounds):
+    cfg = tz.TrivializerConfig(m=2, ell=40, k=1, max_rounds=rounds)
+    v = tz.trivialize(build_reduction_fixture(), cfg)
+    stem = GOLDEN_DIR / f"reduction_fixture_rounds{rounds}"
+    assert json.dumps(v.to_json_dict(), sort_keys=True, indent=2) + "\n" == \
+        stem.with_suffix(".json").read_text()
+    assert "".join(c.describe() + "\n\n" for c in v.certificates) == \
+        stem.with_suffix(".log").read_text()

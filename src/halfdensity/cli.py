@@ -133,20 +133,6 @@ def _resolve_seed(args) -> int:
 # output helpers
 
 
-def _write_manifest(subcommand, recorded, seed, outputs, threads, t0) -> None:
-    man = RunManifest(
-        subcommand=subcommand,
-        params=recorded,
-        seed=seed,
-        threads=threads,
-        outputs=[str(p) for p in outputs],
-        tool_version=__version__,
-        created_utc=now_utc(),
-        wall_clock_s=round(time.monotonic() - t0, 6),
-    )
-    man.write(str(outputs[0]) + ".manifest.json")
-
-
 def _json_out(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -167,12 +153,12 @@ def _csv_out(path: str, digest: str, header: list, rows: list, preamble=()) -> N
 
 
 # ---------------------------------------------------------------------------
-# executors: run purely from (recorded params, seed, out)
+# executors: run purely from (recorded params, seed, out); digest is the
+# manifest digest of (subcommand, recorded, seed) that every output embeds
 
 
-def _exec_sample(recorded, seed, out, threads=1) -> str:
+def _exec_sample(recorded, seed, out, digest) -> str:
     params = words.ModelParams(recorded["m"], recorded["ell"], recorded["num"])
-    digest = manifest_digest("sample", recorded, seed)
     pres = words.sample_presentation(params, RandomSource(seed).child(0),
                                      max_letters=recorded["max_letters"])
     text = words.presentation_to_text(pres)
@@ -183,12 +169,11 @@ def _exec_sample(recorded, seed, out, threads=1) -> str:
     return f"sample: wrote {params.num} relators to {out}"
 
 
-def _exec_trivialize(recorded, seed, out, threads=1, log=None) -> str:
+def _exec_trivialize(recorded, seed, out, digest, log=None) -> str:
     params = words.ModelParams(recorded["m"], recorded["ell"], recorded["num"])
     cfg = trivializer.TrivializerConfig(
         m=params.m, ell=params.ell, k=recorded["k"], max_rounds=recorded["max_rounds"]
     )
-    digest = manifest_digest("trivialize", recorded, seed)
     pres = words.sample_presentation(params, RandomSource(seed).child(0),
                                      max_letters=recorded["max_letters"])
     verdict = trivializer.trivialize(pres, cfg)
@@ -209,9 +194,8 @@ def _exec_trivialize(recorded, seed, out, threads=1, log=None) -> str:
             f"certificates={len(verdict.certificates)} -> {out}")
 
 
-def _exec_verify_dist(recorded, seed, out, threads=1) -> str:
+def _exec_verify_dist(recorded, seed, out, digest) -> str:
     m, n, samples = recorded["m"], recorded["n"], recorded["samples"]
-    digest = manifest_digest("verify-dist", recorded, seed)
     counts = distribution.sample_relation_counts(m, n, samples,
                                                  RandomSource(seed).child(0))
     exact = distribution.relation_totals(m, n)
@@ -230,8 +214,7 @@ def _exec_verify_dist(recorded, seed, out, threads=1) -> str:
     return f"verify-dist: m={m} n={n} -> {out}"
 
 
-def _exec_pigeonhole(recorded, seed, out, threads=1) -> str:
-    digest = manifest_digest("pigeonhole", recorded, seed)
+def _exec_pigeonhole(recorded, seed, out, digest, threads=1) -> str:
     c = Fraction(recorded["c"]) if recorded["c"] else None
     maker = (pigeonhole.PigeonholeConfig.uniform if recorded["mu"] == "uniform"
              else pigeonhole.PigeonholeConfig.geometric)
@@ -260,10 +243,9 @@ def _exec_pigeonhole(recorded, seed, out, threads=1) -> str:
     return f"pigeonhole: estimate={result.estimate:.6f} bound={bound} -> {out}"
 
 
-def _exec_diagrams(recorded, seed, out, threads=1) -> str:
+def _exec_diagrams(recorded, seed, out, digest) -> str:
     sub = recorded["diagram_cmd"]
     if sub == "census":
-        digest = manifest_digest("diagrams", recorded, seed)
         rows = [[n, diagrams.tutte_count(n), diagrams.enumerate_rooted_maps(n)]
                 for n in range(1, recorded["max_n"] + 1)]
         _csv_out(out, digest, ["n", "count", "oracle_count"], rows)
@@ -287,7 +269,6 @@ def _exec_diagrams(recorded, seed, out, threads=1) -> str:
                    "exponent": diagrams.fulfillability_bound(stats, params)}
     else:
         raise CliError(f"unknown diagrams subcommand {sub!r}")
-    digest = manifest_digest("diagrams", recorded, seed)
     payload = {"format_version": 1, "manifest_digest": digest, **payload}
     if out:
         _json_out(out, payload)
@@ -295,7 +276,7 @@ def _exec_diagrams(recorded, seed, out, threads=1) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _exec_conditions(recorded, seed, out, threads=1) -> str:
+def _exec_conditions(recorded, seed, out, digest) -> str:
     grid = parse_ell_grid(recorded["ell_grid"])
     m = recorded["m"]
     which = recorded["which"]
@@ -315,7 +296,6 @@ def _exec_conditions(recorded, seed, out, threads=1) -> str:
                                                f, grid, m)
     else:
         raise CliError(f"unknown condition {which!r}")
-    digest = manifest_digest("conditions", recorded, seed)
     preamble = [f"condition={report.condition}", f"verdict={report.verdict}"]
     if report.symbolic is not None:
         preamble.append(f"symbolic={report.symbolic!r}")
@@ -324,10 +304,9 @@ def _exec_conditions(recorded, seed, out, threads=1) -> str:
     return f"conditions: {report.condition} verdict={report.verdict} -> {out}"
 
 
-def _exec_phase_map(recorded, seed, out, threads=1) -> str:
+def _exec_phase_map(recorded, seed, out, digest) -> str:
     alphas = parse_grid_range(recorded["alpha"])
     betas = parse_grid_range(recorded["beta"])
-    digest = manifest_digest("phase-map", recorded, seed)
     cells = thresholds.phase_map(alphas, betas, recorded["coeff"])
     rows = [[f"{float(c.alpha):.6g}", f"{float(c.beta):.6g}", c.outcome, c.clause]
             for c in cells]
@@ -349,12 +328,30 @@ _EXECUTORS = {
 }
 
 
-def _run(subcommand, recorded, seed, out, threads=1, **kw) -> int:
+def _run(subcommand, recorded, seed, out, threads=1, log=None) -> int:
+    """Execute from the recorded params and write the manifest beside out.
+
+    threads reaches only the pigeonhole executor, the one subcommand that
+    splits its work; log is trivialize's optional derivation log.
+    """
     t0 = time.monotonic()
-    message = _EXECUTORS[subcommand](recorded, seed, out, threads=threads, **kw)
+    digest = manifest_digest(subcommand, recorded, seed)
+    extra = {"threads": threads} if subcommand == "pigeonhole" else {}
+    if log:
+        extra["log"] = log
+    message = _EXECUTORS[subcommand](recorded, seed, out, digest, **extra)
     if out:
-        outputs = [out] + ([kw["log"]] if kw.get("log") else [])
-        _write_manifest(subcommand, recorded, seed, outputs, threads, t0)
+        man = RunManifest(
+            subcommand=subcommand,
+            params=recorded,
+            seed=seed,
+            threads=threads,
+            outputs=[str(p) for p in [out] + ([log] if log else [])],
+            tool_version=__version__,
+            created_utc=now_utc(),
+            wall_clock_s=round(time.monotonic() - t0, 6),
+        )
+        man.write(str(out) + ".manifest.json")
     print(message)
     return 0
 
@@ -392,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--k-override", dest="k_override", type=int)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="also write a human-readable derivation log")
 
@@ -504,8 +500,7 @@ def run(argv=None) -> int:
         )
         recorded.update({"k": cfg.k, "block_size": cfg.block_size,
                          "block_count": cfg.block_count, "max_rounds": cfg.max_rounds})
-        return _run(sub, recorded, _resolve_seed(args), args.out,
-                    threads=args.threads, log=args.log)
+        return _run(sub, recorded, _resolve_seed(args), args.out, log=args.log)
 
     if sub == "verify-dist":
         recorded = {"m": args.m, "n": args.n, "samples": args.samples}

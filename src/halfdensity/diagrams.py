@@ -98,7 +98,6 @@ def rooted_map_census(n: int, max_edges: int = 4) -> list:
         f = _cycle_count(phi)
         if v - n + f != 2:
             continue
-        valences = [0] * n_darts
         seen = [False] * n_darts
         lengths = []
         for start in range(n_darts):

@@ -23,16 +23,18 @@ raises immediately.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, ClassVar, Optional, Union, get_args
 
 import numpy as np
 
 from .words import (
     Presentation,
     Word,
+    char_to_letter,
     concat_reduce,
     invert,
     is_reduced,
@@ -113,26 +115,6 @@ class TrivializerConfig:
 
 
 @dataclass(frozen=True)
-class TailCollision:
-    """Relators r1, r2 with equal tails from k+1 and r1[k] != r2[k].
-
-    w = (r1[1:k])^-1 * r2[1:k] is freely reduced of length exactly 2k and is
-    trivial in the presented group.
-    """
-
-    r1_index: int
-    r2_index: int
-    k: int
-    w: Word
-
-    def __post_init__(self):
-        if len(self.w) != 2 * self.k:
-            raise ValueError(f"w has length {len(self.w)}, expected 2k = {2 * self.k}")
-        if not is_reduced(self.w):
-            raise ValueError("w is not freely reduced")
-
-
-@dataclass(frozen=True)
 class WReductionEvent:
     """One excision of d w d^-1 between non-cancelling flanks s, t.
 
@@ -145,7 +127,6 @@ class WReductionEvent:
     conjugator: Word
     s_letter: int
     t_letter: int
-    host_index: Optional[int] = None
 
     def __post_init__(self):
         if self.s_letter == -self.t_letter:
@@ -161,43 +142,93 @@ class WReductionEvent:
 # for the final conclusion, an equality).  Steps reference earlier steps by
 # list index.  Replaying uses only word operations plus membership of cited
 # relators in the presentation.
+#
+# Each step field declares its codec once; serialization, parsing, the
+# derivation log and reference walking are all driven by those declarations.
+
+
+@dataclass(frozen=True, eq=False)
+class _Codec:
+    """How one kind of step field is written to JSON, read back, and logged."""
+
+    dump: Callable
+    load: Callable
+    show: Callable
+
+
+_INT = _Codec(int, int, str)
+_REF = _Codec(int, int, str)  # an index of an earlier step
+_WORD = _Codec(word_to_str, word_from_str, lambda w: word_to_str(w) or "(empty)")
+_LETTER = _Codec(letter_to_char, char_to_letter, letter_to_char)
+
+
+def _field(codec: _Codec):
+    return dataclasses.field(metadata={"codec": codec})
 
 
 @dataclass(frozen=True)
 class RelatorStep:
-    index: int
-    word: Word
+    kind: ClassVar[str] = "relator"
+    text: ClassVar[str] = "relator #{index} is trivial: {word}"
+
+    index: int = _field(_INT)
+    word: Word = _field(_WORD)
 
 
 @dataclass(frozen=True)
 class CollisionStep:
-    r1: int
-    r2: int
-    k: int
-    w: Word
+    kind: ClassVar[str] = "collision"
+    text: ClassVar[str] = ("tails of [{r1}] and [{r2}] agree from position {step.tail_from}; "
+                           "prefix quotient w = {w} is trivial")
+
+    r1: int = _field(_REF)
+    r2: int = _field(_REF)
+    k: int = _field(_INT)
+    w: Word = _field(_WORD)
+
+    @property
+    def tail_from(self) -> int:
+        """One-based position from which the two tails agree."""
+        return self.k + 1
 
 
 @dataclass(frozen=True)
 class ReductionStep:
-    host: int
-    w_ref: int
-    start: int
-    end: int
-    conjugator: Word
-    s_letter: int
-    t_letter: int
-    result: Word
+    kind: ClassVar[str] = "reduction"
+    text: ClassVar[str] = ("excise d*w*d^-1 from [{host}] at {start}..{end} "
+                           "(d = {conjugator}, w from [{w_ref}], flanks "
+                           "{s_letter},{t_letter}): {result}")
+
+    host: int = _field(_REF)
+    w_ref: int = _field(_REF)
+    start: int = _field(_INT)
+    end: int = _field(_INT)
+    conjugator: Word = _field(_WORD)
+    s_letter: int = _field(_LETTER)
+    t_letter: int = _field(_LETTER)
+    result: Word = _field(_WORD)
 
 
 @dataclass(frozen=True)
 class ConclusionStep:
-    r1: int
-    r2: int
-    x: int
-    y: int
+    kind: ClassVar[str] = "conclusion"
+    text: ClassVar[str] = "[{r1}] and [{r2}] agree from position 2, so {x} = {y} in G"
+
+    r1: int = _field(_REF)
+    r2: int = _field(_REF)
+    x: int = _field(_LETTER)
+    y: int = _field(_LETTER)
 
 
 Step = Union[RelatorStep, CollisionStep, ReductionStep, ConclusionStep]
+
+#: (name, codec) of every field, per step type, in declaration order.
+_STEP_FIELDS = {
+    cls: tuple((f.name, f.metadata["codec"]) for f in dataclasses.fields(cls))
+    for cls in get_args(Step)
+}
+_STEP_REFS = {cls: tuple(n for n, c in fs if c is _REF) for cls, fs in _STEP_FIELDS.items()}
+_STEP_KINDS = {cls.kind: cls for cls in _STEP_FIELDS}
 
 
 @dataclass
@@ -211,23 +242,9 @@ class Certificate:
     def to_json_dict(self) -> dict:
         out = []
         for s in self.steps:
-            if isinstance(s, RelatorStep):
-                out.append({"kind": "relator", "index": s.index, "word": word_to_str(s.word)})
-            elif isinstance(s, CollisionStep):
-                out.append({"kind": "collision", "r1": s.r1, "r2": s.r2, "k": s.k,
-                            "w": word_to_str(s.w)})
-            elif isinstance(s, ReductionStep):
-                out.append({"kind": "reduction", "host": s.host, "w_ref": s.w_ref,
-                            "start": s.start, "end": s.end,
-                            "conjugator": word_to_str(s.conjugator),
-                            "s_letter": letter_to_char(s.s_letter),
-                            "t_letter": letter_to_char(s.t_letter),
-                            "result": word_to_str(s.result)})
-            elif isinstance(s, ConclusionStep):
-                out.append({"kind": "conclusion", "r1": s.r1, "r2": s.r2,
-                            "x": letter_to_char(s.x), "y": letter_to_char(s.y)})
-            else:
-                raise TypeError(f"unknown step type {type(s).__name__}")
+            entry = {"kind": s.kind}
+            entry.update((n, c.dump(getattr(s, n))) for n, c in _STEP_FIELDS[type(s)])
+            out.append(entry)
         return {"x": letter_to_char(self.x), "y": letter_to_char(self.y), "steps": out}
 
     @classmethod
@@ -235,55 +252,22 @@ class Certificate:
         try:
             steps: list[Step] = []
             for s in d["steps"]:
-                kind = s.get("kind")
-                if kind == "relator":
-                    steps.append(RelatorStep(int(s["index"]), word_from_str(s["word"])))
-                elif kind == "collision":
-                    steps.append(CollisionStep(int(s["r1"]), int(s["r2"]), int(s["k"]),
-                                               word_from_str(s["w"])))
-                elif kind == "reduction":
-                    steps.append(ReductionStep(int(s["host"]), int(s["w_ref"]),
-                                               int(s["start"]), int(s["end"]),
-                                               word_from_str(s["conjugator"]),
-                                               word_from_str(s["s_letter"])[0],
-                                               word_from_str(s["t_letter"])[0],
-                                               word_from_str(s["result"])))
-                elif kind == "conclusion":
-                    steps.append(ConclusionStep(int(s["r1"]), int(s["r2"]),
-                                                word_from_str(s["x"])[0],
-                                                word_from_str(s["y"])[0]))
-                else:
-                    raise CertificateError(f"unknown step kind {kind!r}")
-            return cls(word_from_str(d["x"])[0], word_from_str(d["y"])[0], steps)
+                step_cls = _STEP_KINDS.get(s.get("kind"))
+                if step_cls is None:
+                    raise CertificateError(f"unknown step kind {s.get('kind')!r}")
+                steps.append(step_cls(*(c.load(s[n]) for n, c in _STEP_FIELDS[step_cls])))
+            return cls(char_to_letter(d["x"]), char_to_letter(d["y"]), steps)
         except CertificateError:
             raise
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed certificate payload: {exc}") from exc
 
     def describe(self) -> str:
         """Human-readable derivation log."""
         lines = [f"claim: {letter_to_char(self.x)} = {letter_to_char(self.y)} in G"]
         for i, s in enumerate(self.steps):
-            if isinstance(s, RelatorStep):
-                lines.append(f"[{i}] relator #{s.index} is trivial: {word_to_str(s.word)}")
-            elif isinstance(s, CollisionStep):
-                lines.append(
-                    f"[{i}] tails of [{s.r1}] and [{s.r2}] agree from position {s.k + 1}; "
-                    f"prefix quotient w = {word_to_str(s.w)} is trivial"
-                )
-            elif isinstance(s, ReductionStep):
-                d = word_to_str(s.conjugator) or "(empty)"
-                lines.append(
-                    f"[{i}] excise d*w*d^-1 from [{s.host}] at {s.start}..{s.end} "
-                    f"(d = {d}, w from [{s.w_ref}], flanks "
-                    f"{letter_to_char(s.s_letter)},{letter_to_char(s.t_letter)}): "
-                    f"{word_to_str(s.result)}"
-                )
-            elif isinstance(s, ConclusionStep):
-                lines.append(
-                    f"[{i}] [{s.r1}] and [{s.r2}] agree from position 2, so "
-                    f"{letter_to_char(s.x)} = {letter_to_char(s.y)} in G"
-                )
+            shown = {n: c.show(getattr(s, n)) for n, c in _STEP_FIELDS[type(s)]}
+            lines.append(f"[{i}] " + s.text.format(step=s, **shown))
         return "\n".join(lines)
 
 
@@ -305,6 +289,12 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
     derived: list[Optional[Word]] = []
     concluded: Optional[tuple[int, int]] = None
     for pos, s in enumerate(cert.steps):
+        ref_names = _STEP_REFS.get(type(s))
+        if ref_names is None:
+            raise CertificateError(f"unknown step type {type(s).__name__}")
+        cited = [derived[_check_ref(getattr(s, n), pos)] for n in ref_names]
+        if any(u is None for u in cited):
+            raise CertificateError(f"step {pos} references a non-word step")
         if isinstance(s, RelatorStep):
             if not 0 <= s.index < len(R.relators):
                 raise CertificateError(f"relator index {s.index} outside presentation")
@@ -314,10 +304,7 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
                 )
             derived.append(tuple(s.word))
         elif isinstance(s, CollisionStep):
-            u = derived[_check_ref(s.r1, pos)]
-            v = derived[_check_ref(s.r2, pos)]
-            if u is None or v is None:
-                raise CertificateError(f"step {pos} references a non-word step")
+            u, v = cited
             k = s.k
             if not (1 <= k <= len(u) and k <= len(v)):
                 return False
@@ -330,10 +317,7 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
                 return False
             derived.append(w)
         elif isinstance(s, ReductionStep):
-            host = derived[_check_ref(s.host, pos)]
-            w = derived[_check_ref(s.w_ref, pos)]
-            if host is None or w is None:
-                raise CertificateError(f"step {pos} references a non-word step")
+            host, w = cited
             start, end = s.start, s.end
             if not (2 <= start <= end <= len(host) - 1):
                 return False
@@ -348,11 +332,8 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
             if not is_reduced(result) or result != tuple(s.result):
                 return False
             derived.append(result)
-        elif isinstance(s, ConclusionStep):
-            u = derived[_check_ref(s.r1, pos)]
-            v = derived[_check_ref(s.r2, pos)]
-            if u is None or v is None:
-                raise CertificateError(f"step {pos} references a non-word step")
+        else:
+            u, v = cited
             if len(u) < 1 or len(v) < 1:
                 return False
             if u[0] != s.x or v[0] != s.y or s.x == s.y:
@@ -361,8 +342,6 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
                 return False
             derived.append(None)
             concluded = (s.x, s.y)
-        else:
-            raise CertificateError(f"unknown step type {type(s).__name__}")
     if concluded is None:
         raise CertificateError("certificate never reaches a conclusion step")
     if concluded != (cert.x, cert.y):
@@ -374,17 +353,14 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
 # collision search
 
 
-def _tail_key(word: Word, start: int) -> bytes:
-    return bytes((x & 0xFF) for x in word[start:])
-
-
 def _group_tails(cur_words: list, start: int, matrix: np.ndarray | None) -> dict:
     """Group word indices by their tail from one-based position start+1.
 
-    Returns a dict keyed by tail bytes, values are index lists in ascending
+    Returns a dict keyed by the tail (matrix row bytes, or the word's tuple
+    slice when there is no matrix); values are index lists in ascending
     order (insertion order).  Words shorter than start letters are skipped.
     """
-    groups: dict[bytes, list[int]] = {}
+    groups: dict = {}
     if matrix is not None and start <= matrix.shape[1]:
         sub = np.ascontiguousarray(matrix[:, start:])
         buf = sub.tobytes()
@@ -396,7 +372,7 @@ def _group_tails(cur_words: list, start: int, matrix: np.ndarray | None) -> dict
     for i, u in enumerate(cur_words):
         if len(u) < start:
             continue
-        groups.setdefault(_tail_key(u, start), []).append(i)
+        groups.setdefault(u[start:], []).append(i)
     return groups
 
 
@@ -411,45 +387,6 @@ def _collision_pairs_in_group(cur_words: list, idxs: list, k: int):
             if u[0] == v[0] or u[k - 1] == v[k - 1]:
                 continue
             yield i1, i2
-
-
-def find_tail_collisions(R: Presentation, k: int, prefix1: tuple, prefix2: tuple) -> list:
-    """All collisions between the two-letter prefix classes prefix1, prefix2.
-
-    A collision is a pair (r1 in the prefix1 class, r2 in the prefix2 class)
-    whose tails agree from position k+1 while positions k differ.  The two
-    classes must have distinct first letters.
-    """
-    x, z1 = prefix1
-    y, z2 = prefix2
-    if x == y:
-        raise ValueError("prefix classes must have distinct first letters")
-    if z1 == z2 and -z1 in (x, y):
-        raise ValueError("second letter must not be the inverse of either first letter")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    class1: list[int] = []
-    class2: dict[bytes, list[int]] = {}
-    for i, r in enumerate(R.relators):
-        if len(r) < max(2, k):
-            continue
-        if r[0] == x and r[1] == z1:
-            class1.append(i)
-        elif r[0] == y and r[1] == z2:
-            class2.setdefault(_tail_key(r, k), []).append(i)
-
-    out = []
-    for i1 in class1:
-        u = R.relators[i1]
-        for i2 in class2.get(_tail_key(u, k), ()):
-            v = R.relators[i2]
-            if u[k - 1] == v[k - 1]:
-                continue
-            w = concat_reduce(invert(u[:k]), v[:k])
-            out.append(TailCollision(i1, i2, k, w))
-    out.sort(key=lambda c: (c.r1_index, c.r2_index))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +448,7 @@ def w_reduce_once(r: Word, w: Word, search_from: int = RESERVED_PREFIX + 1,
         conj = tuple(r[si + 1 : i])
         result = tuple(r[: si + 1]) + tuple(r[ti:])
         event = WReductionEvent(start=si + 2, end=ti, conjugator=conj,
-                                s_letter=r[si], t_letter=r[ti],
-                                host_index=None)
+                                s_letter=r[si], t_letter=r[ti])
         return result, event
     return None
 
@@ -616,13 +552,7 @@ class TrivializeStats:
     equality_edges: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "collisions_found": self.collisions_found,
-            "reductions_applied": self.reductions_applied,
-            "letters_removed": self.letters_removed,
-            "equality_edges": self.equality_edges,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -635,14 +565,9 @@ class Verdict:
     def to_json_dict(self) -> dict:
         return {
             "outcome": self.outcome,
-            "parameters": {
-                "m": self.config.m,
-                "ell": self.config.ell,
-                "k": self.config.k,
-                "block_size": self.config.block_size,
-                "block_count": self.config.block_count,
-                "max_rounds": self.config.max_rounds,
-            },
+            "parameters": {**dataclasses.asdict(self.config),
+                           "block_size": self.config.block_size,
+                           "block_count": self.config.block_count},
             "certificates": [c.to_json_dict() for c in self.certificates],
             "statistics": self.stats.to_json_dict(),
         }
@@ -691,25 +616,14 @@ def _prune_derivation(deriv: list, last: int) -> list:
             continue
         needed.add(t)
         s = deriv[t]
-        if isinstance(s, CollisionStep):
-            stack.extend((s.r1, s.r2))
-        elif isinstance(s, ReductionStep):
-            stack.extend((s.host, s.w_ref))
-        elif isinstance(s, ConclusionStep):
-            stack.extend((s.r1, s.r2))
+        stack.extend(getattr(s, n) for n in _STEP_REFS[type(s)])
     order = sorted(needed)
     remap = {old: new for new, old in enumerate(order)}
     out: list[Step] = []
     for t in order:
         s = deriv[t]
-        if isinstance(s, CollisionStep):
-            s = CollisionStep(remap[s.r1], remap[s.r2], s.k, s.w)
-        elif isinstance(s, ReductionStep):
-            s = ReductionStep(remap[s.host], remap[s.w_ref], s.start, s.end,
-                              s.conjugator, s.s_letter, s.t_letter, s.result)
-        elif isinstance(s, ConclusionStep):
-            s = ConclusionStep(remap[s.r1], remap[s.r2], s.x, s.y)
-        out.append(s)
+        out.append(dataclasses.replace(s, **{n: remap[getattr(s, n)]
+                                             for n in _STEP_REFS[type(s)]}))
     return out
 
 

@@ -12,6 +12,7 @@ inverse as the corresponding uppercase letter ("aBa" = a b^-1 a).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -32,20 +33,6 @@ class ResourceLimitError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # letters
-
-
-def make_letter(index: int, inverted: bool = False) -> Letter:
-    if index < 1:
-        raise ValueError(f"generator index must be >= 1, got {index}")
-    return -index if inverted else index
-
-
-def letter_index(x: Letter) -> int:
-    return abs(x)
-
-
-def is_inverted(x: Letter) -> bool:
-    return x < 0
 
 
 def inverse(x: Letter) -> Letter:
@@ -195,8 +182,10 @@ class Presentation:
     m: int
     relators: list
 
-    # Cache set by the sampler; invalidated implicitly by length mismatch.
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # (relator row objects, int8 matrix) as of caching.  Words are immutable
+    # tuples, so the matrix is reused only while relators holds exactly those
+    # row objects; any replaced, added or removed row rebuilds it.
+    _matrix_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> None:
         if self.m < 1:
@@ -212,18 +201,16 @@ class Presentation:
         """int8 matrix of relators when all lengths are equal, else None."""
         if not self.relators:
             return None
+        if self._matrix_cache is not None:
+            rows, mat = self._matrix_cache
+            if len(rows) == len(self.relators) and all(map(operator.is_, rows, self.relators)):
+                return mat
         n = len(self.relators)
         ell = len(self.relators[0])
         if any(len(r) != ell for r in self.relators):
             return None
-        if (
-            self._matrix is not None
-            and self._matrix.shape == (n, ell)
-            and (n == 0 or tuple(int(x) for x in self._matrix[0]) == tuple(self.relators[0]))
-        ):
-            return self._matrix
         mat = np.array(self.relators, dtype=np.int8).reshape(n, ell)
-        self._matrix = mat
+        self._matrix_cache = (tuple(self.relators), mat)
         return mat
 
 
@@ -320,5 +307,5 @@ def sample_presentation(
     mat = sample_relator_matrix(params.m, params.ell, params.num, rng)
     relators = [tuple(row) for row in mat.tolist()]
     pres = Presentation(params.m, relators)
-    pres._matrix = mat
+    pres._matrix_cache = (tuple(relators), mat)
     return pres

@@ -306,14 +306,6 @@ def test_a11_reproducibility(tmp_path, capsys):
                             "--out", str(redone)]) == 0
             assert first.read_bytes() == redone.read_bytes(), name
 
-        t1 = tmp_path / "thr1.json"
-        t4 = tmp_path / "thr4.json"
-        base = ["trivialize", "--m", "2", "--ell", "16", "--density", "0.55",
-                "--seed", "35"]
-        assert cli.run(base + ["--threads", "1", "--out", str(t1)]) == 0
-        assert cli.run(base + ["--threads", "4", "--out", str(t4)]) == 0
-        assert t1.read_bytes() == t4.read_bytes()
-
         pg1 = tmp_path / "pg1.json"
         pg4 = tmp_path / "pg4.json"
         basepg = ["pigeonhole", "--n", "64", "--q", "2", "--z", "32",

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -6,7 +7,14 @@ import pytest
 from halfdensity import trivializer as tz
 from halfdensity import words
 from halfdensity.rng import RandomSource
-from halfdensity.words import ModelParams, Presentation, is_reduced, sample_presentation, word_from_str
+from halfdensity.words import (
+    ModelParams,
+    Presentation,
+    invert,
+    is_reduced,
+    sample_presentation,
+    word_from_str,
+)
 
 
 def W(s):
@@ -61,34 +69,33 @@ class TestConfig:
 
 
 class TestFindTailCollisions:
+    """The collision search trivialize runs, on the list and the matrix path."""
+
+    @staticmethod
+    def search(words_, k):
+        R = Presentation(2, [W(s) for s in words_])
+        results = {tz._best_collision(R.relators, k, set(), matrix)
+                   for matrix in (None, R.as_matrix())}
+        assert len(results) == 1
+        return results.pop()
+
     def test_crossed_prefix_pair(self):
-        R = Presentation(2, [W("abab"), W("baab")])
-        cols = tz.find_tail_collisions(R, 2, (1, 2), (2, 1))
-        assert len(cols) == 1
-        col = cols[0]
-        assert (col.r1_index, col.r2_index) == (0, 1)
-        assert col.w == W("BAba")
-        assert len(col.w) == 4 and is_reduced(col.w)
+        best, pairs = self.search(["abab", "baab"], 2)
+        assert pairs == 1
+        i1, i2, w = best
+        assert (i1, i2) == (0, 1)
+        assert w == W("BAba")
+        assert len(w) == 4 and is_reduced(w)
 
     def test_duplicates_same_class(self):
-        R = Presentation(2, [W("abab"), W("abab")])
-        assert tz.find_tail_collisions(R, 2, (1, 2), (2, 1)) == []
+        assert self.search(["abab", "abab"], 2) == (None, 0)
 
     def test_no_matching_tails(self):
-        R = Presentation(2, [W("abab"), W("baba")])
-        assert tz.find_tail_collisions(R, 2, (1, 2), (2, 1)) == []
+        assert self.search(["abab", "baba"], 2) == (None, 0)
 
     def test_same_second_letter_k2_blocked_by_kth_letter(self):
-        # shared z forces equal position-2 letters, which k=2 forbids
-        R = Presentation(2, [W("azab".replace("z", "b")), W("bzab".replace("z", "b"))])
-        assert tz.find_tail_collisions(R, 2, (1, 2), (2, 2)) == []
-
-    def test_validation(self):
-        R = Presentation(2, [W("abab")])
-        with pytest.raises(ValueError):
-            tz.find_tail_collisions(R, 2, (1, 2), (1, 1))
-        with pytest.raises(ValueError):
-            tz.find_tail_collisions(R, 2, (1, 2), (-2, 2))
+        # shared second letter forces equal position-k letters, which k=2 forbids
+        assert self.search(["abab", "bbab"], 2) == (None, 0)
 
 
 class TestWReduceOnce:
@@ -310,6 +317,55 @@ class TestCheckCertificate:
         pres, cert = fixture_run
         assert tz.check_certificate(pres, tz.Certificate(cert.y, cert.x, cert.steps)) is False
 
+    def test_multi_letter_string_in_letter_field_rejected(self, fixture_run):
+        _, cert = fixture_run
+        good = cert.to_json_dict()
+        slots = [(None, "x"), (None, "y")] + [
+            (i, key) for i, st in enumerate(good["steps"])
+            for key in ("x", "y", "s_letter", "t_letter") if key in st
+        ]
+        assert len(slots) == 6
+        for i, key in slots:
+            bad = copy.deepcopy(good)
+            target = bad if i is None else bad["steps"][i]
+            target[key] += "bAB"
+            with pytest.raises(tz.CertificateError):
+                tz.Certificate.from_json_dict(bad)
+
+
+def _perturbations(value):
+    """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""
+    if isinstance(value, tuple):
+        cands = [value[:-1], value + (value[-1] if value else 1,), invert(value)]
+    else:
+        cands = [value + 1, value - 1, -value]
+    return [c for c in cands if c != value]
+
+
+class TestCertificateMutations:
+    def test_every_single_field_perturbation_is_rejected(self):
+        pres = build_reduction_fixture()
+        v = tz.trivialize(pres, tz.TrivializerConfig(m=2, ell=40, k=1))
+        mutants = []
+        for cert in v.certificates:
+            assert tz.check_certificate(pres, cert)
+            for name in ("x", "y"):
+                mutants += [(name, dataclasses.replace(cert, **{name: bad}))
+                            for bad in _perturbations(getattr(cert, name))]
+            for pos, step in enumerate(cert.steps):
+                for f in dataclasses.fields(step):
+                    for bad in _perturbations(getattr(step, f.name)):
+                        steps = list(cert.steps)
+                        steps[pos] = dataclasses.replace(step, **{f.name: bad})
+                        mutants.append(((pos, f.name), dataclasses.replace(cert, steps=steps)))
+        assert len(mutants) == 102
+        for where, mutant in mutants:
+            try:
+                ok = tz.check_certificate(pres, mutant)
+            except tz.CertificateError:
+                continue
+            assert ok is False, (where, mutant)
+
 
 class TestAbelianizationGuard:
     def test_rank_two(self):
@@ -326,6 +382,13 @@ class TestAbelianizationGuard:
     def test_redundant_rows(self):
         R = Presentation(2, [W("ab"), W("ab"), W("abab")])
         assert tz.abelianization_guard(R) == tz.CERTAINLY_NONTRIVIAL
+
+    def test_in_place_relator_edit_refreshes_exponents(self):
+        params = ModelParams(2, 10, 50)
+        pres = sample_presentation(params, RandomSource(3).child(0))
+        pres.relators[5] = (1, 2) * 5
+        assert pres.as_matrix()[5].tolist() == [1, 2] * 5
+        assert tz._exponent_matrix(pres)[5].tolist() == [5, 5]
 
     def test_matches_for_sampled(self):
         params = ModelParams.from_density(2, 10, 0.5)

@@ -133,12 +133,6 @@ class TestLetters:
         assert words.inverse(words.inverse(5)) == 5
         assert words.inverse(3) != 3
 
-    def test_make_letter(self):
-        assert words.make_letter(2) == 2
-        assert words.make_letter(2, inverted=True) == -2
-        assert words.letter_index(-7) == 7
-        assert words.is_inverted(-7) and not words.is_inverted(7)
-
 
 class TestModelParams:
     def test_density_half_exact_power(self):

@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerun", help="re-execute a recorded manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, help="default: the manifest's threads")
 
     return top
 
@@ -485,7 +485,8 @@ def run(argv=None) -> int:
         man = RunManifest.read(args.manifest)
         if man.subcommand not in _EXECUTORS:
             raise CliError(f"manifest has unknown subcommand {man.subcommand!r}")
-        return _run(man.subcommand, man.params, man.seed, args.out, threads=args.threads)
+        threads = man.threads if args.threads is None else args.threads
+        return _run(man.subcommand, man.params, man.seed, args.out, threads=threads)
 
     if sub == "sample":
         recorded = _model_recorded(args)

@@ -24,6 +24,7 @@ raises immediately.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +97,7 @@ class TrivializerConfig:
 
     @property
     def block_count(self) -> int:
-        return (self.ell - 2) // self.block_size
+        return self.block_count_for(self.ell)
 
     def block_count_for(self, length: int) -> int:
         """Full blocks available in a relator of the given length."""
@@ -156,8 +157,15 @@ class _Codec:
     show: Callable
 
 
-_INT = _Codec(int, int, str)
-_REF = _Codec(int, int, str)  # an index of an earlier step
+def _load_int(value) -> int:
+    """A JSON integer as is; floats, strings and booleans are malformed."""
+    if type(value) is not int:
+        raise CertificateError(f"expected an integer, got {value!r}")
+    return value
+
+
+_INT = _Codec(int, _load_int, str)
+_REF = _Codec(int, _load_int, str)  # an index of an earlier step
 _WORD = _Codec(word_to_str, word_from_str, lambda w: word_to_str(w) or "(empty)")
 _LETTER = _Codec(letter_to_char, char_to_letter, letter_to_char)
 
@@ -296,9 +304,9 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
         if any(u is None for u in cited):
             raise CertificateError(f"step {pos} references a non-word step")
         if isinstance(s, RelatorStep):
-            if not 0 <= s.index < len(R.relators):
+            if not 0 <= s.index < len(R):
                 raise CertificateError(f"relator index {s.index} outside presentation")
-            if tuple(R.relators[s.index]) != tuple(s.word):
+            if tuple(R.relator(s.index)) != tuple(s.word):
                 raise CertificateError(
                     f"step {pos} cites relator {s.index} with a word not in R"
                 )
@@ -353,27 +361,37 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
 # collision search
 
 
-def _group_tails(cur_words: list, start: int, matrix: np.ndarray | None) -> dict:
-    """Group word indices by their tail from one-based position start+1.
+def _group_tails(cur_words, start: int, matrix: np.ndarray | None) -> list:
+    """Groups of two or more word indices whose tails from position start+1 agree.
 
-    Returns a dict keyed by the tail (matrix row bytes, or the word's tuple
-    slice when there is no matrix); values are index lists in ascending
-    order (insertion order).  Words shorter than start letters are skipped.
+    Each group is an ascending index list; groups are ordered by their first
+    index.  A matrix is sorted by tail, and runs of equal adjacent sorted rows
+    are the groups.  Without one (ragged words) words are keyed by their
+    tuple slice, and words shorter than start letters are skipped.
     """
+    if matrix is not None:
+        tails = matrix[:, start:]
+        n = tails.shape[0]
+        if n < 2 or start > matrix.shape[1]:
+            return []
+        # lexsort is stable, so each run lists its rows in ascending order
+        order = np.lexsort(tails.T[::-1]) if tails.shape[1] else np.arange(n)
+        ordered = tails[order]
+        new_run = np.ones(n + 1, dtype=bool)
+        new_run[1:n] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        bounds = np.flatnonzero(new_run)
+        starts, ends = bounds[:-1], bounds[1:]
+        big = ends - starts >= 2
+        starts, ends = starts[big], ends[big]
+        by_first = np.argsort(order[starts])
+        return [order[a:b].tolist() for a, b in zip(starts[by_first].tolist(),
+                                                    ends[by_first].tolist())]
     groups: dict = {}
-    if matrix is not None and start <= matrix.shape[1]:
-        sub = np.ascontiguousarray(matrix[:, start:])
-        buf = sub.tobytes()
-        width = sub.shape[1] * sub.itemsize
-        for i in range(matrix.shape[0]):
-            key = buf[i * width : (i + 1) * width]
-            groups.setdefault(key, []).append(i)
-        return groups
     for i, u in enumerate(cur_words):
         if len(u) < start:
             continue
         groups.setdefault(u[start:], []).append(i)
-    return groups
+    return [idxs for idxs in groups.values() if len(idxs) >= 2]
 
 
 def _collision_pairs_in_group(cur_words: list, idxs: list, k: int):
@@ -507,16 +525,19 @@ def _exact_rank(mat: list) -> int:
 
 
 def _exponent_matrix(R: Presentation) -> np.ndarray:
+    """|R| x m exponent sums, from one bincount over 2m+1 letter bins per relator."""
+    n, m = len(R), R.m
     mat = R.as_matrix()
-    out = np.zeros((len(R.relators), R.m), dtype=np.int64)
     if mat is not None:
-        for g in range(1, R.m + 1):
-            out[:, g - 1] = (mat == g).sum(axis=1) - (mat == -g).sum(axis=1)
-        return out
-    for i, r in enumerate(R.relators):
-        for x in r:
-            out[i, abs(x) - 1] += 1 if x > 0 else -1
-    return out
+        letters, lengths = mat.ravel(), mat.shape[1]
+    else:
+        letters = np.fromiter(itertools.chain.from_iterable(R.relators), dtype=np.int64)
+        lengths = [len(r) for r in R.relators]
+    # letter x of relator i counts in bin m + x of its row of 2m+1 bins
+    bins = np.repeat(np.arange(n) * (2 * m + 1) + m, lengths)
+    bins += letters
+    counts = np.bincount(bins, minlength=(2 * m + 1) * n).reshape(n, 2 * m + 1)
+    return counts[:, m + 1:] - counts[:, m - 1::-1]
 
 
 def abelianization_guard(R: Presentation) -> str:
@@ -525,13 +546,13 @@ def abelianization_guard(R: Presentation) -> str:
     If the |R| x m exponent matrix has rational rank below m, the
     abelianization is infinite and the group cannot be trivial.
     """
-    if not R.relators:
+    if len(R) == 0:
         return CERTAINLY_NONTRIVIAL
     E = _exponent_matrix(R)
     # rank(E) = rank(E^T E); the Gram matrix is m x m so the exact
     # elimination stays tiny.  Entries are bounded by |R| * max_len^2.
-    max_len = max((len(r) for r in R.relators), default=0)
-    if len(R.relators) * max_len * max_len < (1 << 62):
+    max_len = R.max_length()
+    if len(R) * max_len * max_len < (1 << 62):
         gram = (E.T @ E).tolist()
         rank = _exact_rank(gram)
     else:
@@ -627,20 +648,27 @@ def _prune_derivation(deriv: list, last: int) -> list:
     return out
 
 
+class _LazyRows(dict):
+    """The relators of R as word tuples, each read through R.relator on first use."""
+
+    def __init__(self, R: Presentation):
+        super().__init__()
+        self.R = R
+
+    def __missing__(self, i: int) -> Word:
+        row = self[i] = self.R.relator(i)
+        return row
+
+
 def _best_collision(cur_words: list, k: int, used_ws: set,
                     matrix: np.ndarray | None):
     """Lexicographically smallest valid collision pair over all equal-tail groups.
 
     Returns ((i1, i2, w) or None, number of valid pairs seen).
     """
-    if matrix is not None and k > matrix.shape[1]:
-        return None, 0
-    groups = _group_tails(cur_words, k, matrix)
     best = None
     count = 0
-    for idxs in groups.values():
-        if len(idxs) < 2:
-            continue
+    for idxs in _group_tails(cur_words, k, matrix):
         for i1, i2 in _collision_pairs_in_group(cur_words, idxs, k):
             count += 1
             if best is not None and (i1, i2) >= best[:2]:
@@ -663,17 +691,22 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     connect all 2m symbols.
     """
     m = R.m
-    relators = [tuple(r) for r in R.relators]
     if cfg is None:
-        ell = max((len(r) for r in relators), default=2)
-        cfg = TrivializerConfig.for_params(m, max(ell, 2))
+        cfg = TrivializerConfig.for_params(m, max(R.max_length(), 2))
+    matrix = R.as_matrix()
+    # With no full block in any relator the reduction stage cannot fire, the
+    # words never change, and a matrix needs only the rows the search cites.
+    inert = cfg.block_count_for(R.max_length()) < 1
+    if inert and matrix is not None:
+        relators = cur_words = _LazyRows(R)
+    else:
+        relators = [tuple(r) for r in R.relators]
+        cur_words = list(relators)
 
     deriv: list[Step] = []
     cite_map: dict[int, int] = {}
     cur_ref: dict[int, int] = {}
-    cur_words = list(relators)
     changed = False
-    matrix = R.as_matrix()
 
     def ref_of(i: int) -> int:
         if i in cur_ref:
@@ -708,7 +741,7 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             w_entry = len(deriv) - 1
 
         # reduction stage
-        if w is not None:
+        if w is not None and not inert:
             for i, u in enumerate(cur_words):
                 if cfg.block_count_for(len(u)) < 1:
                     continue
@@ -732,10 +765,7 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             stats.reductions_applied += round_reductions
 
         # conclusion stage
-        groups = _group_tails(cur_words, 1, None if changed else matrix)
-        for idxs in groups.values():
-            if len(idxs) < 2:
-                continue
+        for idxs in _group_tails(cur_words, 1, None if changed else matrix):
             seen: dict[int, int] = {}
             for i in idxs:
                 x = cur_words[i][0]

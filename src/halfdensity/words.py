@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -175,17 +175,59 @@ class ModelParams:
 # presentations
 
 
-@dataclass
 class Presentation:
-    """m generators plus a relator multiset (duplicates allowed)."""
+    """m generators plus a relator multiset (duplicates allowed).
 
-    m: int
-    relators: list
+    A sampled presentation starts out as its int8 matrix alone.  The first
+    read of relators builds the list of tuples once; from then on that list
+    is the source of truth and the matrix is only a cache of it.  len(),
+    relator(i), max_length() and as_matrix() never build the list.
+    """
 
-    # (relator row objects, int8 matrix) as of caching.  Words are immutable
-    # tuples, so the matrix is reused only while relators holds exactly those
-    # row objects; any replaced, added or removed row rebuilds it.
-    _matrix_cache: tuple | None = field(default=None, repr=False, compare=False)
+    def __init__(self, m: int, relators: list | None = None, *,
+                 matrix: np.ndarray | None = None):
+        if (relators is None) == (matrix is None):
+            raise ValueError("give exactly one of relators and matrix")
+        self.m = m
+        self._relators = relators
+        # (relator row objects, int8 matrix) as of caching.  Words are
+        # immutable tuples, so the matrix is reused only while relators holds
+        # exactly those row objects; any replaced, added or removed row
+        # rebuilds it.  While _relators is None the matrix is the only copy.
+        self._matrix_cache = None if matrix is None else ((), matrix)
+
+    @property
+    def relators(self) -> list:
+        if self._relators is None:
+            mat = self._matrix_cache[1]
+            self._relators = [tuple(row) for row in mat.tolist()]
+            self._matrix_cache = (tuple(self._relators), mat)
+        return self._relators
+
+    def __len__(self) -> int:
+        if self._relators is None:
+            return self._matrix_cache[1].shape[0]
+        return len(self._relators)
+
+    def relator(self, i: int) -> Word:
+        """Relator i as a word tuple."""
+        if self._relators is None:
+            return tuple(self._matrix_cache[1][i].tolist())
+        return self._relators[i]
+
+    def max_length(self) -> int:
+        """Length of the longest relator, 0 when there are none."""
+        if self._relators is None:
+            return self._matrix_cache[1].shape[1]
+        return max(map(len, self._relators), default=0)
+
+    def __eq__(self, other):
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return (self.m, self.relators) == (other.m, other.relators)
+
+    def __repr__(self) -> str:
+        return f"Presentation(m={self.m!r}, relators={self.relators!r})"
 
     def validate(self) -> None:
         if self.m < 1:
@@ -199,18 +241,20 @@ class Presentation:
 
     def as_matrix(self) -> np.ndarray | None:
         """int8 matrix of relators when all lengths are equal, else None."""
-        if not self.relators:
+        if self._relators is None:
+            return self._matrix_cache[1]
+        if not self._relators:
             return None
         if self._matrix_cache is not None:
             rows, mat = self._matrix_cache
-            if len(rows) == len(self.relators) and all(map(operator.is_, rows, self.relators)):
+            if len(rows) == len(self._relators) and all(map(operator.is_, rows, self._relators)):
                 return mat
-        n = len(self.relators)
-        ell = len(self.relators[0])
-        if any(len(r) != ell for r in self.relators):
+        n = len(self._relators)
+        ell = len(self._relators[0])
+        if any(len(r) != ell for r in self._relators):
             return None
-        mat = np.array(self.relators, dtype=np.int8).reshape(n, ell)
-        self._matrix_cache = (tuple(self.relators), mat)
+        mat = np.array(self._relators, dtype=np.int8).reshape(n, ell)
+        self._matrix_cache = (tuple(self._relators), mat)
         return mat
 
 
@@ -294,7 +338,7 @@ def sample_word(m: int, ell: int, rng) -> Word:
 def sample_presentation(
     params: ModelParams, rng, max_letters: int = DEFAULT_MAX_LETTERS
 ) -> Presentation:
-    """num independent draws of sample_word, as a Presentation.
+    """num independent draws of sample_word, as a matrix-backed Presentation.
 
     Raises ResourceLimitError when num * ell exceeds max_letters.
     """
@@ -304,8 +348,5 @@ def sample_presentation(
             f"presentation needs {total} letters (num={params.num}, ell={params.ell}), "
             f"budget is {max_letters}"
         )
-    mat = sample_relator_matrix(params.m, params.ell, params.num, rng)
-    relators = [tuple(row) for row in mat.tolist()]
-    pres = Presentation(params.m, relators)
-    pres._matrix_cache = (tuple(relators), mat)
-    return pres
+    return Presentation(params.m, matrix=sample_relator_matrix(params.m, params.ell,
+                                                               params.num, rng))

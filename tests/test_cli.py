@@ -71,6 +71,15 @@ class TestReproducibility:
         run_ok(["rerun", "--manifest", str(out) + ".manifest.json", "--out", str(out2)])
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_rerun_keeps_recorded_threads(self, tmp_path, capsys):
+        out = tmp_path / "pg.json"
+        run_ok(["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "20000",
+                "--seed", "2", "--threads", "2", "--out", str(out)])
+        out2 = tmp_path / "pg2.json"
+        run_ok(["rerun", "--manifest", str(out) + ".manifest.json", "--out", str(out2)])
+        assert RunManifest.read(str(out2) + ".manifest.json").threads == 2
+        assert out.read_bytes() == out2.read_bytes()
+
 
 class TestTrivializeOutput:
     def test_verdict_schema(self, tmp_path, capsys):
@@ -91,6 +100,14 @@ class TestTrivializeOutput:
                 "--seed", "1", "--k-override", "2", "--out", str(out)])
         d = json.loads(out.read_text())
         assert d["parameters"]["k"] == 2
+
+    def test_block_count_clamped_at_zero(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        run_ok(["trivialize", "--m", "2", "--ell", "1", "--num", "4", "--seed", "0",
+                "--k-override", "1", "--out", str(out)])
+        assert json.loads(out.read_text())["parameters"]["block_count"] == 0
+        man = RunManifest.read(str(out) + ".manifest.json")
+        assert man.params["block_count"] == 0
 
 
 class TestPigeonholeOutput:

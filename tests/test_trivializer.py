@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from halfdensity import trivializer as tz
@@ -61,6 +62,9 @@ class TestConfig:
         assert cfg.block_count_for(37) == 0
         assert cfg.block_count_for(38) == 1
 
+    def test_block_count_never_negative(self):
+        assert tz.TrivializerConfig(m=2, ell=1, k=1).block_count == 0
+
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             tz.TrivializerConfig(m=2, ell=4, k=5)
@@ -96,6 +100,23 @@ class TestFindTailCollisions:
     def test_same_second_letter_k2_blocked_by_kth_letter(self):
         # shared second letter forces equal position-k letters, which k=2 forbids
         assert self.search(["abab", "bbab"], 2) == (None, 0)
+
+
+class TestGroupTails:
+    def test_sorted_runs_match_ragged_grouping(self):
+        # 3 symbols over 6 columns: many equal tails at every start
+        rng = np.random.default_rng(5)
+        mat = rng.integers(1, 4, size=(400, 6)).astype(np.int8)
+        rows = [tuple(r) for r in mat.tolist()]
+        for start in range(mat.shape[1] + 2):
+            groups = tz._group_tails(rows, start, mat)
+            assert groups == tz._group_tails(rows, start, None)
+            assert all(len(g) >= 2 and g == sorted(g) for g in groups)
+            assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+
+    def test_single_row_has_no_group(self):
+        mat = np.array([[1, 2, 1]], dtype=np.int8)
+        assert tz._group_tails(None, 1, mat) == []
 
 
 class TestWReduceOnce:
@@ -242,6 +263,32 @@ class TestTrivialize:
         v = tz.trivialize(Presentation(2, []), tz.TrivializerConfig(m=2, ell=4, k=1))
         assert v.outcome == tz.OUTCOME_UNKNOWN
 
+    @pytest.mark.parametrize("m,ell", [(2, 9), (2, 11), (3, 7), (3, 9)])
+    def test_sampled_matrix_path_matches_ragged_path(self, m, ell, monkeypatch):
+        params = ModelParams.from_density(m, ell, 0.55)
+        k = tz.choose_k(ell, m)
+        duplicated = 0
+        for seed in range(4):
+            sampled = sample_presentation(params, RandomSource(seed).child(0))
+            mat = sampled.as_matrix()
+            duplicated += len(tz._group_tails(None, 1, mat)) + len(tz._group_tails(None, k, mat))
+            got = tz.trivialize(sampled).to_json_dict()
+            listed = Presentation(m, list(sampled.relators))
+            assert tz.trivialize(listed).to_json_dict() == got
+            monkeypatch.setattr(listed, "as_matrix", lambda: None)
+            assert tz.trivialize(listed).to_json_dict() == got
+        assert duplicated > 0
+
+    def test_sampled_pipeline_never_builds_relator_list(self, monkeypatch):
+        pres = sample_presentation(ModelParams.from_density(2, 16, 0.55),
+                                   RandomSource(0).child(0))
+        monkeypatch.setattr(words.Presentation, "relators",
+                            property(lambda self: pytest.fail("relator list built")))
+        v = tz.trivialize(pres)
+        assert v.outcome == tz.OUTCOME_TRIVIAL and v.certificates
+        assert all(tz.check_certificate(pres, cert) for cert in v.certificates)
+        assert tz.abelianization_guard(pres) == tz.POSSIBLY_TRIVIAL
+
     def test_verdict_json_serializable(self):
         pres = build_reduction_fixture()
         v = tz.trivialize(pres, tz.TrivializerConfig(m=2, ell=40, k=1))
@@ -317,6 +364,19 @@ class TestCheckCertificate:
         pres, cert = fixture_run
         assert tz.check_certificate(pres, tz.Certificate(cert.y, cert.x, cert.steps)) is False
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("reduction", "start", 11.9),
+        ("collision", "k", "1"),
+        ("reduction", "host", 3.5),
+        ("collision", "k", True),
+    ])
+    def test_non_integer_in_int_field_rejected(self, fixture_run, kind, key, value):
+        _, cert = fixture_run
+        bad = cert.to_json_dict()
+        next(st for st in bad["steps"] if st["kind"] == kind)[key] = value
+        with pytest.raises(tz.CertificateError):
+            tz.Certificate.from_json_dict(bad)
+
     def test_multi_letter_string_in_letter_field_rejected(self, fixture_run):
         _, cert = fixture_run
         good = cert.to_json_dict()
@@ -389,6 +449,16 @@ class TestAbelianizationGuard:
         pres.relators[5] = (1, 2) * 5
         assert pres.as_matrix()[5].tolist() == [1, 2] * 5
         assert tz._exponent_matrix(pres)[5].tolist() == [5, 5]
+
+    def test_exponent_matrix_same_for_matrix_and_ragged_input(self):
+        pres = sample_presentation(ModelParams(3, 12, 300), RandomSource(4).child(0))
+        ragged = Presentation(3, list(pres.relators) + [W("cA")])
+        assert ragged.as_matrix() is None
+        E = tz._exponent_matrix(pres)
+        expected = [[sum((x == g) - (x == -g) for x in r) for g in (1, 2, 3)]
+                    for r in ragged.relators]
+        assert E.tolist() == expected[:-1]
+        assert tz._exponent_matrix(ragged).tolist() == expected
 
     def test_matches_for_sampled(self):
         params = ModelParams.from_density(2, 10, 0.5)

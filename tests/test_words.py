@@ -232,6 +232,32 @@ class TestSampling:
         assert stat < chi2.ppf(0.999, 35)
 
 
+class TestMatrixBackedPresentation:
+    def test_accessors_agree_with_relator_list(self):
+        pres = words.sample_presentation(ModelParams(2, 7, 20), RandomSource(2).child(0))
+        assert len(pres) == 20 and pres.max_length() == 7
+        firsts = [pres.relator(i) for i in range(len(pres))]
+        assert firsts == pres.relators
+        assert all(pres.relator(i) is r for i, r in enumerate(pres.relators))
+
+    def test_equality_and_repr_use_relators(self):
+        pres = words.sample_presentation(ModelParams(2, 5, 6), RandomSource(1).child(0))
+        listed = Presentation(2, list(pres.relators))
+        assert pres == listed and repr(pres) == repr(listed)
+        assert repr(listed).startswith("Presentation(m=2, relators=[(")
+
+    def test_list_backed_accessors(self):
+        pres = Presentation(2, [W("ab"), W("bAB")])
+        assert len(pres) == 2 and pres.relator(1) == W("bAB") and pres.max_length() == 3
+        assert Presentation(2, []).max_length() == 0
+
+    def test_needs_exactly_one_source(self):
+        with pytest.raises(ValueError):
+            Presentation(2)
+        with pytest.raises(ValueError):
+            Presentation(2, [W("ab")], matrix=np.array([[1, 2]], dtype=np.int8))
+
+
 class TestTextFormat:
     def test_roundtrip_simple(self):
         pres = Presentation(2, [W("abAB"), W("bb")])

@@ -40,6 +40,7 @@ from .words import (
     invert,
     is_reduced,
     letter_to_char,
+    unpad,
     word_from_str,
     word_to_str,
 )
@@ -361,50 +362,34 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
 # collision search
 
 
-def _group_tails(cur_words, start: int, matrix: np.ndarray | None) -> list:
-    """Groups of two or more word indices whose tails from position start+1 agree.
+def _group_tails(mat: np.ndarray, start: int) -> list:
+    """Groups of two or more rows of words that agree from position start+1 on.
 
-    Each group is an ascending index list; groups are ordered by their first
-    index.  A matrix is sorted by tail, and runs of equal adjacent sorted rows
-    are the groups.  Without one (ragged words) words are keyed by their
-    tuple slice, and words shorter than start letters are skipped.
+    mat is a zero-padded relator matrix and start >= 1; rows shorter than
+    start letters take no part.  Each group is an ascending row list; groups
+    are ordered by their first row.  The rows with a letter at position start
+    are sorted by tail, and runs of equal adjacent sorted tails are the
+    groups: zero-padded tails are equal only when the words' tails are.
     """
-    if matrix is not None:
-        tails = matrix[:, start:]
-        n = tails.shape[0]
-        if n < 2 or start > matrix.shape[1]:
-            return []
-        # lexsort is stable, so each run lists its rows in ascending order
-        order = np.lexsort(tails.T[::-1]) if tails.shape[1] else np.arange(n)
-        ordered = tails[order]
-        new_run = np.ones(n + 1, dtype=bool)
-        new_run[1:n] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        bounds = np.flatnonzero(new_run)
-        starts, ends = bounds[:-1], bounds[1:]
-        big = ends - starts >= 2
-        starts, ends = starts[big], ends[big]
-        by_first = np.argsort(order[starts])
-        return [order[a:b].tolist() for a, b in zip(starts[by_first].tolist(),
-                                                    ends[by_first].tolist())]
-    groups: dict = {}
-    for i, u in enumerate(cur_words):
-        if len(u) < start:
-            continue
-        groups.setdefault(u[start:], []).append(i)
-    return [idxs for idxs in groups.values() if len(idxs) >= 2]
-
-
-def _collision_pairs_in_group(cur_words: list, idxs: list, k: int):
-    """Yield valid collision pairs (i1, i2) within one equal-tail group."""
-    for a in range(len(idxs)):
-        i1 = idxs[a]
-        u = cur_words[i1]
-        for b in range(a + 1, len(idxs)):
-            i2 = idxs[b]
-            v = cur_words[i2]
-            if u[0] == v[0] or u[k - 1] == v[k - 1]:
-                continue
-            yield i1, i2
+    if start > mat.shape[1]:
+        return []
+    rows = np.flatnonzero(mat[:, start - 1])
+    # when every row qualifies, sort a view of the matrix, not a copy
+    tails = mat[:, start:] if len(rows) == len(mat) else mat[rows, start:]
+    n = len(rows)
+    # lexsort is stable, so each run lists its rows in ascending order
+    order = np.lexsort(tails.T[::-1]) if tails.shape[1] else np.arange(n)
+    ordered = tails[order]
+    new_run = np.ones(n + 1, dtype=bool)
+    new_run[1:n] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    bounds = np.flatnonzero(new_run)
+    starts, ends = bounds[:-1], bounds[1:]
+    big = ends - starts >= 2
+    starts, ends = starts[big], ends[big]
+    members = rows[order]
+    by_first = np.argsort(members[starts])
+    return [members[a:b].tolist() for a, b in zip(starts[by_first].tolist(),
+                                                  ends[by_first].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +416,11 @@ def _pattern_span(r, W: int, i: int, lo0: int, hi0: int):
     return si, ti
 
 
+def _check_w(w: Word) -> None:
+    if len(w) < 2 or not is_reduced(w):
+        raise ValueError("w must be freely reduced of length >= 2")
+
+
 def w_reduce_once(r: Word, w: Word, search_from: int = RESERVED_PREFIX + 1,
                   search_to: int | None = None):
     """Excise the leftmost valid pattern s d w d^-1 t inside a window of r.
@@ -441,21 +431,19 @@ def w_reduce_once(r: Word, w: Word, search_from: int = RESERVED_PREFIX + 1,
     the pattern hits the window edge, in which case the occurrence is skipped
     and the search continues.  Returns (reduced word, event) or None.
     """
+    _check_w(w)
+    return _w_reduce_window(r, tuple(w), search_from, search_to)
+
+
+def _w_reduce_window(r: Word, wt: Word, search_from: int, search_to: int | None):
+    """w_reduce_once for a w already checked to be freely reduced of length >= 2."""
     L = len(r)
-    W = len(w)
-    if W < 2 or not is_reduced(w):
-        raise ValueError("w must be freely reduced of length >= 2")
+    W = len(wt)
     if search_to is None:
         search_to = L
-    lo0 = search_from - 1
-    hi0 = search_to - 1
-    if lo0 < 0 or hi0 > L - 1 or lo0 > hi0:
-        if lo0 >= L or lo0 > hi0:
-            return None
-        hi0 = min(hi0, L - 1)
-        lo0 = max(lo0, 0)
+    lo0 = max(search_from - 1, 0)
+    hi0 = min(search_to - 1, L - 1)
 
-    wt = tuple(w)
     for i in range(lo0 + 1, hi0 - W + 1):
         if tuple(r[i : i + W]) != wt:
             continue
@@ -479,16 +467,20 @@ def reduce_relator(r: Word, w: Word, cfg: TrivializerConfig):
     events), event positions being relative to the word state at the moment
     each excision is applied.
     """
-    length = len(r)
-    b = cfg.block_count_for(length)
+    _check_w(w)
+    return _reduce_blocks(tuple(r), tuple(w), cfg)
+
+
+def _reduce_blocks(cur: Word, wt: Word, cfg: TrivializerConfig):
+    """reduce_relator for a w already checked to be freely reduced of length >= 2."""
+    b = cfg.block_count_for(len(cur))
     events: list[WReductionEvent] = []
-    cur = tuple(r)
     offset = 0
     size = cfg.block_size
     for j in range(b):
         lo = RESERVED_PREFIX + 1 + j * size
         hi = RESERVED_PREFIX + (j + 1) * size
-        res = w_reduce_once(cur, w, search_from=lo - offset, search_to=hi - offset)
+        res = _w_reduce_window(cur, wt, lo - offset, hi - offset)
         if res is None:
             continue
         cur, ev = res
@@ -527,15 +519,10 @@ def _exact_rank(mat: list) -> int:
 def _exponent_matrix(R: Presentation) -> np.ndarray:
     """|R| x m exponent sums, from one bincount over 2m+1 letter bins per relator."""
     n, m = len(R), R.m
-    mat = R.as_matrix()
-    if mat is not None:
-        letters, lengths = mat.ravel(), mat.shape[1]
-    else:
-        letters = np.fromiter(itertools.chain.from_iterable(R.relators), dtype=np.int64)
-        lengths = [len(r) for r in R.relators]
-    # letter x of relator i counts in bin m + x of its row of 2m+1 bins
-    bins = np.repeat(np.arange(n) * (2 * m + 1) + m, lengths)
-    bins += letters
+    # letter x of relator i counts in bin m + x of its row of 2m+1 bins; the
+    # zero padding lands in bin m, which no exponent reads
+    bins = np.repeat(np.arange(n) * (2 * m + 1) + m, R.max_length())
+    bins += R.matrix.ravel()
     counts = np.bincount(bins, minlength=(2 * m + 1) * n).reshape(n, 2 * m + 1)
     return counts[:, m + 1:] - counts[:, m - 1::-1]
 
@@ -648,33 +635,24 @@ def _prune_derivation(deriv: list, last: int) -> list:
     return out
 
 
-class _LazyRows(dict):
-    """The relators of R as word tuples, each read through R.relator on first use."""
-
-    def __init__(self, R: Presentation):
-        super().__init__()
-        self.R = R
-
-    def __missing__(self, i: int) -> Word:
-        row = self[i] = self.R.relator(i)
-        return row
-
-
-def _best_collision(cur_words: list, k: int, used_ws: set,
-                    matrix: np.ndarray | None):
+def _best_collision(mat: np.ndarray, k: int, used_ws: set):
     """Lexicographically smallest valid collision pair over all equal-tail groups.
 
-    Returns ((i1, i2, w) or None, number of valid pairs seen).
+    A pair of rows is valid when their tails from position k+1 agree while
+    their first and k-th letters differ.  Returns ((i1, i2, w) or None,
+    number of valid pairs seen).
     """
     best = None
     count = 0
-    for idxs in _group_tails(cur_words, k, matrix):
-        for i1, i2 in _collision_pairs_in_group(cur_words, idxs, k):
+    for idxs in _group_tails(mat, k):
+        heads = mat[idxs, :k].tolist()
+        for (i1, u), (i2, v) in itertools.combinations(zip(idxs, heads), 2):
+            if u[0] == v[0] or u[k - 1] == v[k - 1]:
+                continue
             count += 1
             if best is not None and (i1, i2) >= best[:2]:
                 continue
-            u, v = cur_words[i1], cur_words[i2]
-            w = concat_reduce(invert(u[:k]), v[:k])
+            w = concat_reduce(invert(u), v)
             if len(w) != 2 * k or w in used_ws:
                 continue
             best = (i1, i2, w)
@@ -693,26 +671,18 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     m = R.m
     if cfg is None:
         cfg = TrivializerConfig.for_params(m, max(R.max_length(), 2))
-    matrix = R.as_matrix()
-    # With no full block in any relator the reduction stage cannot fire, the
-    # words never change, and a matrix needs only the rows the search cites.
-    inert = cfg.block_count_for(R.max_length()) < 1
-    if inert and matrix is not None:
-        relators = cur_words = _LazyRows(R)
-    else:
-        relators = [tuple(r) for r in R.relators]
-        cur_words = list(relators)
+    # the current words, zero-padded; a round that reduces a word works on a copy
+    cur = R.matrix
 
     deriv: list[Step] = []
     cite_map: dict[int, int] = {}
     cur_ref: dict[int, int] = {}
-    changed = False
 
     def ref_of(i: int) -> int:
         if i in cur_ref:
             return cur_ref[i]
         if i not in cite_map:
-            deriv.append(RelatorStep(i, relators[i]))
+            deriv.append(RelatorStep(i, R.relator(i)))
             cite_map[i] = len(deriv) - 1
         cur_ref[i] = cite_map[i]
         return cur_ref[i]
@@ -722,14 +692,16 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     certs: dict[tuple, Certificate] = {}
     stats = TrivializeStats()
     used_ws: set[Word] = set()
+    # a word has a full block exactly when it has a letter at position
+    # block_size + 2; the one-column slice is empty when no row is that long
+    host_column = slice(cfg.block_size + 1, cfg.block_size + 2)
 
     for _ in range(cfg.max_rounds):
         stats.rounds += 1
         round_reductions = 0
 
         # collision stage
-        col, count = _best_collision(cur_words, cfg.k, used_ws,
-                                     None if changed else matrix)
+        col, count = _best_collision(cur, cfg.k, used_ws)
         stats.collisions_found += count
         w_entry = None
         w = None
@@ -741,11 +713,12 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             w_entry = len(deriv) - 1
 
         # reduction stage
-        if w is not None and not inert:
-            for i, u in enumerate(cur_words):
-                if cfg.block_count_for(len(u)) < 1:
-                    continue
-                reduced, events = reduce_relator(u, w, cfg)
+        if w is not None:
+            reduced_rows: dict[int, Word] = {}
+            # w comes from the collision search: freely reduced, of length 2k
+            hosts = np.flatnonzero(cur[:, host_column])
+            for i, u in zip(hosts.tolist(), unpad(cur[hosts])):
+                reduced, events = _reduce_blocks(u, w, cfg)
                 if not events:
                     continue
                 host = u
@@ -759,16 +732,19 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
                     stats.letters_removed += ev.end - ev.start + 1
                     host = result
                 assert host == reduced
-                cur_words[i] = reduced
+                reduced_rows[i] = reduced
                 round_reductions += len(events)
-                changed = True
+            if reduced_rows:
+                packed = Presentation(m, list(reduced_rows.values())).matrix
+                cur = cur.copy()
+                cur[list(reduced_rows)] = np.pad(packed, ((0, 0),
+                                                          (0, cur.shape[1] - packed.shape[1])))
             stats.reductions_applied += round_reductions
 
         # conclusion stage
-        for idxs in _group_tails(cur_words, 1, None if changed else matrix):
+        for idxs in _group_tails(cur, 1):
             seen: dict[int, int] = {}
-            for i in idxs:
-                x = cur_words[i][0]
+            for i, x in zip(idxs, cur[idxs, 0].tolist()):
                 if x not in seen:
                     for y, j in seen.items():
                         key = _edge_class(y, x, m)

@@ -11,8 +11,8 @@ inverse as the corresponding uppercase letter ("aBa" = a b^-1 a).
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -176,55 +176,54 @@ class ModelParams:
 
 
 class Presentation:
-    """m generators plus a relator multiset (duplicates allowed).
+    """m generators plus a relator multiset (duplicates allowed); immutable.
 
-    A sampled presentation starts out as its int8 matrix alone.  The first
-    read of relators builds the list of tuples once; from then on that list
-    is the source of truth and the matrix is only a cache of it.  len(),
-    relator(i), max_length() and as_matrix() never build the list.
+    The relators live in one read-only zero-padded int8 matrix: row i holds
+    relator i followed by zeros, and the width is the longest relator.
+    Letters are never 0, so a row's length is the position of its first 0.
+    Presentation(m, relators) packs the words once; Presentation(m,
+    matrix=...) takes a sampler's matrix as it is and makes it read-only.
     """
 
-    def __init__(self, m: int, relators: list | None = None, *,
+    def __init__(self, m: int, relators: Sequence | None = None, *,
                  matrix: np.ndarray | None = None):
         if (relators is None) == (matrix is None):
             raise ValueError("give exactly one of relators and matrix")
-        self.m = m
-        self._relators = relators
-        # (relator row objects, int8 matrix) as of caching.  Words are
-        # immutable tuples, so the matrix is reused only while relators holds
-        # exactly those row objects; any replaced, added or removed row
-        # rebuilds it.  While _relators is None the matrix is the only copy.
-        self._matrix_cache = None if matrix is None else ((), matrix)
+        matrix = _pack(relators) if matrix is None else _check_padded(matrix)
+        matrix.flags.writeable = False
+        self._m = m
+        self._matrix = matrix
+
+    @property
+    def m(self) -> int:
+        return self._m
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The read-only zero-padded int8 relator matrix."""
+        return self._matrix
 
     @property
     def relators(self) -> list:
-        if self._relators is None:
-            mat = self._matrix_cache[1]
-            self._relators = [tuple(row) for row in mat.tolist()]
-            self._matrix_cache = (tuple(self._relators), mat)
-        return self._relators
+        """A new list of the relator tuples on each read."""
+        return unpad(self._matrix)
 
     def __len__(self) -> int:
-        if self._relators is None:
-            return self._matrix_cache[1].shape[0]
-        return len(self._relators)
+        return self._matrix.shape[0]
 
     def relator(self, i: int) -> Word:
         """Relator i as a word tuple."""
-        if self._relators is None:
-            return tuple(self._matrix_cache[1][i].tolist())
-        return self._relators[i]
+        row = self._matrix[i]
+        return tuple(row[: np.count_nonzero(row)].tolist())
 
     def max_length(self) -> int:
         """Length of the longest relator, 0 when there are none."""
-        if self._relators is None:
-            return self._matrix_cache[1].shape[1]
-        return max(map(len, self._relators), default=0)
+        return self._matrix.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, Presentation):
             return NotImplemented
-        return (self.m, self.relators) == (other.m, other.relators)
+        return self.m == other.m and np.array_equal(self._matrix, other._matrix)
 
     def __repr__(self) -> str:
         return f"Presentation(m={self.m!r}, relators={self.relators!r})"
@@ -232,30 +231,49 @@ class Presentation:
     def validate(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        for idx, r in enumerate(self.relators):
-            for x in r:
-                if x == 0 or abs(x) > self.m:
-                    raise ValueError(f"relator {idx} has letter {x} outside m={self.m}")
-            if not is_reduced(r):
-                raise ValueError(f"relator {idx} is not freely reduced")
+        mat = self._matrix
+        outside = (np.abs(mat) > self.m).any(axis=1)
+        # x followed by -x; padding zeros are no letter's inverse
+        cancels = ((mat[:, 1:] == -mat[:, :-1]) & (mat[:, 1:] != 0)).any(axis=1)
+        bad = np.flatnonzero(outside | cancels)
+        if bad.size:
+            idx = int(bad[0])
+            if outside[idx]:
+                raise ValueError(f"relator {idx} has a letter outside m={self.m}")
+            raise ValueError(f"relator {idx} is not freely reduced")
 
-    def as_matrix(self) -> np.ndarray | None:
-        """int8 matrix of relators when all lengths are equal, else None."""
-        if self._relators is None:
-            return self._matrix_cache[1]
-        if not self._relators:
-            return None
-        if self._matrix_cache is not None:
-            rows, mat = self._matrix_cache
-            if len(rows) == len(self._relators) and all(map(operator.is_, rows, self._relators)):
-                return mat
-        n = len(self._relators)
-        ell = len(self._relators[0])
-        if any(len(r) != ell for r in self._relators):
-            return None
-        mat = np.array(self._relators, dtype=np.int8).reshape(n, ell)
-        self._matrix_cache = (tuple(self._relators), mat)
-        return mat
+
+def unpad(rows: np.ndarray) -> list:
+    """The words held by the rows of a zero-padded matrix, as tuples."""
+    lengths = np.count_nonzero(rows, axis=1).tolist()
+    return [tuple(row[:n]) for row, n in zip(rows.tolist(), lengths)]
+
+
+def _pack(relators: Sequence) -> np.ndarray:
+    """The zero-padded int8 matrix of a list of words."""
+    lengths = np.fromiter(map(len, relators), dtype=np.intp, count=len(relators))
+    letters = np.fromiter(itertools.chain.from_iterable(relators), dtype=np.int64,
+                          count=int(lengths.sum()))
+    # a 0 would end its word early under zero padding; int8 holds only +-127
+    if not letters.all() or np.abs(letters).max(initial=0) > 127:
+        raise ValueError("letters must be nonzero with |x| <= 127")
+    width = int(lengths.max(initial=0))
+    matrix = np.zeros((len(relators), width), dtype=np.int8)
+    matrix[np.arange(width) < lengths[:, None]] = letters
+    return matrix
+
+
+def _check_padded(matrix: np.ndarray) -> np.ndarray:
+    """matrix, if it is a zero-padded int8 relator matrix of its own width; else raise."""
+    if matrix.dtype != np.int8 or matrix.ndim != 2 or matrix.min(initial=0) == -128:
+        raise ValueError("need a 2-d int8 matrix of letters with |x| <= 127")
+    if matrix.shape[1] and not matrix[:, -1].any():
+        raise ValueError("the last matrix column must hold a letter")
+    if not matrix.all():
+        letter = matrix != 0
+        if (letter[:, 1:] > letter[:, :-1]).any():
+            raise ValueError("matrix rows must be letters followed by zeros")
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -310,29 +328,34 @@ def presentation_from_text(text: str) -> Presentation:
 # excluding the inverse of its predecessor.
 
 
-def _codes_to_letters(codes: np.ndarray, m: int) -> np.ndarray:
-    return np.where(codes < m, codes + 1, m - codes - 1).astype(np.int8)
-
-
 def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
-    """num x ell int8 matrix of independent uniform freely reduced words."""
+    """num x ell int8 matrix of independent uniform freely reduced words (m <= 127).
+
+    Codes are drawn a column at a time and written as letters straight away,
+    so no temporary is larger than one column.
+    """
     if m < 2 or ell < 1 or num < 1:
         raise ValueError("need m >= 2, ell >= 1, num >= 1")
+    if m > 127:
+        raise ValueError(f"int8 letters need m <= 127, got {m}")
     gen = as_generator(rng)
     two_m = 2 * m
-    codes = np.empty((num, ell), dtype=np.int16)
-    codes[:, 0] = gen.integers(0, two_m, size=num)
+    gens = np.arange(1, m + 1, dtype=np.int8)
+    code_letter = np.concatenate([gens, -gens])
+    letters = np.empty((num, ell), dtype=np.int8)
+    codes = gen.integers(0, two_m, size=num)
+    letters[:, 0] = code_letter[codes]
     for j in range(1, ell):
-        forbidden = (codes[:, j - 1] + m) % two_m
-        t = gen.integers(0, two_m - 1, size=num)
-        codes[:, j] = t + (t >= forbidden)
-    return _codes_to_letters(codes, m)
+        forbidden = (codes + m) % two_m
+        codes = gen.integers(0, two_m - 1, size=num)
+        codes += codes >= forbidden
+        letters[:, j] = code_letter[codes]
+    return letters
 
 
 def sample_word(m: int, ell: int, rng) -> Word:
     """One uniform freely reduced word of length ell; deterministic per seed."""
-    row = sample_relator_matrix(m, ell, 1, rng)[0]
-    return tuple(int(x) for x in row)
+    return unpad(sample_relator_matrix(m, ell, 1, rng))[0]
 
 
 def sample_presentation(

@@ -73,15 +73,11 @@ class TestConfig:
 
 
 class TestFindTailCollisions:
-    """The collision search trivialize runs, on the list and the matrix path."""
+    """The collision search trivialize runs."""
 
     @staticmethod
     def search(words_, k):
-        R = Presentation(2, [W(s) for s in words_])
-        results = {tz._best_collision(R.relators, k, set(), matrix)
-                   for matrix in (None, R.as_matrix())}
-        assert len(results) == 1
-        return results.pop()
+        return tz._best_collision(Presentation(2, [W(s) for s in words_]).matrix, k, set())
 
     def test_crossed_prefix_pair(self):
         best, pairs = self.search(["abab", "baab"], 2)
@@ -102,21 +98,45 @@ class TestFindTailCollisions:
         assert self.search(["abab", "bbab"], 2) == (None, 0)
 
 
+def tail_groups_reference(rows, start):
+    """Groups of 2+ indices of words of length >= start, keyed by the slice u[start:]."""
+    groups = {}
+    for i, u in enumerate(rows):
+        if len(u) >= start:
+            groups.setdefault(u[start:], []).append(i)
+    return [g for g in groups.values() if len(g) >= 2]
+
+
 class TestGroupTails:
     def test_sorted_runs_match_ragged_grouping(self):
         # 3 symbols over 6 columns: many equal tails at every start
         rng = np.random.default_rng(5)
         mat = rng.integers(1, 4, size=(400, 6)).astype(np.int8)
         rows = [tuple(r) for r in mat.tolist()]
-        for start in range(mat.shape[1] + 2):
-            groups = tz._group_tails(rows, start, mat)
-            assert groups == tz._group_tails(rows, start, None)
+        for start in range(1, mat.shape[1] + 2):
+            groups = tz._group_tails(mat, start)
+            assert groups == tail_groups_reference(rows, start)
             assert all(len(g) >= 2 and g == sorted(g) for g in groups)
             assert [g[0] for g in groups] == sorted(g[0] for g in groups)
 
+    def test_ragged_rows_match_tuple_slices(self):
+        # lengths 0..6 over 2 symbols, so at every start some rows are shorter
+        # than start, some end exactly there (empty tail) and some run past it
+        rng = np.random.default_rng(8)
+        rows = [tuple(rng.integers(1, 3, size=n).tolist())
+                for n in rng.integers(0, 7, size=300)]
+        mat = Presentation(2, rows).matrix
+        for start in range(1, mat.shape[1] + 2):
+            groups = tz._group_tails(mat, start)
+            assert groups == tail_groups_reference(rows, start)
+            lengths = {len(rows[i]) for g in groups for i in g}
+            assert any(len(u) < start for u in rows)
+            assert (start in lengths) == (start <= mat.shape[1])
+            assert (max(lengths, default=0) > start) == (start < mat.shape[1])
+
     def test_single_row_has_no_group(self):
         mat = np.array([[1, 2, 1]], dtype=np.int8)
-        assert tz._group_tails(None, 1, mat) == []
+        assert tz._group_tails(mat, 1) == []
 
 
 class TestWReduceOnce:
@@ -208,6 +228,15 @@ class TestReduceRelator:
         out, events = tz.reduce_relator(r, W("Ab"), cfg)
         assert len(events) == 1
 
+    @pytest.mark.parametrize("w", [W("aAb"), W("a"), ()])
+    def test_rejects_invalid_w(self, w):
+        cfg = tz.TrivializerConfig(m=2, ell=110, k=1)
+        r = (1, 2) + tuple([2, 1] * 54)
+        with pytest.raises(ValueError):
+            tz.reduce_relator(r, w, cfg)
+        with pytest.raises(ValueError):
+            tz.w_reduce_once(r, w)
+
 
 class TestTrivialize:
     def test_degenerate_tail_match_without_reduction(self):
@@ -264,18 +293,17 @@ class TestTrivialize:
         assert v.outcome == tz.OUTCOME_UNKNOWN
 
     @pytest.mark.parametrize("m,ell", [(2, 9), (2, 11), (3, 7), (3, 9)])
-    def test_sampled_matrix_path_matches_ragged_path(self, m, ell, monkeypatch):
+    def test_sampled_matrix_path_matches_ragged_path(self, m, ell):
+        # a sampled matrix and the same words packed from a list of tuples
         params = ModelParams.from_density(m, ell, 0.55)
         k = tz.choose_k(ell, m)
         duplicated = 0
         for seed in range(4):
             sampled = sample_presentation(params, RandomSource(seed).child(0))
-            mat = sampled.as_matrix()
-            duplicated += len(tz._group_tails(None, 1, mat)) + len(tz._group_tails(None, k, mat))
+            mat = sampled.matrix
+            duplicated += len(tz._group_tails(mat, 1)) + len(tz._group_tails(mat, k))
             got = tz.trivialize(sampled).to_json_dict()
             listed = Presentation(m, list(sampled.relators))
-            assert tz.trivialize(listed).to_json_dict() == got
-            monkeypatch.setattr(listed, "as_matrix", lambda: None)
             assert tz.trivialize(listed).to_json_dict() == got
         assert duplicated > 0
 
@@ -443,17 +471,24 @@ class TestAbelianizationGuard:
         R = Presentation(2, [W("ab"), W("ab"), W("abab")])
         assert tz.abelianization_guard(R) == tz.CERTAINLY_NONTRIVIAL
 
-    def test_in_place_relator_edit_refreshes_exponents(self):
+    def test_relator_list_edit_leaves_presentation_unchanged(self):
         params = ModelParams(2, 10, 50)
         pres = sample_presentation(params, RandomSource(3).child(0))
-        pres.relators[5] = (1, 2) * 5
-        assert pres.as_matrix()[5].tolist() == [1, 2] * 5
-        assert tz._exponent_matrix(pres)[5].tolist() == [5, 5]
+        relators, matrix = pres.relators, pres.matrix.copy()
+        exponents, guard = tz._exponent_matrix(pres), tz.abelianization_guard(pres)
+        listed = pres.relators
+        listed[5] = (1, 2) * 5
+        assert pres.relators == relators and listed != relators
+        assert np.array_equal(pres.matrix, matrix)
+        assert np.array_equal(tz._exponent_matrix(pres), exponents)
+        assert tz.abelianization_guard(pres) == guard
+        with pytest.raises(ValueError):
+            pres.matrix[5, 0] = 1
 
     def test_exponent_matrix_same_for_matrix_and_ragged_input(self):
         pres = sample_presentation(ModelParams(3, 12, 300), RandomSource(4).child(0))
         ragged = Presentation(3, list(pres.relators) + [W("cA")])
-        assert ragged.as_matrix() is None
+        assert ragged.matrix[-1].tolist() == [3, -1] + [0] * 10
         E = tz._exponent_matrix(pres)
         expected = [[sum((x == g) - (x == -g) for x in r) for g in (1, 2, 3)]
                     for r in ragged.relators]

@@ -183,6 +183,28 @@ class TestSampling:
         row = sample_relator_matrix(2, 6, 1, RandomSource(5))[0]
         assert w == tuple(row)
 
+    def test_rejects_m_beyond_int8(self):
+        with pytest.raises(ValueError):
+            sample_relator_matrix(128, 4, 3, RandomSource(0))
+        with pytest.raises(ValueError):
+            sample_presentation(ModelParams(200, 6, 4), RandomSource(0))
+        mat = sample_relator_matrix(127, 4, 2000, RandomSource(0))
+        assert mat.min() == -127 and mat.max() == 127
+
+    def test_peak_memory_is_a_few_columns_over_the_result(self):
+        import tracemalloc
+
+        sample_relator_matrix(2, 4, 8, RandomSource(0))
+        tracemalloc.start()
+        try:
+            mat = sample_relator_matrix(2, 22, 20_000, RandomSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result plus a few int64 columns; an int16 code matrix with
+        # full-size conversion temporaries takes about 9x the result
+        assert peak < 4 * mat.nbytes
+
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             sample_presentation(ModelParams(2, 100, 10**7), RandomSource(0))
@@ -238,7 +260,7 @@ class TestMatrixBackedPresentation:
         assert len(pres) == 20 and pres.max_length() == 7
         firsts = [pres.relator(i) for i in range(len(pres))]
         assert firsts == pres.relators
-        assert all(pres.relator(i) is r for i, r in enumerate(pres.relators))
+        assert pres.relators is not pres.relators
 
     def test_equality_and_repr_use_relators(self):
         pres = words.sample_presentation(ModelParams(2, 5, 6), RandomSource(1).child(0))
@@ -256,6 +278,43 @@ class TestMatrixBackedPresentation:
             Presentation(2)
         with pytest.raises(ValueError):
             Presentation(2, [W("ab")], matrix=np.array([[1, 2]], dtype=np.int8))
+
+    def test_ragged_words_are_zero_padded(self):
+        pres = Presentation(2, [W("ab"), W("bAB"), ()])
+        assert pres.matrix.tolist() == [[1, 2, 0], [2, -1, -2], [0, 0, 0]]
+        assert pres.relators == [W("ab"), W("bAB"), ()]
+        assert pres.relator(0) == W("ab") and pres.relator(2) == ()
+        assert pres == Presentation(2, [W("ab"), W("bAB"), ()])
+        assert pres != Presentation(2, [W("ab"), W("bA"), ()])
+
+    @pytest.mark.parametrize("relators,ok", [
+        ([W("ab"), W("a"), (), W("bAB")], True),
+        ([W("ab"), W("a"), W("abc")], False),
+        ([W("ab"), W("a"), (1, 2, -2)], False),
+        ([W("a"), W("aa"), (-1, 1)], False),
+    ])
+    def test_validate_matches_word_checks(self, relators, ok):
+        # ragged rows: the padding after a word is neither a letter nor an inverse
+        pres = Presentation(2, relators)
+        assert ok == all(is_reduced(r) and all(abs(x) <= 2 for x in r) for r in relators)
+        if ok:
+            pres.validate()
+        else:
+            with pytest.raises(ValueError, match=f"relator {len(relators) - 1} "):
+                pres.validate()
+
+    @pytest.mark.parametrize("relators", [[(1, 0, 2)], [(0,)], [(1, 128)], [(-128, 1)]])
+    def test_rejects_letters_int8_padding_cannot_hold(self, relators):
+        # a 0 would end its word early; int8 holds letters only up to +-127
+        with pytest.raises(ValueError):
+            Presentation(2, relators)
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 2]], [[1, 2, 0], [2, 1, 0]], [[-128, 1]]])
+    def test_rejects_malformed_matrix(self, rows):
+        with pytest.raises(ValueError):
+            Presentation(2, matrix=np.array(rows, dtype=np.int8))
+        with pytest.raises(ValueError):
+            Presentation(2, matrix=np.array(rows, dtype=np.int16))
 
 
 class TestTextFormat:

@@ -27,7 +27,7 @@ for F in (1, 10, 100):
 print("\nfulfillability exponent flips sign exactly below density one-half:")
 for density in (0.5, 0.45, 0.4):
     params = words.ModelParams.from_density(2, 20, density)
-    for boundary in (0, 40, 120):
+    for boundary in (0, 40, 80):
         stats = diagrams.DiagramStats(4, boundary, 20)
         e = diagrams.fulfillability_bound(stats, params)
         print(f"  density={density:.2f} |bd D|={boundary:>3} |D|=4: exponent {e:+.2f}")

@@ -8,7 +8,11 @@ default c = 2^-(q+2).  The bound holds for every mu.
 
 coincidence_exact is the brute-force oracle (full enumeration over n^(qz)
 outcomes); coincidence_simulate is the Monte Carlo estimator with
-deterministic chunked streams.
+deterministic chunked streams.  It finds each ball's box through a guide
+table over the cumulative measure (Chen & Asau 1974), with a binary search
+only for the rare draws in a bucket that a box boundary cuts, and runs each
+chunk in blocks of whole trials that hold at most BLOCK_DRAWS draws, so a
+chunk's memory does not grow with its number of trials.
 """
 
 from __future__ import annotations
@@ -26,6 +30,12 @@ from .words import ResourceLimitError
 
 #: Trials per simulation chunk; fixed so that results do not depend on threading.
 CHUNK_TRIALS = 1 << 13
+#: Buckets of the guide table over [0, 1); a power of two, so u * GUIDE_BUCKETS
+#: and j / GUIDE_BUCKETS are exact floats.
+GUIDE_BUCKETS = 1 << 12
+#: Most uniform draws in one block of a chunk (and 8x as many box flags);
+#: this bounds a chunk's working memory.
+BLOCK_DRAWS = 1 << 17
 
 
 class HypothesisError(ValueError):
@@ -144,16 +154,64 @@ class SimResult(NamedTuple):
     trials: int
 
 
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """The box of every guide bucket [j/B, (j+1)/B) that no value of cum cuts, else -1.
+
+    searchsorted(cum, u, side="right") takes one value over the whole bucket
+    exactly when no value of cum lies strictly between j/B and (j+1)/B: the
+    bucket method of Chen & Asau (1974), with B = GUIDE_BUCKETS.
+    """
+    edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    lo = np.searchsorted(cum, edges[:-1], side="right")
+    hi = np.searchsorted(cum, edges[1:], side="left")
+    return np.where(lo == hi, lo, -1)
+
+
+def _find_boxes(u: np.ndarray, cum: np.ndarray, guide: np.ndarray,
+                bucket: np.ndarray, box: np.ndarray) -> None:
+    """Write searchsorted(cum, u, side="right") into box, scaling u in place.
+
+    u holds uniforms in [0, 1) and bucket is an intp array of u's shape.  A
+    draw whose guide bucket holds one box reads it from the table; only the
+    draws in a bucket that cum cuts are searched.
+    """
+    u *= GUIDE_BUCKETS  # exact: a power of two
+    np.copyto(bucket, u, casting="unsafe")  # floor, since u >= 0
+    np.take(guide, bucket, out=box, mode="wrap")  # unbuffered; no bucket wraps
+    cut = np.flatnonzero(box < 0)
+    if cut.size:
+        box.flat[cut] = np.searchsorted(cum, u.flat[cut] / GUIDE_BUCKETS, side="right")
+
+
 def _simulate_chunk(gen: np.random.Generator, cfg: PigeonholeConfig, count: int,
-                    cum: np.ndarray) -> int:
-    u = gen.random(size=(count, cfg.q, cfg.z))
-    draws = np.searchsorted(cum, u, side="right")
-    hit = np.zeros((count, cfg.q, cfg.n), dtype=bool)
-    ti = np.arange(count)[:, None, None]
-    ci = np.arange(cfg.q)[None, :, None]
-    hit[ti, ci, draws] = True
-    all_colors = hit.all(axis=1)
-    return int(all_colors.any(axis=1).sum())
+                    cum: np.ndarray, guide: np.ndarray) -> int:
+    """Successes among count trials, drawn in blocks of whole trials.
+
+    A block holds at most BLOCK_DRAWS draws and 8 * BLOCK_DRAWS hit flags,
+    unless one trial alone has more.  The blocks read gen in C order, so
+    together they consume the stream exactly as one (count, q, z) draw would.
+    """
+    q, z, n = cfg.q, cfg.z, cfg.n
+    block = max(1, BLOCK_DRAWS // (q * max(z, (n + 7) // 8)))
+    rows = min(block, count) * q
+    u = np.empty((rows, z))
+    bucket = np.empty((rows, z), dtype=np.intp)
+    box = np.empty((rows, z), dtype=np.intp)
+    row_start = (np.arange(rows) * n)[:, None]
+    hit = np.empty(rows * n, dtype=bool)
+    successes = 0
+    for start in range(0, count, block):
+        trials = min(block, count - start)
+        r = trials * q
+        ub, bb, hb = u[:r], box[:r], hit[:r * n]
+        gen.random(out=ub)
+        _find_boxes(ub, cum, guide, bucket[:r], bb)
+        # row i of the block is one color of one trial: n hit flags each
+        bb += row_start[:r]
+        hb.fill(False)
+        hb[bb] = True
+        successes += int(hb.reshape(trials, q, n).all(axis=1).any(axis=1).sum())
+    return successes
 
 
 def coincidence_simulate(cfg: PigeonholeConfig, trials: int, rng,
@@ -163,12 +221,15 @@ def coincidence_simulate(cfg: PigeonholeConfig, trials: int, rng,
     Trials are processed in fixed-size chunks; with a RandomSource each chunk
     draws from its own child stream, so the result depends only on
     (seed, trials), never on threading.  A plain Generator is consumed
-    sequentially instead.
+    sequentially instead.  A chunk runs in blocks of whole trials that read
+    its stream in the order of one (trials, q, z) draw, and finds boxes in a
+    guide table, so every ball lands where a binary search over cum puts it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     cum = np.cumsum(np.array([float(p) for p in cfg.mu]))
     cum[-1] = 1.0
+    guide = _guide_table(cum)
 
     counts = [min(CHUNK_TRIALS, trials - s) for s in range(0, trials, CHUNK_TRIALS)]
     if isinstance(rng, RandomSource):
@@ -187,12 +248,12 @@ def coincidence_simulate(cfg: PigeonholeConfig, trials: int, rng,
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_chunk = list(pool.map(_simulate_chunk, gens, [cfg] * len(counts),
-                                      counts, [cum] * len(counts)))
+                                      counts, [cum] * len(counts), [guide] * len(counts)))
         successes = sum(per_chunk)
     else:
         successes = 0
         for g, cnt in zip(gens, counts):
-            successes += _simulate_chunk(g, cfg, cnt, cum)
+            successes += _simulate_chunk(g, cfg, cnt, cum, guide)
 
     est = successes / trials
     stderr = math.sqrt(est * (1.0 - est) / trials)

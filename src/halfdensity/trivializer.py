@@ -46,6 +46,8 @@ from .words import (
 )
 
 RESERVED_PREFIX = 2
+#: Letters per bincount block of the abelianization guard's exponent sums.
+EXPONENT_BLOCK_LETTERS = 1 << 18
 
 POSSIBLY_TRIVIAL = "possibly-trivial"
 CERTAINLY_NONTRIVIAL = "certainly-nontrivial"
@@ -517,14 +519,25 @@ def _exact_rank(mat: list) -> int:
 
 
 def _exponent_matrix(R: Presentation) -> np.ndarray:
-    """|R| x m exponent sums, from one bincount over 2m+1 letter bins per relator."""
-    n, m = len(R), R.m
-    # letter x of relator i counts in bin m + x of its row of 2m+1 bins; the
-    # zero padding lands in bin m, which no exponent reads
-    bins = np.repeat(np.arange(n) * (2 * m + 1) + m, R.max_length())
-    bins += R.matrix.ravel()
-    counts = np.bincount(bins, minlength=(2 * m + 1) * n).reshape(n, 2 * m + 1)
-    return counts[:, m + 1:] - counts[:, m - 1::-1]
+    """|R| x m exponent sums, from a bincount over 2m+1 letter bins per relator.
+
+    The bincount runs over blocks of about EXPONENT_BLOCK_LETTERS letters, so
+    its intp bin indices stay a few MB whatever the size of R.
+    """
+    n, m, width = len(R), R.m, R.max_length()
+    bins_per_row = 2 * m + 1
+    rows = max(1, EXPONENT_BLOCK_LETTERS // max(1, width))
+    E = np.empty((n, m), dtype=np.intp)
+    for start in range(0, n, rows):
+        block = R.matrix[start:start + rows]
+        # letter x of the block's relator i counts in bin m + x of its row of
+        # 2m+1 bins; the zero padding lands in bin m, which no exponent reads
+        bins = np.repeat(np.arange(len(block)) * bins_per_row + m, width)
+        bins += block.ravel()
+        counts = np.bincount(bins, minlength=bins_per_row * len(block))
+        counts = counts.reshape(len(block), bins_per_row)
+        E[start:start + len(block)] = counts[:, m + 1:] - counts[:, m - 1::-1]
+    return E
 
 
 def abelianization_guard(R: Presentation) -> str:

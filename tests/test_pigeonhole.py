@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from halfdensity import pigeonhole as ph
@@ -118,3 +119,111 @@ class TestSimulate:
         cfg = ph.PigeonholeConfig.geometric(64, 2, 16)
         res = ph.coincidence_simulate(cfg, 50_000, RandomSource(5))
         assert res.estimate - 3 * res.stderr >= ph.coincidence_bound(cfg)
+
+
+def _reference_chunk(gen, cfg, count, cum):
+    """The kernel as first written: one (count, q, z) draw and a binary search per ball."""
+    u = gen.random(size=(count, cfg.q, cfg.z))
+    draws = np.searchsorted(cum, u, side="right")
+    hit = np.zeros((count, cfg.q, cfg.n), dtype=bool)
+    hit[np.arange(count)[:, None, None], np.arange(cfg.q)[None, :, None], draws] = True
+    return int(hit.all(axis=1).any(axis=1).sum())
+
+
+def _reference_successes(cfg, trials, rng):
+    cum = np.cumsum(np.array([float(p) for p in cfg.mu]))
+    cum[-1] = 1.0
+    counts = [min(ph.CHUNK_TRIALS, trials - s) for s in range(0, trials, ph.CHUNK_TRIALS)]
+    if isinstance(rng, RandomSource):
+        gens = [rng.child(i).generator() for i in range(len(counts))]
+    else:
+        gens = [rng] * len(counts)
+    return sum(_reference_chunk(g, cfg, c, cum) for g, c in zip(gens, counts))
+
+
+def _criterion3_grid():
+    cells = []
+    for q in (2, 3):
+        for n in (16, 64, 256):
+            z0 = math.ceil(2 * n ** (1 - 1 / q))
+            for z in (z0, 2 * z0, 4 * z0):
+                cells += [ph.PigeonholeConfig.uniform(n, q, z),
+                          ph.PigeonholeConfig.geometric(n, q, z)]
+    return cells
+
+
+#: Measures with one box, with boxes of zero mass, with a cumulative sum that
+#: reaches 1.0 before the last box (geometric, n=256), and with many short
+#: blocks per chunk, bounded by draws (z=200) or by hit flags (n=1000, z=5).
+EDGE_CONFIGS = [
+    ph.PigeonholeConfig.uniform(1, 2, 3),
+    ph.PigeonholeConfig.uniform(3, 3, 50),
+    ph.PigeonholeConfig.uniform(7, 2, 20),
+    ph.PigeonholeConfig.uniform(100, 2, 40),
+    ph.PigeonholeConfig.uniform(1000, 3, 200),
+    ph.PigeonholeConfig.uniform(1000, 2, 5),
+    ph.PigeonholeConfig(5, 2, 3, (0, F(1, 2), 0, F(1, 2), 0)),
+    ph.PigeonholeConfig.geometric(256, 2, 40),
+]
+
+
+class TestKernelMatchesBinarySearch:
+    """The guide-table kernel gives the success counts of a binary search per ball."""
+
+    def test_criterion3_grid(self):
+        # 1237 is prime, so every cell whose chunk splits into blocks ends on
+        # a ragged block
+        for cfg in _criterion3_grid():
+            for seed in (0, 1):
+                got = ph.coincidence_simulate(cfg, 1237, RandomSource(seed)).successes
+                want = _reference_successes(cfg, 1237, RandomSource(seed))
+                assert got == want, (cfg.n, cfg.q, cfg.z, seed)
+
+    @pytest.mark.parametrize("cfg", EDGE_CONFIGS, ids=lambda c: f"n{c.n}-q{c.q}-z{c.z}")
+    def test_edge_measures_across_chunks(self, cfg):
+        # two full chunks and a ragged one of 1001 trials (7 * 11 * 13)
+        trials = 2 * ph.CHUNK_TRIALS + 1001
+        got = ph.coincidence_simulate(cfg, trials, RandomSource(9))
+        assert got.successes == _reference_successes(cfg, trials, RandomSource(9))
+        shared = ph.coincidence_simulate(cfg, trials, np.random.default_rng(9))
+        assert shared.successes == _reference_successes(cfg, trials, np.random.default_rng(9))
+
+    def test_geometric_cum_reaches_one_before_last_box(self):
+        assert np.cumsum([float(p) for p in ph.geometric_measure(256)])[-2] == 1.0
+
+    @pytest.mark.parametrize("mu", [
+        ph.uniform_measure(1), ph.uniform_measure(3), ph.uniform_measure(7),
+        ph.uniform_measure(100), ph.uniform_measure(1000), ph.geometric_measure(256),
+        (0, F(1, 2), 0, F(1, 2), 0), (F(1, 3), F(1, 4096), F(2, 3) - F(1, 4096)),
+    ], ids=["uniform1", "uniform3", "uniform7", "uniform100", "uniform1000",
+            "geometric256", "zero_mass", "cut_inside_bucket"])
+    def test_lookup_at_every_boundary(self, mu):
+        cum = np.cumsum(np.array([float(p) for p in mu]))
+        cum[-1] = 1.0
+        edges = np.arange(ph.GUIDE_BUCKETS + 1) / ph.GUIDE_BUCKETS
+        u = np.concatenate([cum, edges])
+        u = np.concatenate([u, np.nextafter(u, 0)])
+        u = u[(u >= 0) & (u < 1)]
+        want = np.searchsorted(cum, u, side="right")
+        box = np.empty(u.shape, dtype=np.intp)
+        ph._find_boxes(u.copy(), cum, ph._guide_table(cum), np.empty_like(box), box)
+        assert np.array_equal(box, want)
+        assert box.max() < len(mu)
+
+
+@pytest.mark.parametrize("cfg", [ph.PigeonholeConfig.uniform(256, 3, 324),
+                                 ph.PigeonholeConfig.uniform(8000, 2, 5)],
+                         ids=["many_balls", "many_boxes"])
+def test_chunk_memory_is_bounded(cfg):
+    import tracemalloc
+
+    ph.coincidence_simulate(cfg, 16, RandomSource(0))
+    tracemalloc.start()
+    try:
+        ph.coincidence_simulate(cfg, ph.CHUNK_TRIALS, RandomSource(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-chunk draw and its box indices take 2 x 64 MB (many balls), and
+    # the hit flags of a whole chunk take 131 MB (many boxes)
+    assert peak < 16 * 2**20

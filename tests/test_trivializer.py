@@ -500,6 +500,29 @@ class TestAbelianizationGuard:
         pres = sample_presentation(params, RandomSource(3).child(0))
         assert tz.abelianization_guard(pres) == tz.POSSIBLY_TRIVIAL
 
+    @pytest.mark.parametrize("block_letters", [1, 7, 12, 50, 1 << 18])
+    def test_exponent_matrix_same_over_row_blocks(self, monkeypatch, block_letters):
+        pres = sample_presentation(ModelParams(3, 12, 300), RandomSource(5).child(0))
+        ragged = Presentation(3, list(pres.relators) + [W("cA"), (), W("bbC")])
+        expected = [[sum((x == g) - (x == -g) for x in r) for g in (1, 2, 3)]
+                    for r in ragged.relators]
+        monkeypatch.setattr(tz, "EXPONENT_BLOCK_LETTERS", block_letters)
+        assert tz._exponent_matrix(ragged).tolist() == expected
+
+    def test_guard_peak_memory_is_a_few_matrices(self):
+        import tracemalloc
+
+        pres = sample_presentation(ModelParams(2, 22, 177_147), RandomSource(6))
+        tz.abelianization_guard(Presentation(2, [W("ab")]))
+        tracemalloc.start()
+        try:
+            tz.abelianization_guard(pres)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one intp bin index per letter of the whole matrix takes over 10x
+        assert peak < 4 * pres.matrix.nbytes
+
 
 class TestPlantedRate:
     def test_rate_clears_quarter(self):

@@ -35,21 +35,33 @@ class CliError(ValueError):
 # small parsers
 
 
+#: The argument keys each rate expression takes; const takes a bare value.
+_RATE_KEYS = {"zero": (), "trivial-threshold": (), "hyperbolic-threshold": (),
+              "threshold-k": (), "window-K": ("cprime",), "delta-K": (), "const": (),
+              "family": ("alpha", "beta", "c0")}
+
+
 def parse_rate_expr(spec: str) -> thresholds.RateFunction:
     """Rate-function syntax for --f-expr / --k-expr / --K-expr.
 
     Accepted: 'zero', 'trivial-threshold', 'hyperbolic-threshold', 'threshold-k',
     'window-K[:cprime=C]', 'delta-K', 'const:V', and
-    'family:alpha=A,beta=B,c0=C' with rational A, B.
+    'family:alpha=A,beta=B,c0=C' with rational A, B.  A key that the name
+    does not take is an error.
     """
     name, _, argstr = spec.partition(":")
+    if name not in _RATE_KEYS:
+        raise CliError(f"unknown rate expression {spec!r}")
     kwargs = {}
     if argstr and name != "const":
         for part in argstr.split(","):
             key, _, val = part.partition("=")
+            key = key.strip()
             if not val:
                 raise CliError(f"malformed rate expression argument {part!r}")
-            kwargs[key.strip()] = val.strip()
+            if key not in _RATE_KEYS[name]:
+                raise CliError(f"rate expression {name!r} takes no argument {key!r}")
+            kwargs[key] = val.strip()
     try:
         if name == "zero":
             return thresholds.zero_rate()
@@ -65,15 +77,13 @@ def parse_rate_expr(spec: str) -> thresholds.RateFunction:
             return thresholds.delta_hyperbolic_window_K()
         if name == "const":
             return thresholds.constant_rate(Fraction(argstr))
-        if name == "family":
-            return thresholds.family(
-                Fraction(kwargs["alpha"]),
-                Fraction(kwargs["beta"]),
-                float(kwargs.get("c0", 1.0)),
-            )
+        return thresholds.family(
+            Fraction(kwargs["alpha"]),
+            Fraction(kwargs["beta"]),
+            float(kwargs.get("c0", 1.0)),
+        )
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse rate expression {spec!r}: {exc}") from None
-    raise CliError(f"unknown rate expression {spec!r}")
 
 
 def parse_ell_grid(spec: str) -> list:

@@ -21,22 +21,6 @@ from . import words
 #: Relation of the letter at position n to the conditioning letter x0.
 RELATIONS = ("same", "inverse", "other")
 
-_ALIASES = {
-    "same": "same",
-    "same-as-x0": "same",
-    "inverse": "inverse",
-    "inverse-of-x0": "inverse",
-    "other": "other",
-}
-
-
-def _normalize_relation(target: str) -> str:
-    try:
-        return _ALIASES[target]
-    except KeyError:
-        raise ValueError(f"unknown relation {target!r}; expected one of {RELATIONS}") from None
-
-
 def partial_sum(m: int, n: int) -> Fraction:
     """s_n = sum_(k=0)^(n-1) (-1/(2m-1))^k, with s_0 = 0."""
     if m < 2:
@@ -55,10 +39,11 @@ def letter_law(m: int, n: int, target: str) -> Fraction:
     """
     if n < 1:
         raise ValueError("the law conditions on x_0; need n >= 1")
-    rel = _normalize_relation(target)
+    if target not in RELATIONS:
+        raise ValueError(f"unknown relation {target!r}; expected one of {RELATIONS}")
     mf = Fraction(1, 2 * m - 1)
     special = "same" if n % 2 == 0 else "inverse"
-    if rel == special:
+    if target == special:
         return mf * partial_sum(m, n - 1)
     return mf * partial_sum(m, n)
 

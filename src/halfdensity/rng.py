@@ -27,10 +27,6 @@ class RandomSource:
                 raise ValueError("RandomSource requires an explicit seed")
             self._ss = np.random.SeedSequence(int(seed))
 
-    @property
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return self._ss
-
     def generator(self) -> np.random.Generator:
         """A fresh Generator over this source's stream.
 

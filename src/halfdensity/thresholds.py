@@ -6,8 +6,9 @@ Rate functions are linear combinations of terms
 
 with logs base 2m-1 (m a parameter, default 2).  Divergence questions for
 this family are decided symbolically by lexicographic comparison of the
-exponent triples (a, b, g); arbitrary callables only get numeric-trace
-heuristics, labeled indeterminate.
+exponent triples (a, b, g).  Where spade's (2m-1)^(2k) or asterisk's
+window scale K is not a monomial, that verdict is indeterminate and a
+numeric-trace heuristic labels it.
 
 Three conditions are evaluated:
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 VERDICT_DIVERGES = "diverges"
 VERDICT_BOUNDED = "bounded"
@@ -154,28 +155,18 @@ class GrowthExpr:
 
 @dataclass(frozen=True)
 class RateFunction:
-    """A named rate function, symbolic when possible.
+    """A named rate function in GrowthExpr form.
 
     parametric holds (alpha, beta, coeff) for members of the family
-    c0 * log^beta / ell^alpha; expr is the GrowthExpr form; fn is the
-    fallback for explicitly tabulated or opaque functions.
+    c0 * log^beta / ell^alpha.
     """
 
     label: str
-    expr: Optional[GrowthExpr] = None
+    expr: GrowthExpr
     parametric: Optional[tuple] = None
-    fn: Optional[Callable] = field(default=None, compare=False)
 
     def evaluate(self, ell: int, m: int = 2) -> float:
-        if self.expr is not None:
-            return self.expr.evaluate(ell, m)
-        if self.fn is not None:
-            return float(self.fn(ell))
-        raise ValueError(f"rate function {self.label} has no evaluable form")
-
-    @property
-    def symbolic(self) -> bool:
-        return self.expr is not None
+        return self.expr.evaluate(ell, m)
 
 
 def family(alpha, beta, coeff=1) -> RateFunction:
@@ -247,7 +238,7 @@ class ConditionReport:
 def heuristic_verdict(trace: list) -> str:
     """Monotone-window heuristic over the last three decades of a trace.
 
-    Only a labeling aid for non-symbolic inputs; never authoritative.
+    Only a labeling aid where a condition has no closed form; never authoritative.
     """
     if len(trace) < 2:
         return VERDICT_INDETERMINATE
@@ -275,20 +266,9 @@ def heuristic_verdict(trace: list) -> str:
 def star_condition(k_fn: RateFunction, f: RateFunction, ell_grid: list,
                    m: int = 2) -> ConditionReport:
     """Does k(ell) - 2 ell f(ell) diverge?"""
-    symbolic = None
-    if k_fn.symbolic and f.symbolic:
-        symbolic = k_fn.expr - f.expr.shift_ell(1).scale(2)
-        verdict = symbolic.limit_verdict()
-    else:
-        verdict = VERDICT_INDETERMINATE
-    trace = []
-    for ell in ell_grid:
-        val = k_fn.evaluate(ell, m) - 2 * ell * f.evaluate(ell, m)
-        trace.append((ell, val))
-    if verdict == VERDICT_INDETERMINATE:
-        heur = heuristic_verdict(trace)
-        return ConditionReport("star", verdict, symbolic, trace, {"heuristic": heur})
-    return ConditionReport("star", verdict, symbolic, trace)
+    symbolic = k_fn.expr - f.expr.shift_ell(1).scale(2)
+    trace = [(ell, k_fn.evaluate(ell, m) - 2 * ell * f.evaluate(ell, m)) for ell in ell_grid]
+    return ConditionReport("star", symbolic.limit_verdict(), symbolic, trace)
 
 
 _EXPONENT_KEYS = {_ZERO_KEY, (Fraction(0), Fraction(1), Fraction(0)),
@@ -318,32 +298,30 @@ def spade_condition(k_fn: RateFunction, m: int, ell_grid: list) -> ConditionRepo
     symbolic = None
     verdict = VERDICT_INDETERMINATE
     detail: dict = {}
-    if k_fn.symbolic:
-        two_k = k_fn.expr.scale(2)
-        growing = [(key, c) for key, c in two_k.terms.items()
-                   if key[0] > 0 and c > 0]
-        expo = _exp_base(two_k, m)
-        if expo is not None:
-            numer = GrowthExpr({(Fraction(1), Fraction(0), Fraction(0)): 1,
-                                _ZERO_KEY: -2})
-            denom = (k_fn.expr.scale(2) + GrowthExpr.constant(2)) * expo
-            nk, nc = numer.leading_term()
-            dk, dc = denom.leading_term()
-            ratio_key = tuple(x - y for x, y in zip(nk, dk))
-            ratio_coeff = nc / dc if isinstance(nc, Fraction) and isinstance(dc, Fraction) \
-                else float(nc) / float(dc)
-            symbolic = GrowthExpr.monomial(*ratio_key, ratio_coeff)
-            detail["leading"] = (ratio_key, ratio_coeff)
-            if ratio_key > _ZERO_KEY:
-                verdict = VERDICT_DIVERGES if ratio_coeff > 0 else VERDICT_TO_MINUS_INF
-            elif ratio_key == _ZERO_KEY:
-                verdict = VERDICT_BOUNDED
-            else:
-                verdict = VERDICT_TO_ZERO
-        elif growing:
-            # exponent has a positive power of ell: denominator outgrows
-            # every polynomial, so the block count collapses to zero
+    two_k = k_fn.expr.scale(2)
+    growing = [(key, c) for key, c in two_k.terms.items() if key[0] > 0 and c > 0]
+    expo = _exp_base(two_k, m)
+    if expo is not None:
+        numer = GrowthExpr({(Fraction(1), Fraction(0), Fraction(0)): 1,
+                            _ZERO_KEY: -2})
+        denom = (two_k + GrowthExpr.constant(2)) * expo
+        nk, nc = numer.leading_term()
+        dk, dc = denom.leading_term()
+        ratio_key = tuple(x - y for x, y in zip(nk, dk))
+        ratio_coeff = nc / dc if isinstance(nc, Fraction) and isinstance(dc, Fraction) \
+            else float(nc) / float(dc)
+        symbolic = GrowthExpr.monomial(*ratio_key, ratio_coeff)
+        detail["leading"] = (ratio_key, ratio_coeff)
+        if ratio_key > _ZERO_KEY:
+            verdict = VERDICT_DIVERGES if ratio_coeff > 0 else VERDICT_TO_MINUS_INF
+        elif ratio_key == _ZERO_KEY:
+            verdict = VERDICT_BOUNDED
+        else:
             verdict = VERDICT_TO_ZERO
+    elif growing:
+        # exponent has a positive power of ell: denominator outgrows
+        # every polynomial, so the block count collapses to zero
+        verdict = VERDICT_TO_ZERO
 
     trace = []
     ln_base = math.log(base)
@@ -363,7 +341,7 @@ def asterisk_condition(K_fn: RateFunction, f: RateFunction, ell_grid: list,
     symbolic = None
     verdict = VERDICT_INDETERMINATE
     detail: dict = {}
-    if K_fn.symbolic and f.symbolic and K_fn.expr.is_monomial():
+    if K_fn.expr.is_monomial():
         ((aK, bK, gK), cK), = K_fn.expr.terms.items()
         if cK > 0 and gK == 0:
             log_c = 0 if cK == 1 else math.log(float(cK), base)
@@ -452,9 +430,7 @@ def classify_phase(alpha, beta, coeff) -> PhaseVerdict:
 
 
 def classify_rate(rf: RateFunction) -> PhaseVerdict:
-    """Classify any symbolic rate function, including the named thresholds."""
-    if rf.expr is None:
-        raise ValueError(f"rate function {rf.label} has no symbolic form")
+    """Classify any rate function, including the named thresholds."""
     if not rf.expr.terms:
         return PhaseVerdict(OUTCOME_TRIVIAL, "f = 0: classical model at density one-half")
     if rf.parametric is not None:
@@ -475,7 +451,9 @@ class PhaseMapCell:
 
 def phase_map(alphas, betas, coeff=1.0) -> list:
     """Classify every (alpha, beta) grid cell; non-vanishing cells are
-    labeled not-o1 rather than raising."""
+    labeled not-o1 rather than raising.  coeff must be finite and >= 0."""
+    if not (math.isfinite(coeff) and coeff >= 0):
+        raise ValueError(f"coefficient must be finite and nonnegative, got {coeff}")
     rows = []
     for a in alphas:
         for b in betas:
@@ -512,15 +490,6 @@ def delta_constant(kappa: float, N: int) -> float:
     if not kappa * N > 1:
         raise ValueError(f"need kappa > 1/N, got kappa={kappa}, N={N}")
     return 120.0 * kappa * kappa * N**3
-
-
-def large_loop_area_threshold(kappa: float, N: int) -> float:
-    """Loop area above which the linear isoperimetric hypothesis applies."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not kappa * N > 1:
-        raise ValueError(f"need kappa > 1/N, got kappa={kappa}, N={N}")
-    return 18.0 * kappa * kappa * N * N
 
 
 def delta_for_ell(ell: int, c2: float = 1.0) -> float:

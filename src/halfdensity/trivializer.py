@@ -40,10 +40,12 @@ from .words import (
     invert,
     is_reduced,
     letter_to_char,
+    sample_relator_matrix,
     unpad,
     word_from_str,
     word_to_str,
 )
+from .rng import RandomSource
 
 RESERVED_PREFIX = 2
 #: Letters per bincount block of the abelianization guard's exponent sums.
@@ -112,31 +114,6 @@ class TrivializerConfig:
         if k is None:
             k = min(choose_k(ell, m), ell)
         return cls(m=m, ell=ell, k=k, max_rounds=max_rounds)
-
-
-# ---------------------------------------------------------------------------
-# domain records
-
-
-@dataclass(frozen=True)
-class WReductionEvent:
-    """One excision of d w d^-1 between non-cancelling flanks s, t.
-
-    start/end are one-based inclusive positions of the removed segment in the
-    host word at the moment of application.
-    """
-
-    start: int
-    end: int
-    conjugator: Word
-    s_letter: int
-    t_letter: int
-
-    def __post_init__(self):
-        if self.s_letter == -self.t_letter:
-            raise ValueError("flanking letters cancel; not a valid reduction")
-        if self.end < self.start:
-            raise ValueError("empty reduction span")
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +373,11 @@ def _group_tails(mat: np.ndarray, start: int) -> list:
 
 # ---------------------------------------------------------------------------
 # w-reduction
+#
+# A reduction record is the tuple (start, end, conjugator, s_letter,
+# t_letter, result) of ReductionStep's fields after host and w_ref: the
+# segment d w d^-1 at one-based positions start..end of the host as it then
+# stands is excised between the non-cancelling flanks s and t, leaving result.
 
 
 def _pattern_span(r, W: int, i: int, lo0: int, hi0: int):
@@ -423,41 +405,28 @@ def _check_w(w: Word) -> None:
         raise ValueError("w must be freely reduced of length >= 2")
 
 
-def w_reduce_once(r: Word, w: Word, search_from: int = RESERVED_PREFIX + 1,
-                  search_to: int | None = None):
-    """Excise the leftmost valid pattern s d w d^-1 t inside a window of r.
+def _w_reduce_window(r: Word, wt: Word, search_from: int, search_to: int):
+    """The record of the leftmost valid pattern s d w d^-1 t inside a window of r.
 
     The whole pattern, flanks included, must lie within one-based positions
-    [search_from, search_to].  The conjugator d is grown greedily outward
-    from the w occurrence; maximality makes the flanks non-cancelling unless
-    the pattern hits the window edge, in which case the occurrence is skipped
-    and the search continues.  Returns (reduced word, event) or None.
+    [search_from, search_to]; wt is freely reduced of length >= 2.  The
+    conjugator d is grown greedily outward from the w occurrence; maximality
+    makes the flanks non-cancelling unless the pattern hits the window edge,
+    in which case the occurrence is skipped and the search continues.
+    Returns None when no occurrence qualifies.
     """
-    _check_w(w)
-    return _w_reduce_window(r, tuple(w), search_from, search_to)
-
-
-def _w_reduce_window(r: Word, wt: Word, search_from: int, search_to: int | None):
-    """w_reduce_once for a w already checked to be freely reduced of length >= 2."""
-    L = len(r)
     W = len(wt)
-    if search_to is None:
-        search_to = L
     lo0 = max(search_from - 1, 0)
-    hi0 = min(search_to - 1, L - 1)
+    hi0 = min(search_to, len(r)) - 1
 
     for i in range(lo0 + 1, hi0 - W + 1):
-        if tuple(r[i : i + W]) != wt:
+        if r[i : i + W] != wt:
             continue
         span = _pattern_span(r, W, i, lo0, hi0)
         if span is None:
             continue
         si, ti = span
-        conj = tuple(r[si + 1 : i])
-        result = tuple(r[: si + 1]) + tuple(r[ti:])
-        event = WReductionEvent(start=si + 2, end=ti, conjugator=conj,
-                                s_letter=r[si], t_letter=r[ti])
-        return result, event
+        return si + 2, ti, r[si + 1 : i], r[si], r[ti], r[: si + 1] + r[ti:]
     return None
 
 
@@ -466,8 +435,8 @@ def reduce_relator(r: Word, w: Word, cfg: TrivializerConfig):
 
     Blocks are consecutive block_size spans of r from position 3 on; letters
     beyond the last full block are left alone.  Returns (reduced word,
-    events), event positions being relative to the word state at the moment
-    each excision is applied.
+    reduction records), in the order the excisions are applied; the list is
+    empty when nothing was excised.
     """
     _check_w(w)
     return _reduce_blocks(tuple(r), tuple(w), cfg)
@@ -476,19 +445,19 @@ def reduce_relator(r: Word, w: Word, cfg: TrivializerConfig):
 def _reduce_blocks(cur: Word, wt: Word, cfg: TrivializerConfig):
     """reduce_relator for a w already checked to be freely reduced of length >= 2."""
     b = cfg.block_count_for(len(cur))
-    events: list[WReductionEvent] = []
+    records: list[tuple] = []
     offset = 0
     size = cfg.block_size
     for j in range(b):
         lo = RESERVED_PREFIX + 1 + j * size
         hi = RESERVED_PREFIX + (j + 1) * size
-        res = _w_reduce_window(cur, wt, lo - offset, hi - offset)
-        if res is None:
+        rec = _w_reduce_window(cur, wt, lo - offset, hi - offset)
+        if rec is None:
             continue
-        cur, ev = res
-        events.append(ev)
-        offset += ev.end - ev.start + 1
-    return cur, events
+        records.append(rec)
+        start, end, *_, cur = rec
+        offset += end - start + 1
+    return cur, records
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +585,6 @@ class _UnionFind:
         return len({self.find(x) for x in self.parent})
 
 
-def _symbol_code(x: int, m: int) -> int:
-    return x - 1 if x > 0 else m + (-x) - 1
-
-
-def _edge_class(x: int, y: int, m: int):
-    """Canonical key of the unordered pair {x, y} up to inverting both."""
-    p1 = tuple(sorted((x, y), key=lambda t: _symbol_code(t, m)))
-    p2 = tuple(sorted((-x, -y), key=lambda t: _symbol_code(t, m)))
-    return min(p1, p2, key=lambda p: (_symbol_code(p[0], m), _symbol_code(p[1], m)))
-
-
 def _prune_derivation(deriv: list, last: int) -> list:
     """Ancestor closure of one step, re-indexed into a standalone step list."""
     needed = set()
@@ -688,16 +646,13 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     cur = R.matrix
 
     deriv: list[Step] = []
-    cite_map: dict[int, int] = {}
+    # the step holding each relator's current word
     cur_ref: dict[int, int] = {}
 
     def ref_of(i: int) -> int:
-        if i in cur_ref:
-            return cur_ref[i]
-        if i not in cite_map:
+        if i not in cur_ref:
             deriv.append(RelatorStep(i, R.relator(i)))
-            cite_map[i] = len(deriv) - 1
-        cur_ref[i] = cite_map[i]
+            cur_ref[i] = len(deriv) - 1
         return cur_ref[i]
 
     symbols = [i for i in range(1, m + 1)] + [-i for i in range(1, m + 1)]
@@ -731,22 +686,15 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             # w comes from the collision search: freely reduced, of length 2k
             hosts = np.flatnonzero(cur[:, host_column])
             for i, u in zip(hosts.tolist(), unpad(cur[hosts])):
-                reduced, events = _reduce_blocks(u, w, cfg)
-                if not events:
+                reduced, records = _reduce_blocks(u, w, cfg)
+                if not records:
                     continue
-                host = u
-                for ev in events:
-                    host_ref = ref_of(i)
-                    result = host[: ev.start - 1] + host[ev.end :]
-                    deriv.append(ReductionStep(host_ref, w_entry, ev.start, ev.end,
-                                               ev.conjugator, ev.s_letter, ev.t_letter,
-                                               result))
+                for rec in records:
+                    deriv.append(ReductionStep(ref_of(i), w_entry, *rec))
                     cur_ref[i] = len(deriv) - 1
-                    stats.letters_removed += ev.end - ev.start + 1
-                    host = result
-                assert host == reduced
+                    stats.letters_removed += rec[1] - rec[0] + 1
                 reduced_rows[i] = reduced
-                round_reductions += len(events)
+                round_reductions += len(records)
             if reduced_rows:
                 packed = Presentation(m, list(reduced_rows.values())).matrix
                 cur = cur.copy()
@@ -760,7 +708,8 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             for i, x in zip(idxs, cur[idxs, 0].tolist()):
                 if x not in seen:
                     for y, j in seen.items():
-                        key = _edge_class(y, x, m)
+                        # the pair {y, x} up to inverting both sides
+                        key = min((y, x), (x, y), (-y, -x), (-x, -y))
                         if key in certs:
                             continue
                         r1_ref, r2_ref = ref_of(j), ref_of(i)
@@ -800,14 +749,10 @@ def planted_reduction_rate(k: int, m: int, blocks: int, rng, w: Word | None = No
     enough for the wrong-form occurrences (the block starting or ending with
     d w d^-1) to be negligible.
     """
-    from .words import sample_relator_matrix
-
     cfg = TrivializerConfig(m=m, ell=max((2 * k + 2) * (2 * m - 1) ** (2 * k) + 2, 2 * k),
                             k=k)
     size = cfg.block_size
-    if w is None:
-        w = tuple([1, 2] * k) if m >= 2 else None
-    w = tuple(w)
+    w = tuple([1, 2] * k) if w is None else tuple(w)
     if len(w) != 2 * k or not is_reduced(w):
         raise ValueError(f"w must be freely reduced of length 2k = {2 * k}")
     W = len(w)
@@ -815,8 +760,6 @@ def planted_reduction_rate(k: int, m: int, blocks: int, rng, w: Word | None = No
     hits = 0
     done = 0
     chunk_index = 0
-    from .rng import RandomSource
-
     if not isinstance(rng, RandomSource):
         rng = RandomSource(int(rng))
     while done < blocks:

@@ -2,8 +2,7 @@
 
 A letter is a nonzero signed integer: +i is the i-th generator and -i its
 inverse (1 <= i <= m).  A word is a tuple of letters in freely reduced form,
-i.e. with no adjacent pair x, -x.  All public slicing is one-based and
-inclusive at both ends.
+i.e. with no adjacent pair x, -x.
 
 Text form: generator i prints as the i-th lowercase ASCII letter, its
 inverse as the corresponding uppercase letter ("aBa" = a b^-1 a).
@@ -33,12 +32,6 @@ class ResourceLimitError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # letters
-
-
-def inverse(x: Letter) -> Letter:
-    if x == 0:
-        raise ValueError("0 is not a letter")
-    return -x
 
 
 def letter_to_char(x: Letter) -> str:
@@ -104,13 +97,6 @@ def concat_reduce(u: Sequence[Letter], v: Sequence[Letter]) -> Word:
 
 def invert(u: Sequence[Letter]) -> Word:
     return tuple(-x for x in reversed(u))
-
-
-def subword(u: Sequence[Letter], i: int, j: int) -> Word:
-    """Letters i..j of u, one-based and inclusive; requires 1 <= i <= j <= |u|."""
-    if not 1 <= i <= j <= len(u):
-        raise IndexError(f"subword indices ({i}, {j}) out of range for length {len(u)}")
-    return tuple(u[i - 1 : j])
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +169,18 @@ class Presentation:
     Letters are never 0, so a row's length is the position of its first 0.
     Presentation(m, relators) packs the words once; Presentation(m,
     matrix=...) takes a sampler's matrix as it is and makes it read-only.
+    Both raise ValueError unless every letter lies in +-m.
     """
 
     def __init__(self, m: int, relators: Sequence | None = None, *,
                  matrix: np.ndarray | None = None):
         if (relators is None) == (matrix is None):
             raise ValueError("give exactly one of relators and matrix")
-        matrix = _pack(relators) if matrix is None else _check_padded(matrix)
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        # int8 holds letters only up to +-127
+        bound = min(m, 127)
+        matrix = _pack(relators, bound) if matrix is None else _check_padded(matrix, bound)
         matrix.flags.writeable = False
         self._m = m
         self._matrix = matrix
@@ -229,18 +220,13 @@ class Presentation:
         return f"Presentation(m={self.m!r}, relators={self.relators!r})"
 
     def validate(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        """Raise ValueError naming the first relator that is not freely reduced."""
         mat = self._matrix
-        outside = (np.abs(mat) > self.m).any(axis=1)
         # x followed by -x; padding zeros are no letter's inverse
         cancels = ((mat[:, 1:] == -mat[:, :-1]) & (mat[:, 1:] != 0)).any(axis=1)
-        bad = np.flatnonzero(outside | cancels)
+        bad = np.flatnonzero(cancels)
         if bad.size:
-            idx = int(bad[0])
-            if outside[idx]:
-                raise ValueError(f"relator {idx} has a letter outside m={self.m}")
-            raise ValueError(f"relator {idx} is not freely reduced")
+            raise ValueError(f"relator {int(bad[0])} is not freely reduced")
 
 
 def unpad(rows: np.ndarray) -> list:
@@ -249,24 +235,26 @@ def unpad(rows: np.ndarray) -> list:
     return [tuple(row[:n]) for row, n in zip(rows.tolist(), lengths)]
 
 
-def _pack(relators: Sequence) -> np.ndarray:
-    """The zero-padded int8 matrix of a list of words."""
+def _pack(relators: Sequence, bound: int) -> np.ndarray:
+    """The zero-padded int8 matrix of a list of words with letters in +-bound."""
     lengths = np.fromiter(map(len, relators), dtype=np.intp, count=len(relators))
     letters = np.fromiter(itertools.chain.from_iterable(relators), dtype=np.int64,
                           count=int(lengths.sum()))
-    # a 0 would end its word early under zero padding; int8 holds only +-127
-    if not letters.all() or np.abs(letters).max(initial=0) > 127:
-        raise ValueError("letters must be nonzero with |x| <= 127")
+    # a 0 would end its word early under zero padding
+    if not letters.all() or np.abs(letters).max(initial=0) > bound:
+        raise ValueError(f"letters must be nonzero with |x| <= {bound}")
     width = int(lengths.max(initial=0))
     matrix = np.zeros((len(relators), width), dtype=np.int8)
     matrix[np.arange(width) < lengths[:, None]] = letters
     return matrix
 
 
-def _check_padded(matrix: np.ndarray) -> np.ndarray:
-    """matrix, if it is a zero-padded int8 relator matrix of its own width; else raise."""
-    if matrix.dtype != np.int8 or matrix.ndim != 2 or matrix.min(initial=0) == -128:
-        raise ValueError("need a 2-d int8 matrix of letters with |x| <= 127")
+def _check_padded(matrix: np.ndarray, bound: int) -> np.ndarray:
+    """matrix, if it is a zero-padded int8 matrix of its own width with letters
+    in +-bound; else raise."""
+    if (matrix.dtype != np.int8 or matrix.ndim != 2 or matrix.min(initial=0) < -bound
+            or matrix.max(initial=0) > bound):
+        raise ValueError(f"need a 2-d int8 matrix of letters with |x| <= {bound}")
     if matrix.shape[1] and not matrix[:, -1].any():
         raise ValueError("the last matrix column must hold a letter")
     if not matrix.all():
@@ -353,15 +341,11 @@ def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     return letters
 
 
-def sample_word(m: int, ell: int, rng) -> Word:
-    """One uniform freely reduced word of length ell; deterministic per seed."""
-    return unpad(sample_relator_matrix(m, ell, 1, rng))[0]
-
-
 def sample_presentation(
     params: ModelParams, rng, max_letters: int = DEFAULT_MAX_LETTERS
 ) -> Presentation:
-    """num independent draws of sample_word, as a matrix-backed Presentation.
+    """num independent uniform freely reduced words of length ell, as a
+    matrix-backed Presentation.
 
     Raises ResourceLimitError when num * ell exceeds max_letters.
     """

@@ -1,13 +1,22 @@
 import json
+import sys
 
 import pytest
 
-from halfdensity import cli, words
+from halfdensity import cli, thresholds, words
 from halfdensity.manifest import RunManifest
 
 
 def run_ok(argv):
     assert cli.run(argv) == 0
+
+
+def run_main(monkeypatch, argv) -> int:
+    """The exit code of the console entry point on argv."""
+    monkeypatch.setattr(sys, "argv", ["halfdensity", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    return exc.value.code
 
 
 class TestSample:
@@ -166,6 +175,27 @@ class TestConditionsAndPhaseMap:
         verdicts = {l.split(",")[2] for l in lines[1:]}
         assert {"hyperbolic", "trivial", "unknown"} <= verdicts
 
+    @pytest.mark.parametrize("coeff", ["-1", "inf", "nan"])
+    def test_phase_map_rejects_bad_coeff(self, coeff, tmp_path, capsys, monkeypatch):
+        # once, before the grid: not caught per cell as "f not o(1)"
+        out = tmp_path / "pm.csv"
+        assert run_main(monkeypatch, ["phase-map", "--coeff", coeff, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: coefficient must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--which", "star", "--k-expr", "threshold-k", "--f-expr", "family:alpha=1,beta=1,c=100"],
+        ["--which", "star", "--k-expr", "threshold-k", "--f-expr", "zero:x=1"],
+        ["--which", "asterisk", "--K-expr", "window-K:cprime=2,foo=3", "--f-expr", "zero"],
+    ])
+    def test_rate_expression_rejects_keys_it_does_not_take(self, argv, tmp_path, capsys):
+        with pytest.raises(cli.CliError, match="takes no argument"):
+            cli.run(["conditions", *argv, "--out", str(tmp_path / "x.csv")])
+
+    def test_rate_expression_keys(self):
+        assert cli.parse_rate_expr("family:alpha=1,beta=1,c0=100").parametric == (1, 1, 100.0)
+        assert cli.parse_rate_expr("window-K:cprime=2") == thresholds.hyperbolic_window_K(2)
+
     def test_negative_beta_value_form(self, tmp_path, capsys):
         out = tmp_path / "pm.csv"
         run_ok(["phase-map", "--alpha", "0:1:0.5", "--beta", "-1:0:0.5",
@@ -216,6 +246,24 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.run(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_main_maps_cli_error_to_exit_one(self, tmp_path, capsys, monkeypatch):
+        argv = ["conditions", "--which", "star", "--k-expr", "threshold-k",
+                "--f-expr", "zero:x=1", "--out", str(tmp_path / "x.csv")]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == "error: rate expression 'zero' takes no argument 'x'\n"
+
+    def test_main_maps_value_error_to_exit_one(self, tmp_path, capsys, monkeypatch):
+        # ModelParams raises a plain ValueError, not a CliError
+        argv = ["sample", "--m", "1", "--ell", "4", "--num", "2", "--seed", "1",
+                "--out", str(tmp_path / "x")]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == "error: m must be >= 2, got 1\n"
+
+    def test_main_exits_zero_on_success(self, tmp_path, capsys, monkeypatch):
+        argv = ["sample", "--m", "2", "--ell", "4", "--num", "2", "--seed", "1",
+                "--out", str(tmp_path / "x")]
+        assert run_main(monkeypatch, argv) == 0
 
     def test_domain_error_message(self, tmp_path):
         # num so large the letter budget trips

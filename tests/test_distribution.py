@@ -29,10 +29,10 @@ class TestPartialSum:
 
 class TestLetterLaw:
     def test_position_one_inverse_forbidden(self):
-        assert dist.letter_law(2, 1, "inverse-of-x0") == 0
+        assert dist.letter_law(2, 1, "inverse") == 0
 
     def test_position_two_same(self):
-        assert dist.letter_law(2, 2, "same-as-x0") == F(1, 3)
+        assert dist.letter_law(2, 2, "same") == F(1, 3)
 
     def test_position_two_other(self):
         assert dist.letter_law(2, 2, "other") == F(2, 9)

@@ -60,12 +60,6 @@ class TestStarCondition:
         # k - 2 ell f at ell = 81 equals loglog(81) = log3(4)
         assert rep.trace[0][1] == pytest.approx(math.log(4, 3))
 
-    def test_callable_rate_is_indeterminate(self):
-        k = th.RateFunction(label="opaque", fn=lambda ell: 3.0)
-        rep = th.star_condition(k, th.zero_rate(), GRID)
-        assert rep.verdict == th.VERDICT_INDETERMINATE
-        assert rep.detail["heuristic"] == th.VERDICT_BOUNDED
-
 
 class TestSpadeCondition:
     def test_threshold_head_k_diverges_like_log(self):
@@ -109,6 +103,12 @@ class TestAsteriskCondition:
                         else rep.verdict)
             if ok:
                 assert rep.verdict == th.VERDICT_TO_MINUS_INF
+
+    def test_non_monomial_K_falls_back_to_heuristic(self):
+        # the CLI reaches this with --K-expr threshold-k
+        rep = th.asterisk_condition(th.threshold_head_k(), th.zero_rate(), GRID)
+        assert rep.verdict == th.VERDICT_INDETERMINATE and rep.symbolic is None
+        assert rep.detail["heuristic"] == th.heuristic_verdict(rep.trace)
 
     def test_zero_f_diverges_up(self):
         rep = th.asterisk_condition(th.hyperbolic_window_K(1), th.zero_rate(), GRID)
@@ -260,13 +260,6 @@ class TestDeltaConstant:
     def test_value(self):
         assert th.delta_constant(1.0, 2) == 960.0
 
-    def test_area_threshold(self):
-        assert th.large_loop_area_threshold(1.0, 2) == 72.0
-
-    def test_threshold_below_delta(self):
-        for kappa, N in ((1.0, 2), (0.5, 11), (2.0, 1000)):
-            assert th.large_loop_area_threshold(kappa, N) < th.delta_constant(kappa, N)
-
     def test_delta_for_ell_scaling(self):
         base = th.delta_for_ell(1000) / 1000 ** (5 / 3)
         for ell in (10**4, 10**6, 10**9):
@@ -275,13 +268,6 @@ class TestDeltaConstant:
     def test_delta_for_ell_precondition(self):
         with pytest.raises(ValueError):
             th.delta_for_ell(1)
-
-    def test_loop_area_exceeds_window_scale(self):
-        # 18 (c'' ell^(-2/3))^2 ell^2 >= K(ell)^2 for the delta window choice
-        for ell in (10**3, 10**6, 10**9):
-            area = th.large_loop_area_threshold(float(ell) ** (-2 / 3), ell)
-            K = th.delta_hyperbolic_window_K().evaluate(ell, 2)
-            assert area >= K * K
 
 
 class TestTwoWindowChoices:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from halfdensity import trivializer as tz
 from halfdensity import words
@@ -11,6 +13,7 @@ from halfdensity.rng import RandomSource
 from halfdensity.words import (
     ModelParams,
     Presentation,
+    free_reduce,
     invert,
     is_reduced,
     sample_presentation,
@@ -139,63 +142,65 @@ class TestGroupTails:
         assert tz._group_tails(mat, 1) == []
 
 
+def scan(r, w, search_from=1):
+    """The reduction record of the window scan over positions search_from..|r|."""
+    return tz._w_reduce_window(r, w, search_from, len(r))
+
+
 class TestWReduceOnce:
     def test_conjugated_occurrence(self):
         # r = b a a b A b, w = ab: pattern s=b, d=a, w, d^-1=A, t=b
-        res = tz.w_reduce_once(W("baabAb"), W("ab"), search_from=1)
-        assert res is not None
-        reduced, ev = res
+        rec = scan(W("baabAb"), W("ab"))
+        assert rec is not None
+        start, end, conjugator, s, t, reduced = rec
         assert reduced == W("bb")
-        assert (ev.start, ev.end) == (2, 5)
-        assert ev.conjugator == W("a")
-        assert (ev.s_letter, ev.t_letter) == (2, 2)
+        assert (start, end) == (2, 5)
+        assert conjugator == W("a")
+        assert (s, t) == (2, 2)
 
     def test_clean_occurrence_deletes_exactly_w(self):
-        r = W("aab") + W("ab") + W("ab")  # b A b? build explicitly below
         r = (1, 1, 2, -1, 2, 2, 1)        # s=b at pos 3, w=Ab at 4..5, t=b
-        res = tz.w_reduce_once(r, W("Ab"), search_from=1)
-        reduced, ev = res
+        start, end, conjugator, _, _, reduced = scan(r, W("Ab"))
         assert reduced == (1, 1, 2, 2, 1)
-        assert ev.conjugator == ()
-        assert ev.end - ev.start + 1 == 2
+        assert conjugator == ()
+        assert end - start + 1 == 2
 
     def test_window_edge_occurrence_skipped_then_found(self):
         # a a b A | b a b b: first occurrence sits as d w d^-1 at the window
         # start (no room for s); the later clean occurrence wins
         r = (1, 1, 2, -1, 2, 1, 2, 2)
-        res = tz.w_reduce_once(r, W("ab"), search_from=1)
-        assert res is not None
-        reduced, ev = res
-        assert (ev.start, ev.end) == (6, 7)
-        assert reduced == (1, 1, 2, -1, 2, 2)
+        rec = scan(r, W("ab"))
+        assert rec is not None
+        assert rec[:2] == (6, 7)
+        assert rec[-1] == (1, 1, 2, -1, 2, 2)
 
     def test_no_occurrence(self):
-        assert tz.w_reduce_once(W("bbbb"), W("ab"), search_from=1) is None
+        assert scan(W("bbbb"), W("ab")) is None
 
     def test_respects_reserved_prefix(self):
-        # only occurrence touches positions 1..2: default search_from=3 skips
+        # only occurrence touches positions 1..2: the reduction stage's
+        # first window starts at position 3 and skips it
         r = (2, 1, 2, 1, 1, 1)
-        assert tz.w_reduce_once(r, W("ab"), search_from=3) is None
-        assert tz.w_reduce_once(r, W("ab"), search_from=1) is not None
+        assert scan(r, W("ab"), search_from=tz.RESERVED_PREFIX + 1) is None
+        assert scan(r, W("ab")) is not None
 
     def test_result_stays_reduced_by_flank_rule(self):
-        res = tz.w_reduce_once(W("baabAb"), W("ab"), search_from=1)
-        assert is_reduced(res[0])
+        assert is_reduced(scan(W("baabAb"), W("ab"))[-1])
 
 
 class TestReduceRelator:
     def test_short_relator_untouched(self):
         cfg = tz.TrivializerConfig(m=2, ell=20, k=1)
         r = tuple([1, 2] * 10)
-        out, events = tz.reduce_relator(r, W("Ab"), cfg)
-        assert out == r and events == []
+        out, records = tz.reduce_relator(r, W("Ab"), cfg)
+        assert out == r and records == []
 
     def test_single_block_single_event(self):
         cfg = tz.TrivializerConfig(m=2, ell=40, k=1)
         F2 = tuple([2, 1] * 13) + (2,)
         r = (1, 2) + (1, 1, 2, 1, 2, 2, 1) + (2, -1, 2, 1) + F2
-        out, events = tz.reduce_relator(r, W("Ab"), cfg)
-        assert len(events) == 1
+        out, records = tz.reduce_relator(r, W("Ab"), cfg)
+        assert len(records) == 1
         assert len(out) == len(r) - 2
         assert is_reduced(out)
 
@@ -209,12 +214,12 @@ class TestReduceRelator:
         plant = (2, -1, 2, 1)
         r = (1, 2) + filler(7) + plant + filler(31) + plant + filler(31) + plant + filler(27)
         assert len(r) == 110 and is_reduced(r)
-        out, events = tz.reduce_relator(r, W("Ab"), cfg)
-        assert len(events) == 3
+        out, records = tz.reduce_relator(r, W("Ab"), cfg)
+        assert len(records) == 3
         assert len(out) == 104
         assert is_reduced(out)
-        for ev in events:
-            assert ev.end - ev.start + 1 >= 2  # at least 2k letters per event
+        for start, end, *_ in records:
+            assert end - start + 1 >= 2  # at least 2k letters per excision
 
     def test_at_most_one_event_per_block(self):
         cfg = tz.TrivializerConfig(m=2, ell=40, k=1)
@@ -225,8 +230,35 @@ class TestReduceRelator:
         # two plants inside the single block: only the first fires
         r = (1, 2) + filler(5) + (2, -1, 2, 1) + filler(3) + (2, -1, 2, 1) + filler(22)
         assert len(r) == 40 and is_reduced(r)
-        out, events = tz.reduce_relator(r, W("Ab"), cfg)
-        assert len(events) == 1
+        out, records = tz.reduce_relator(r, W("Ab"), cfg)
+        assert len(records) == 1
+
+    @given(st.data())
+    def test_records_replay_to_the_result(self, data):
+        # hosts of 0..3 blocks (block size 36 at m=2, 100 at m=3) made of
+        # random letters and planted copies of d w d^-1, freely reduced
+        m = data.draw(st.integers(2, 3))
+        letter = st.integers(-m, m).filter(bool)
+        w = free_reduce(data.draw(st.lists(letter, min_size=2, max_size=5)))
+        assume(len(w) >= 2)
+        d = free_reduce(data.draw(st.lists(letter, max_size=2)))
+        plant = st.just(list(d + w + invert(d)))
+        pieces = data.draw(st.lists(st.one_of(st.lists(letter, max_size=12), plant),
+                                    max_size=30))
+        r = free_reduce(x for piece in pieces for x in piece)
+        cfg = tz.TrivializerConfig(m=m, ell=max(len(r), 1), k=1)
+        out, records = tz.reduce_relator(r, w, cfg)
+        host = r
+        for start, end, conjugator, s, t, result in records:
+            assert end >= start
+            assert s != -t
+            assert host[start - 2] == s and host[end] == t
+            assert host[start - 1 : end] == conjugator + w + invert(conjugator)
+            assert result == host[: start - 1] + host[end:]
+            assert is_reduced(result)
+            host = result
+        assert host == out
+        assert bool(records) == (out != r)
 
     @pytest.mark.parametrize("w", [W("aAb"), W("a"), ()])
     def test_rejects_invalid_w(self, w):
@@ -234,8 +266,6 @@ class TestReduceRelator:
         r = (1, 2) + tuple([2, 1] * 54)
         with pytest.raises(ValueError):
             tz.reduce_relator(r, w, cfg)
-        with pytest.raises(ValueError):
-            tz.w_reduce_once(r, w)
 
 
 class TestTrivialize:

@@ -1,4 +1,4 @@
-"""Golden outputs: seeded CLI runs and the reduction fixture's verdict.
+"""Golden outputs: seeded CLI runs, reduction-stage verdicts and planted rates.
 
 The hashes and files were recorded from the tool before any refactor of the
 trivializer or the CLI; a change that alters a single byte of these outputs
@@ -14,6 +14,8 @@ import pytest
 
 from halfdensity import cli
 from halfdensity import trivializer as tz
+from halfdensity import words
+from halfdensity.rng import RandomSource
 from test_trivializer import build_reduction_fixture
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -69,7 +71,7 @@ def test_trivialize_log_bytes(tmp_path, capsys):
 
 
 # No CLI-reachable input fires the reduction stage, so the hand-built fixture
-# is the only golden for ReductionStep serialization and log text.
+# is the golden for the derivation log text of a ReductionStep.
 @pytest.mark.parametrize("rounds", [1, 3])
 def test_reduction_fixture_verdict_and_log(rounds):
     cfg = tz.TrivializerConfig(m=2, ell=40, k=1, max_rounds=rounds)
@@ -79,3 +81,66 @@ def test_reduction_fixture_verdict_and_log(rounds):
         stem.with_suffix(".json").read_text()
     assert "".join(c.describe() + "\n\n" for c in v.certificates) == \
         stem.with_suffix(".log").read_text()
+
+
+# The reduction stage on many hosts: at m=2, k=1 a relator of length 80 has
+# two full blocks, and round 1's w = Ab (from the fixture's r1, r2) occurs in
+# most of them.  A partner p = y h'[2..] of a reduced background relator h'
+# with y in h's class {a, b} ~ {A, B} collides with h' in round 2, which
+# supplies new trivial words; the optional closing partner agrees with a
+# host only after its round-2 reduction and certifies a cross-class equality.
+_SAME_CLASS = {1: 2, 2: 1, -1: -2, -2: -1}
+
+
+def reduction_sweep_presentation(closing: bool, background=300, partners=24):
+    cfg = tz.TrivializerConfig(m=2, ell=80, k=1)
+    fixture = build_reduction_fixture()
+    w1 = (-1, 2)
+    rows = [tuple(r) for r in
+            words.sample_relator_matrix(2, 80, background, RandomSource(77)).tolist()]
+    extra, w2 = [], None
+    for h in rows:
+        if len(extra) == partners:
+            break
+        reduced, records = tz.reduce_relator(h, w1, cfg)
+        y = _SAME_CLASS[h[0]]
+        p = (y,) + reduced[1:]
+        if not records or y == -reduced[1] or tz.reduce_relator(p, w1, cfg)[1]:
+            continue
+        extra.append(p)
+        if w2 is None and (-h[0], y) != w1:
+            w2 = (-h[0], y)
+    if closing:
+        for h in reversed(rows):
+            twice, records = tz.reduce_relator(tz.reduce_relator(h, w1, cfg)[0], w2, cfg)
+            ys = [y for y in (1, 2, -1, -2) if y not in (h[0], _SAME_CLASS[h[0]], -twice[1])]
+            if not records or not ys:
+                continue
+            p = (ys[0],) + twice[1:]
+            if not (tz.reduce_relator(p, w1, cfg)[1] or tz.reduce_relator(p, w2, cfg)[1]):
+                extra.append(p)
+                break
+    return words.Presentation(2, [fixture.relator(0), fixture.relator(1)] + rows + extra)
+
+
+@pytest.mark.parametrize("closing, rounds, outcome, expected", [
+    (False, 1, "unknown", "e77ebed926510e1c1558e66a40b518f0859c7d045addc7b6297b20a93fd06532"),
+    (False, 3, "unknown", "a38dac0a397cbdfa3d4e0ef0cc4beb221a455bcef200472493fca3982f9433c9"),
+    (True, 3, "trivial", "9a99424fdc52e0d6b8e53fa7c3d052744d2374a34c0662a505369825cdafbc8b"),
+])
+def test_reduction_sweep_verdict(closing, rounds, outcome, expected):
+    R = reduction_sweep_presentation(closing)
+    v = tz.trivialize(R, tz.TrivializerConfig(m=2, ell=80, k=1, max_rounds=rounds))
+    assert v.outcome == outcome
+    assert v.stats.reductions_applied > 500
+    text = json.dumps(v.to_json_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("k, m, seed, expected", [
+    (1, 2, 612, (0.95925, 0.0031260773143030212)),
+    (2, 2, 622, (0.985, 0.0019219131093782577)),
+    (1, 3, 613, (0.96375, 0.0029553315169368057)),
+])
+def test_planted_rate_values(k, m, seed, expected):
+    assert tz.planted_reduction_rate(k, m, 4000, RandomSource(seed)) == expected

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import secrets
 import sys
 import time
@@ -46,8 +47,8 @@ def parse_rate_expr(spec: str) -> thresholds.RateFunction:
 
     Accepted: 'zero', 'trivial-threshold', 'hyperbolic-threshold', 'threshold-k',
     'window-K[:cprime=C]', 'delta-K', 'const:V', and
-    'family:alpha=A,beta=B,c0=C' with rational A, B.  A key that the name
-    does not take is an error.
+    'family:alpha=A,beta=B,c0=C' with rational A, B and finite C.  A key
+    that the name does not take, or a repeated key, is an error.
     """
     name, _, argstr = spec.partition(":")
     if name not in _RATE_KEYS:
@@ -61,6 +62,8 @@ def parse_rate_expr(spec: str) -> thresholds.RateFunction:
                 raise CliError(f"malformed rate expression argument {part!r}")
             if key not in _RATE_KEYS[name]:
                 raise CliError(f"rate expression {name!r} takes no argument {key!r}")
+            if key in kwargs:
+                raise CliError(f"rate expression {name!r} repeats argument {key!r}")
             kwargs[key] = val.strip()
     try:
         if name == "zero":
@@ -77,11 +80,10 @@ def parse_rate_expr(spec: str) -> thresholds.RateFunction:
             return thresholds.delta_hyperbolic_window_K()
         if name == "const":
             return thresholds.constant_rate(Fraction(argstr))
-        return thresholds.family(
-            Fraction(kwargs["alpha"]),
-            Fraction(kwargs["beta"]),
-            float(kwargs.get("c0", 1.0)),
-        )
+        c0 = float(kwargs.get("c0", 1.0))
+        if not math.isfinite(c0):
+            raise ValueError(f"c0 must be finite, got {c0}")
+        return thresholds.family(Fraction(kwargs["alpha"]), Fraction(kwargs["beta"]), c0)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse rate expression {spec!r}: {exc}") from None
 

@@ -378,26 +378,8 @@ def _group_tails(mat: np.ndarray, start: int) -> list:
 # t_letter, result) of ReductionStep's fields after host and w_ref: the
 # segment d w d^-1 at one-based positions start..end of the host as it then
 # stands is excised between the non-cancelling flanks s and t, leaving result.
-
-
-def _pattern_span(r, W: int, i: int, lo0: int, hi0: int):
-    """Span (si, ti) of the flanks around a w occurrence at 0-based i, or None.
-
-    The conjugator is grown greedily outward while letters cancel; maximality
-    means the final flanks cannot cancel unless growth was stopped by the
-    window edge, which invalidates the occurrence.
-    """
-    n = 0
-    while (i - n - 2 >= lo0 and i + W + n + 1 <= hi0
-           and r[i - n - 1] == -r[i + W + n]):
-        n += 1
-    si = i - n - 1
-    ti = i + W + n
-    if si < lo0 or ti > hi0:
-        return None
-    if r[si] == -r[ti]:
-        return None
-    return si, ti
+# A pattern, flanks included, stays inside its block, so the patterns of all
+# blocks are found at once on the matrix rows, as 0-based flank columns.
 
 
 def _check_w(w: Word) -> None:
@@ -405,29 +387,67 @@ def _check_w(w: Word) -> None:
         raise ValueError("w must be freely reduced of length >= 2")
 
 
-def _w_reduce_window(r: Word, wt: Word, search_from: int, search_to: int):
-    """The record of the leftmost valid pattern s d w d^-1 t inside a window of r.
+def _first_patterns(mat: np.ndarray, w: Word, lo0: int, hi0: int):
+    """The leftmost valid pattern s d w d^-1 t within columns lo0..hi0 of each row.
 
-    The whole pattern, flanks included, must lie within one-based positions
-    [search_from, search_to]; wt is freely reduced of length >= 2.  The
-    conjugator d is grown greedily outward from the w occurrence; maximality
-    makes the flanks non-cancelling unless the pattern hits the window edge,
-    in which case the occurrence is skipped and the search continues.
-    Returns None when no occurrence qualifies.
+    Every row has letters in all of columns lo0..hi0; w is freely reduced of
+    length >= 2.  Occurrences of w start at columns lo0+1..hi0-|w|, so both
+    flanks have room.  The conjugator d is grown outward while the letters
+    around it cancel and the window allows; the occurrence is valid when the
+    flanks it stops at do not cancel.  Returns (rows, si, ti): the ascending
+    rows holding a valid pattern and the columns of its flanks.
     """
-    W = len(wt)
-    lo0 = max(search_from - 1, 0)
-    hi0 = min(search_to, len(r)) - 1
+    W = len(w)
+    ncand = max(0, hi0 - W - lo0)
+    occ = mat[:, lo0 + 1 : lo0 + 1 + ncand] == w[0]
+    for j in range(1, W):
+        occ &= mat[:, lo0 + 1 + j : lo0 + 1 + j + ncand] == w[j]
+    rows, si = np.nonzero(occ)
+    si += lo0
+    ti = si + W + 1
+    growing = np.arange(len(rows))
+    while growing.size:
+        s, t = si[growing], ti[growing]
+        growing = growing[(s > lo0) & (t < hi0)
+                          & (mat[rows[growing], s] == -mat[rows[growing], t])]
+        si[growing] -= 1
+        ti[growing] += 1
+    valid = mat[rows, si] != -mat[rows, ti]
+    rows, si, ti = rows[valid], si[valid], ti[valid]
+    # nonzero lists each row's occurrences left to right
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return rows[first], si[first], ti[first]
 
-    for i in range(lo0 + 1, hi0 - W + 1):
-        if r[i : i + W] != wt:
-            continue
-        span = _pattern_span(r, W, i, lo0, hi0)
-        if span is None:
-            continue
-        si, ti = span
-        return si + 2, ti, r[si + 1 : i], r[si], r[ti], r[: si + 1] + r[ti:]
-    return None
+
+def _excise(u: Word, si: int, ti: int, W: int) -> tuple:
+    """The reduction record of the pattern with flanks at 0-based si, ti of u."""
+    n = (ti - si - 1 - W) // 2
+    return si + 2, ti, u[si + 1 : si + 1 + n], u[si], u[ti], u[: si + 1] + u[ti:]
+
+
+def _reduce_rows(mat: np.ndarray, w: Word, cfg: TrivializerConfig) -> list:
+    """reduce_relator on every row of mat: (row, reduced word, records) per changed row."""
+    size = cfg.block_size
+    flanks: dict[int, list] = {}
+    for j in range(cfg.block_count_for(mat.shape[1])):
+        lo0 = RESERVED_PREFIX + j * size
+        hi0 = lo0 + size - 1
+        rows = np.flatnonzero(mat[:, hi0])  # the rows holding block j
+        found, si, ti = _first_patterns(mat[rows], w, lo0, hi0)
+        for i, a, b in zip(rows[found].tolist(), si.tolist(), ti.tolist()):
+            flanks.setdefault(i, []).append((a, b))
+    changed = sorted(flanks)
+    out = []
+    for i, u in zip(changed, unpad(mat[changed])):
+        records = []
+        removed = 0  # letters the row's earlier blocks lost
+        for si, ti in flanks[i]:
+            records.append(_excise(u, si - removed, ti - removed, len(w)))
+            u = records[-1][-1]
+            removed += ti - si - 1
+        out.append((i, u, records))
+    return out
 
 
 def reduce_relator(r: Word, w: Word, cfg: TrivializerConfig):
@@ -439,25 +459,9 @@ def reduce_relator(r: Word, w: Word, cfg: TrivializerConfig):
     empty when nothing was excised.
     """
     _check_w(w)
-    return _reduce_blocks(tuple(r), tuple(w), cfg)
-
-
-def _reduce_blocks(cur: Word, wt: Word, cfg: TrivializerConfig):
-    """reduce_relator for a w already checked to be freely reduced of length >= 2."""
-    b = cfg.block_count_for(len(cur))
-    records: list[tuple] = []
-    offset = 0
-    size = cfg.block_size
-    for j in range(b):
-        lo = RESERVED_PREFIX + 1 + j * size
-        hi = RESERVED_PREFIX + (j + 1) * size
-        rec = _w_reduce_window(cur, wt, lo - offset, hi - offset)
-        if rec is None:
-            continue
-        records.append(rec)
-        start, end, *_, cur = rec
-        offset += end - start + 1
-    return cur, records
+    r = tuple(r)
+    changed = _reduce_rows(np.array([r], dtype=np.int8), tuple(w), cfg)
+    return changed[0][1:] if changed else (r, [])
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +664,6 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     certs: dict[tuple, Certificate] = {}
     stats = TrivializeStats()
     used_ws: set[Word] = set()
-    # a word has a full block exactly when it has a letter at position
-    # block_size + 2; the one-column slice is empty when no row is that long
-    host_column = slice(cfg.block_size + 1, cfg.block_size + 2)
 
     for _ in range(cfg.max_rounds):
         stats.rounds += 1
@@ -682,24 +683,19 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
 
         # reduction stage
         if w is not None:
-            reduced_rows: dict[int, Word] = {}
             # w comes from the collision search: freely reduced, of length 2k
-            hosts = np.flatnonzero(cur[:, host_column])
-            for i, u in zip(hosts.tolist(), unpad(cur[hosts])):
-                reduced, records = _reduce_blocks(u, w, cfg)
-                if not records:
-                    continue
+            changed = _reduce_rows(cur, w, cfg)
+            for i, _, records in changed:
                 for rec in records:
                     deriv.append(ReductionStep(ref_of(i), w_entry, *rec))
                     cur_ref[i] = len(deriv) - 1
                     stats.letters_removed += rec[1] - rec[0] + 1
-                reduced_rows[i] = reduced
                 round_reductions += len(records)
-            if reduced_rows:
-                packed = Presentation(m, list(reduced_rows.values())).matrix
+            if changed:
+                packed = Presentation(m, [u for _, u, _ in changed]).matrix
                 cur = cur.copy()
-                cur[list(reduced_rows)] = np.pad(packed, ((0, 0),
-                                                          (0, cur.shape[1] - packed.shape[1])))
+                cur[[i for i, _, _ in changed]] = np.pad(
+                    packed, ((0, 0), (0, cur.shape[1] - packed.shape[1])))
             stats.reductions_applied += round_reductions
 
         # conclusion stage
@@ -755,7 +751,6 @@ def planted_reduction_rate(k: int, m: int, blocks: int, rng, w: Word | None = No
     w = tuple([1, 2] * k) if w is None else tuple(w)
     if len(w) != 2 * k or not is_reduced(w):
         raise ValueError(f"w must be freely reduced of length 2k = {2 * k}")
-    W = len(w)
 
     hits = 0
     done = 0
@@ -766,20 +761,8 @@ def planted_reduction_rate(k: int, m: int, blocks: int, rng, w: Word | None = No
         count = min(chunk, blocks - done)
         mat = sample_relator_matrix(m, size + 1, count, rng.child(chunk_index))
         chunk_index += 1
-        # candidate occurrence columns: w inside the block (offset 1..size-W+1)
-        ncand = size - W + 1
-        mask = mat[:, 1 : 1 + ncand] == w[0]
-        for j in range(1, W):
-            mask &= mat[:, 1 + j : 1 + j + ncand] == w[j]
-        rows = np.nonzero(mask.any(axis=1))[0]
-        for ridx in rows:
-            row = mat[ridx].tolist()
-            cols = np.nonzero(mask[ridx])[0]
-            for c in cols:
-                # block occupies 0-based [1, size]; pattern must fit inside
-                if _pattern_span(row, W, int(c) + 1, 1, size) is not None:
-                    hits += 1
-                    break
+        # the block is columns 1..size; the pattern, flanks included, fits inside
+        hits += len(_first_patterns(mat, w, 1, size)[0])
         done += count
     rate = hits / blocks
     stderr = math.sqrt(rate * (1.0 - rate) / blocks)

@@ -192,6 +192,23 @@ class TestConditionsAndPhaseMap:
         with pytest.raises(cli.CliError, match="takes no argument"):
             cli.run(["conditions", *argv, "--out", str(tmp_path / "x.csv")])
 
+    @pytest.mark.parametrize("c0", ["nan", "inf", "-inf"])
+    def test_rate_expression_rejects_non_finite_c0(self, c0, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.csv"
+        argv = ["conditions", "--which", "star", "--k-expr", "threshold-k",
+                "--f-expr", f"family:alpha=1,beta=1,c0={c0}", "--ell-grid", "1024",
+                "--out", str(out)]
+        assert run_main(monkeypatch, argv) == 1
+        assert "c0 must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["family:alpha=1,alpha=2,beta=0",
+                                      "family:alpha=1,beta=0,c0=2,c0=3",
+                                      "window-K:cprime=2,cprime=3"])
+    def test_rate_expression_rejects_repeated_keys(self, spec):
+        with pytest.raises(cli.CliError, match="repeats argument"):
+            cli.parse_rate_expr(spec)
+
     def test_rate_expression_keys(self):
         assert cli.parse_rate_expr("family:alpha=1,beta=1,c0=100").parametric == (1, 1, 100.0)
         assert cli.parse_rate_expr("window-K:cprime=2") == thresholds.hyperbolic_window_K(2)

@@ -143,8 +143,37 @@ class TestGroupTails:
 
 
 def scan(r, w, search_from=1):
-    """The reduction record of the window scan over positions search_from..|r|."""
-    return tz._w_reduce_window(r, w, search_from, len(r))
+    """The reduction record of the leftmost pattern within positions search_from..|r|."""
+    rows, si, ti = tz._first_patterns(np.array([r], dtype=np.int8), w,
+                                      search_from - 1, len(r) - 1)
+    return tz._excise(r, int(si[0]), int(ti[0]), len(w)) if len(rows) else None
+
+
+def reference_reduce(r, w, cfg):
+    """reduce_relator as a pure-Python scan of each block of the word as it stands."""
+    W, size = len(w), cfg.block_size
+    records = []
+    removed = 0
+    for j in range(cfg.block_count_for(len(r))):
+        # the block's 0-based window in the word after earlier excisions
+        lo0 = tz.RESERVED_PREFIX + j * size - removed
+        hi0 = lo0 + size - 1
+        for i in range(lo0 + 1, hi0 - W + 1):
+            if r[i : i + W] != w:
+                continue
+            n = 0
+            while (i - n - 2 >= lo0 and i + W + n + 1 <= hi0
+                   and r[i - n - 1] == -r[i + W + n]):
+                n += 1
+            si, ti = i - n - 1, i + W + n
+            if si < lo0 or ti > hi0 or r[si] == -r[ti]:
+                continue
+            r_next = r[: si + 1] + r[ti:]
+            records.append((si + 2, ti, r[si + 1 : i], r[si], r[ti], r_next))
+            removed += len(r) - len(r_next)
+            r = r_next
+            break
+    return r, records
 
 
 class TestWReduceOnce:
@@ -259,6 +288,30 @@ class TestReduceRelator:
             host = result
         assert host == out
         assert bool(records) == (out != r)
+
+    @given(st.data())
+    def test_matches_reference_scan(self, data):
+        # hosts of 1..3 blocks at k=1 (block size 36 at m=2, 100 at m=3) with
+        # copies of d w d^-1 planted anywhere or across a block boundary
+        m = data.draw(st.integers(2, 3))
+        size = tz.TrivializerConfig(m=m, ell=2, k=1).block_size
+        letter = st.integers(-m, m).filter(bool)
+        w = free_reduce(data.draw(st.lists(letter, min_size=2, max_size=4)))
+        assume(len(w) >= 2)
+        length = 2 + data.draw(st.integers(1, 3)) * size + data.draw(st.integers(0, 3))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        r = list(words.sample_relator_matrix(m, length, 1, RandomSource(seed))[0].tolist())
+        for _ in range(data.draw(st.integers(0, 4))):
+            d = free_reduce(data.draw(st.lists(letter, max_size=2)))
+            plant = list(d + w + invert(d))
+            edge = tz.RESERVED_PREFIX + data.draw(st.integers(0, length // size)) * size
+            at = data.draw(st.one_of(st.integers(0, length - 1),
+                                     st.integers(edge - len(plant) - 1, edge + 1)))
+            at = min(max(at, 0), len(r))
+            r[at : at + len(plant)] = plant
+        r = free_reduce(r)
+        cfg = tz.TrivializerConfig(m=m, ell=max(len(r), 1), k=1)
+        assert tz.reduce_relator(r, w, cfg) == reference_reduce(r, w, cfg)
 
     @pytest.mark.parametrize("w", [W("aAb"), W("a"), ()])
     def test_rejects_invalid_w(self, w):

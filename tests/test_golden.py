@@ -92,15 +92,15 @@ def test_reduction_fixture_verdict_and_log(rounds):
 _SAME_CLASS = {1: 2, 2: 1, -1: -2, -2: -1}
 
 
-def reduction_sweep_presentation(closing: bool, background=300, partners=24):
+def reduction_sweep_presentation(closing: bool):
     cfg = tz.TrivializerConfig(m=2, ell=80, k=1)
     fixture = build_reduction_fixture()
     w1 = (-1, 2)
     rows = [tuple(r) for r in
-            words.sample_relator_matrix(2, 80, background, RandomSource(77)).tolist()]
+            words.sample_relator_matrix(2, 80, 300, RandomSource(77)).tolist()]
     extra, w2 = [], None
     for h in rows:
-        if len(extra) == partners:
+        if len(extra) == 24:
             break
         reduced, records = tz.reduce_relator(h, w1, cfg)
         y = _SAME_CLASS[h[0]]

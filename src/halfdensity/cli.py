@@ -548,6 +548,9 @@ def main() -> None:
         sys.exit(run())
     except SystemExit:
         raise
+    except trivializer.SoundnessError as exc:
+        print(f"soundness error: {exc}", file=sys.stderr)
+        sys.exit(3)
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)

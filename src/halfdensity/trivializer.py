@@ -379,12 +379,7 @@ def _group_tails(mat: np.ndarray, start: int) -> list:
 # segment d w d^-1 at one-based positions start..end of the host as it then
 # stands is excised between the non-cancelling flanks s and t, leaving result.
 # A pattern, flanks included, stays inside its block, so the patterns of all
-# blocks are found at once on the matrix rows, as 0-based flank columns.
-
-
-def _check_w(w: Word) -> None:
-    if len(w) < 2 or not is_reduced(w):
-        raise ValueError("w must be freely reduced of length >= 2")
+# blocks are found at once on the matrix rows, as 0-based flank columns (hits).
 
 
 def _first_patterns(mat: np.ndarray, w: Word, lo0: int, hi0: int):
@@ -420,33 +415,44 @@ def _first_patterns(mat: np.ndarray, w: Word, lo0: int, hi0: int):
     return rows[first], si[first], ti[first]
 
 
-def _excise(u: Word, si: int, ti: int, W: int) -> tuple:
-    """The reduction record of the pattern with flanks at 0-based si, ti of u."""
-    n = (ti - si - 1 - W) // 2
-    return si + 2, ti, u[si + 1 : si + 1 + n], u[si], u[ti], u[: si + 1] + u[ti:]
+def _hits(mat: np.ndarray, w: Word, cfg: TrivializerConfig):
+    """The hits of one reduction pass over mat, found one block at a time on mat as given.
 
-
-def _reduce_rows(mat: np.ndarray, w: Word, cfg: TrivializerConfig) -> list:
-    """reduce_relator on every row of mat: (row, reduced word, records) per changed row."""
+    Returns (rows, si, ti) sorted by row, then column: each hit's flank columns in mat.
+    """
     size = cfg.block_size
-    flanks: dict[int, list] = {}
+    found = [(np.empty(0, dtype=np.intp),) * 3]
     for j in range(cfg.block_count_for(mat.shape[1])):
         lo0 = RESERVED_PREFIX + j * size
-        hi0 = lo0 + size - 1
-        rows = np.flatnonzero(mat[:, hi0])  # the rows holding block j
-        found, si, ti = _first_patterns(mat[rows], w, lo0, hi0)
-        for i, a, b in zip(rows[found].tolist(), si.tolist(), ti.tolist()):
-            flanks.setdefault(i, []).append((a, b))
-    changed = sorted(flanks)
-    out = []
-    for i, u in zip(changed, unpad(mat[changed])):
-        records = []
-        removed = 0  # letters the row's earlier blocks lost
-        for si, ti in flanks[i]:
-            records.append(_excise(u, si - removed, ti - removed, len(w)))
-            u = records[-1][-1]
-            removed += ti - si - 1
-        out.append((i, u, records))
+        hosts = np.flatnonzero(mat[:, lo0 + size - 1])  # the rows holding block j
+        rows, si, ti = _first_patterns(mat[hosts], w, lo0, lo0 + size - 1)
+        found.append((hosts[rows], si, ti))
+    rows, si, ti = map(np.concatenate, zip(*found))
+    order = np.argsort(rows, kind="stable")  # blocks were scanned left to right
+    return rows[order], si[order], ti[order]
+
+
+def _records(u: Word, si: list, ti: list, W: int) -> list:
+    """The records of one row's hits, applied in order to the word u they were found on."""
+    records = []
+    removed = 0  # letters the row's earlier blocks lost
+    for a, b in zip(si, ti):
+        a, b = a - removed, b - removed
+        n = (b - a - 1 - W) // 2  # the conjugator's length
+        records.append((a + 2, b, u[a + 1 : a + 1 + n], u[a], u[b], u[: a + 1] + u[b:]))
+        u = records[-1][-1]
+        removed += b - a - 1
+    return records
+
+
+def _excise_rows(mat: np.ndarray, at: np.ndarray, si: np.ndarray, ti: np.ndarray):
+    """Rows of mat less the letters between the flanks of each hit h, in row at[h]."""
+    cut = np.zeros(mat.shape, dtype=np.int8)
+    cut[at, si + 1] = 1
+    cut[at, ti] = -1
+    keep = np.cumsum(cut, axis=1, dtype=np.int8) == 0
+    out = np.zeros_like(mat)
+    out[np.arange(mat.shape[1]) < keep.sum(axis=1)[:, None]] = mat[keep]  # in row order
     return out
 
 
@@ -458,10 +464,12 @@ def reduce_relator(r: Word, w: Word, cfg: TrivializerConfig):
     reduction records), in the order the excisions are applied; the list is
     empty when nothing was excised.
     """
-    _check_w(w)
-    r = tuple(r)
-    changed = _reduce_rows(np.array([r], dtype=np.int8), tuple(w), cfg)
-    return changed[0][1:] if changed else (r, [])
+    r, w = tuple(r), tuple(w)
+    if len(w) < 2 or not is_reduced(w):
+        raise ValueError("w must be freely reduced of length >= 2")
+    _, si, ti = _hits(np.array([r], dtype=np.int8), w, cfg)
+    records = _records(r, si.tolist(), ti.tolist(), len(w))
+    return (records[-1][-1] if records else r), records
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +597,37 @@ class _UnionFind:
         return len({self.find(x) for x in self.parent})
 
 
-def _prune_derivation(deriv: list, last: int) -> list:
-    """Ancestor closure of one step, re-indexed into a standalone step list."""
+class _DeferredRound:
+    """One round's reduction-stage steps, kept as its hits until a certificate cites one.
+
+    The changed rows take derivation slots from start on, in ascending order:
+    a RelatorStep first when the row has no step yet (prior -1), then one
+    ReductionStep per hit of the row, the first of which cites the row's
+    prior step.  Row p's slots are base[p]..ends[p]-1.
+    """
+
+    def __init__(self, start, mat, rows, si, ti, cur_ref: dict, w_ref: int, w_len: int):
+        self.rows, self.first, counts = np.unique(rows, return_index=True, return_counts=True)
+        self.prior = np.array([cur_ref.get(i, -1) for i in self.rows.tolist()])
+        self.ends = start + np.cumsum(counts + (self.prior < 0))
+        self.base = self.ends - counts - (self.prior < 0)
+        self.words = mat[self.rows]  # the changed rows as the round found them
+        self.si, self.ti, self.w_ref, self.w_len = si, ti, w_ref, w_len
+
+    def step(self, t: int) -> Step:
+        """The step in derivation slot t, replayed from the row's hits."""
+        p = int(np.searchsorted(self.base, t, side="right")) - 1
+        h, prior, u = t - int(self.base[p]), int(self.prior[p]), unpad(self.words[p:p + 1])[0]
+        if prior < 0 and h == 0:
+            return RelatorStep(int(self.rows[p]), u)
+        h -= prior < 0  # the row's RelatorStep slot
+        hits = slice(int(self.first[p]), int(self.first[p]) + h + 1)  # the row's hits to t
+        rec = _records(u, self.si[hits].tolist(), self.ti[hits].tolist(), self.w_len)[-1]
+        return ReductionStep(prior if h == 0 and prior >= 0 else t - 1, self.w_ref, *rec)
+
+
+def _certificate_steps(deriv: list, last: int) -> list:
+    """Ancestor closure of one step, re-indexed into a standalone list; builds deferred steps."""
     needed = set()
     stack = [last]
     while stack:
@@ -598,6 +635,8 @@ def _prune_derivation(deriv: list, last: int) -> list:
         if t in needed:
             continue
         needed.add(t)
+        if isinstance(deriv[t], _DeferredRound):
+            deriv[t] = deriv[t].step(t)
         s = deriv[t]
         stack.extend(getattr(s, n) for n in _STEP_REFS[type(s)])
     order = sorted(needed)
@@ -649,7 +688,8 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     # the current words, zero-padded; a round that reduces a word works on a copy
     cur = R.matrix
 
-    deriv: list[Step] = []
+    # a reduction-stage slot holds its round until a certificate needs the step
+    deriv: list[Union[Step, _DeferredRound]] = []
     # the step holding each relator's current word
     cur_ref: dict[int, int] = {}
 
@@ -684,18 +724,15 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
         # reduction stage
         if w is not None:
             # w comes from the collision search: freely reduced, of length 2k
-            changed = _reduce_rows(cur, w, cfg)
-            for i, _, records in changed:
-                for rec in records:
-                    deriv.append(ReductionStep(ref_of(i), w_entry, *rec))
-                    cur_ref[i] = len(deriv) - 1
-                    stats.letters_removed += rec[1] - rec[0] + 1
-                round_reductions += len(records)
-            if changed:
-                packed = Presentation(m, [u for _, u, _ in changed]).matrix
+            rows, si, ti = _hits(cur, w, cfg)
+            if len(rows):
+                rd = _DeferredRound(len(deriv), cur, rows, si, ti, cur_ref, w_entry, len(w))
+                deriv.extend([rd] * (int(rd.ends[-1]) - len(deriv)))
+                cur_ref.update(zip(rd.rows.tolist(), (rd.ends - 1).tolist()))
                 cur = cur.copy()
-                cur[[i for i, _, _ in changed]] = np.pad(
-                    packed, ((0, 0), (0, cur.shape[1] - packed.shape[1])))
+                cur[rd.rows] = _excise_rows(rd.words, np.searchsorted(rd.rows, rows), si, ti)
+            round_reductions = len(rows)
+            stats.letters_removed += int((ti - si - 1).sum())
             stats.reductions_applied += round_reductions
 
         # conclusion stage
@@ -710,7 +747,7 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
                             continue
                         r1_ref, r2_ref = ref_of(j), ref_of(i)
                         deriv.append(ConclusionStep(r1_ref, r2_ref, y, x))
-                        steps = _prune_derivation(deriv, len(deriv) - 1)
+                        steps = _certificate_steps(deriv, len(deriv) - 1)
                         certs[key] = Certificate(y, x, steps)
                         uf.union(x, y)
                         uf.union(-x, -y)
@@ -739,11 +776,11 @@ def planted_reduction_rate(k: int, m: int, blocks: int, rng, w: Word | None = No
                            chunk: int = 2048) -> tuple:
     """Fraction of random blocks admitting a w-reduction, for a fixed valid w.
 
-    Each trial samples a uniform reduced word of length block_size + 1; the
-    first letter plays the preceding-letter role and the rest is the block.
-    Returns (rate, stderr).  Per-block this rate exceeds 1/4 once k is large
-    enough for the wrong-form occurrences (the block starting or ending with
-    d w d^-1) to be negligible.
+    Each trial samples a uniform reduced word of length block_size + 1 and looks for
+    the pattern, flanks included, in its columns 1..block_size; column 0 is drawn and
+    never read, kept only so seeded rates do not move.  Returns (rate, stderr).
+    Per-block this rate exceeds 1/4 once k is large enough for the wrong-form
+    occurrences (the block starting or ending with d w d^-1) to be negligible.
     """
     cfg = TrivializerConfig(m=m, ell=max((2 * k + 2) * (2 * m - 1) ** (2 * k) + 2, 2 * k),
                             k=k)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from halfdensity import cli, thresholds, words
+from halfdensity import cli, thresholds, trivializer, words
 from halfdensity.manifest import RunManifest
 
 
@@ -276,6 +276,17 @@ class TestErrors:
                 "--out", str(tmp_path / "x")]
         assert run_main(monkeypatch, argv) == 1
         assert capsys.readouterr().err == "error: m must be >= 2, got 1\n"
+
+    def test_main_maps_soundness_error_to_exit_three(self, tmp_path, capsys, monkeypatch):
+        def contradicted(*args, **kwargs):
+            raise trivializer.SoundnessError("derived 'trivial' for an infinite group")
+
+        monkeypatch.setattr(trivializer, "trivialize", contradicted)
+        argv = ["trivialize", "--m", "2", "--ell", "10", "--num", "5", "--seed", "1",
+                "--out", str(tmp_path / "v.json")]
+        assert run_main(monkeypatch, argv) == 3
+        assert capsys.readouterr().err == \
+            "soundness error: derived 'trivial' for an infinite group\n"
 
     def test_main_exits_zero_on_success(self, tmp_path, capsys, monkeypatch):
         argv = ["sample", "--m", "2", "--ell", "4", "--num", "2", "--seed", "1",

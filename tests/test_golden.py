@@ -137,6 +137,18 @@ def test_reduction_sweep_verdict(closing, rounds, outcome, expected):
     assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
+def test_reduction_sweep_certificates_chain_reductions():
+    # The trivial case's hash covers a collision that cites a reduced word
+    # (round 1's reductions feeding round 2) and a reduction of a word that
+    # an earlier block or round already reduced.
+    v = tz.trivialize(reduction_sweep_presentation(True),
+                      tz.TrivializerConfig(m=2, ell=80, k=1, max_rounds=3))
+    cites = {(s.kind, n, c.steps[getattr(s, n)].kind)
+             for c in v.certificates for s in c.steps for n in tz._STEP_REFS[type(s)]}
+    assert {("collision", "r1", "reduction"), ("collision", "r2", "reduction")} & cites
+    assert ("reduction", "host", "reduction") in cites
+
+
 @pytest.mark.parametrize("k, m, seed, expected", [
     (1, 2, 612, (0.95925, 0.0031260773143030212)),
     (2, 2, 622, (0.985, 0.0019219131093782577)),

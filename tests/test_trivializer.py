@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from halfdensity import trivializer as tz
@@ -146,7 +146,7 @@ def scan(r, w, search_from=1):
     """The reduction record of the leftmost pattern within positions search_from..|r|."""
     rows, si, ti = tz._first_patterns(np.array([r], dtype=np.int8), w,
                                       search_from - 1, len(r) - 1)
-    return tz._excise(r, int(si[0]), int(ti[0]), len(w)) if len(rows) else None
+    return tz._records(r, si.tolist(), ti.tolist(), len(w))[0] if len(rows) else None
 
 
 def reference_reduce(r, w, cfg):
@@ -400,6 +400,27 @@ class TestTrivialize:
         assert all(tz.check_certificate(pres, cert) for cert in v.certificates)
         assert tz.abelianization_guard(pres) == tz.POSSIBLY_TRIVIAL
 
+    def test_builds_reduction_steps_only_for_certificates(self, monkeypatch):
+        # 1,080 reductions; the certificates cite a handful of them
+        from test_golden import reduction_sweep_presentation
+
+        built = []
+        init = tz.ReductionStep.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(tz.ReductionStep, "__init__", counting_init)
+        v = tz.trivialize(reduction_sweep_presentation(True),
+                          tz.TrivializerConfig(m=2, ell=80, k=1, max_rounds=3))
+        assert v.stats.reductions_applied == 1080
+        in_certs = [s for c in v.certificates for s in c.steps
+                    if isinstance(s, tz.ReductionStep)]
+        # the certificates' own steps are the re-indexed copies
+        outside = [s for s in built if not any(s is t for t in in_certs)]
+        assert in_certs and len(outside) <= len(in_certs)
+
     def test_verdict_json_serializable(self):
         pres = build_reduction_fixture()
         v = tz.trivialize(pres, tz.TrivializerConfig(m=2, ell=40, k=1))
@@ -629,3 +650,80 @@ class TestSoundnessSweep:
             assert tz.check_certificate(pres, cert)
         if v.outcome == tz.OUTCOME_TRIVIAL:
             assert tz.abelianization_guard(pres) == tz.POSSIBLY_TRIVIAL
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_reduction_stage_fires(self, data):
+        # m=2, k=1: rows of 38-110 letters hold one to three blocks of 36.
+        # Rows 0 and 1 are a tail-collision pair (x T, y T), so round 1's w
+        # is x^-1 y.  Later pairs (-x T', -y T'), (y T', x T') or (-y T', -x T')
+        # certify nothing new but supply other w for later rounds.  Copies of
+        # d w d^-1 are planted in blocks, and partners z h'[2..] of hosts h
+        # reduced by the first few w let conclusions cite reductions, from
+        # several rounds; x != -y, so {x, y} and {-x, -y} are two classes.
+        m, size = 2, tz.TrivializerConfig(m=2, ell=2, k=1).block_size
+        cfg1 = tz.TrivializerConfig(m=2, ell=110, k=1)
+        letters = [1, 2, -1, -2]
+        gen = RandomSource(data.draw(st.integers(0, 2**32 - 1))).generator()
+
+        def word(length):
+            return list(words.sample_relator_matrix(m, length, 1, gen)[0].tolist())
+
+        def plant(r, w, block, dmax=3):
+            d = free_reduce(data.draw(st.lists(st.sampled_from(letters), max_size=dmax)))
+            lo = tz.RESERVED_PREFIX + block * size
+            at = data.draw(st.integers(lo, min(lo + size, len(r)) - 2 * len(d) - len(w)))
+            r[at : at + 2 * len(d) + len(w)] = d + w + invert(d)
+
+        tail = tuple(word(data.draw(st.integers(37, 109))))
+        x = data.draw(st.sampled_from([z for z in letters if z != -tail[0]]))
+        y = data.draw(st.sampled_from([z for z in letters if z not in (x, -x, -tail[0])]))
+        same_class = {x: y, y: x, -x: -y, -y: -x}
+        rows, ws = [(x,) + tail, (y,) + tail], [(-x, y)]
+        count = data.draw(st.integers(5, 40))
+        while len(rows) < count:
+            kind = data.draw(st.sampled_from(["plain", "planted", "pair", "partner"]))
+            r = word(data.draw(st.integers(38, 110)))
+            if kind == "pair":
+                a, b = data.draw(st.sampled_from([(-x, -y), (y, x), (-y, -x)]))
+                if r[1] not in (-a, -b):
+                    rows += [(a,) + tuple(r[1:]), (b,) + tuple(r[1:])]
+                    ws += [(-a, b)] if (-a, b) not in ws else []
+                continue
+            if kind == "planted":
+                for block in range(tz.TrivializerConfig(m=m, ell=len(r), k=1).block_count):
+                    plant(r, data.draw(st.sampled_from(ws)), block)
+            if kind == "partner":
+                # one block that each round may shorten by a bare w, as in
+                # perfbench's planted hosts; the partner then has no block
+                r = word(data.draw(st.integers(40, 44)))
+                for w_i in ws[:3]:
+                    plant(r, w_i, 0, dmax=data.draw(st.integers(0, 1)))
+            r = free_reduce(r)
+            if kind == "partner" and len(r) >= 2:
+                reduced, rounds = r, 0
+                for i, w_i in enumerate(ws[: data.draw(st.integers(1, len(ws)))]):
+                    reduced, records = tz.reduce_relator(reduced, w_i, cfg1)
+                    rounds = i + 1 if records else rounds
+                # a round-1 match stays inside a class, so later rounds matter
+                zs = [same_class[r[0]]] if rounds <= 1 else letters
+                zs = [z for z in zs if z not in (r[0], -reduced[1])]
+                if zs:
+                    rows.append((data.draw(st.sampled_from(zs)),) + reduced[1:])
+            if r:
+                rows.append(r)
+        R = Presentation(m, rows[:count])
+        cfg = tz.TrivializerConfig(m=m, ell=R.max_length(), k=1,
+                                   max_rounds=data.draw(st.sampled_from([3, 2, 1])))
+        v = tz.trivialize(R, cfg)  # a SoundnessError fails the test
+        for cert in v.certificates:
+            assert tz.check_certificate(R, cert)
+        if v.outcome == tz.OUTCOME_TRIVIAL:
+            assert tz.abelianization_guard(R) == tz.POSSIBLY_TRIVIAL
+        # round 1 excises exactly what the one-row call finds with its w
+        first_round = sum(len(tz.reduce_relator(r, ws[0], cfg)[1]) for r in rows[:count])
+        assert v.stats.reductions_applied >= first_round
+        if cfg.max_rounds == 1:
+            assert v.stats.reductions_applied == first_round
+        again = tz.trivialize(R, cfg)
+        assert json.dumps(again.to_json_dict()) == json.dumps(v.to_json_dict())

@@ -5,7 +5,7 @@ conditions, phase-map, plus rerun (re-execute a recorded manifest).  Every
 output file embeds the digest of its manifest, and every run writes
 <out>.manifest.json next to its output.  Randomized runs with no --seed draw
 one from the OS and record it; there is deliberately no environment-variable
-seed fallback.  Exit codes: 0 success, 1 domain error, 2 usage error.
+seed fallback.  Exit codes: 0 success, 1 domain, 2 usage, 3 soundness error.
 
 Each command parses argv into a flat "recorded" parameter dict and then
 executes from that dict alone, so rerun reproduces outputs byte for byte.

@@ -341,20 +341,38 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
 # collision search
 
 
+def _tail_keys(tails: np.ndarray) -> np.ndarray:
+    """One uint64 key per tail row: its zero-padded 8-letter chunks as the digits of
+    a polynomial with an odd base, mod 2**64; exact up to 8 letters, a hash beyond.
+    """
+    padded = np.zeros((len(tails), -(-tails.shape[1] // 8) * 8), dtype=np.int8)
+    padded[:, :tails.shape[1]] = tails
+    keys = np.zeros(len(tails), dtype=np.uint64)
+    for digit in padded.view(np.uint64).T:
+        keys *= np.uint64(0x9E3779B97F4A7C15)  # the odd base
+        keys += digit
+    return keys
+
+
 def _group_tails(mat: np.ndarray, start: int) -> list:
     """Groups of two or more rows of words that agree from position start+1 on.
 
     mat is a zero-padded relator matrix and start >= 1; rows shorter than
     start letters take no part.  Each group is an ascending row list; groups
-    are ordered by their first row.  The rows with a letter at position start
-    are sorted by tail, and runs of equal adjacent sorted tails are the
-    groups: zero-padded tails are equal only when the words' tails are.
+    are ordered by their first row.  Of the rows with a letter at position
+    start, those whose tail key repeats are sorted by tail, and runs of equal
+    adjacent sorted tails are the groups (zero-padded tails are equal only
+    when the words' tails are), so a key collision costs time, never a group.
     """
     if start > mat.shape[1]:
         return []
     rows = np.flatnonzero(mat[:, start - 1])
-    # when every row qualifies, sort a view of the matrix, not a copy
+    # when every row qualifies, key a view of the matrix, not a copy
     tails = mat[:, start:] if len(rows) == len(mat) else mat[rows, start:]
+    keys = _tail_keys(tails)
+    ordered = np.sort(keys)
+    repeats = np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])
+    rows, tails = rows[repeats], tails[repeats]
     n = len(rows)
     # lexsort is stable, so each run lists its rows in ascending order
     order = np.lexsort(tails.T[::-1]) if tails.shape[1] else np.arange(n)
@@ -649,16 +667,16 @@ def _certificate_steps(deriv: list, last: int) -> list:
     return out
 
 
-def _best_collision(mat: np.ndarray, k: int, used_ws: set):
-    """Lexicographically smallest valid collision pair over all equal-tail groups.
+def _best_collision(mat: np.ndarray, groups: list, k: int, used_ws: set):
+    """Lexicographically smallest valid collision pair over the equal-tail groups.
 
-    A pair of rows is valid when their tails from position k+1 agree while
-    their first and k-th letters differ.  Returns ((i1, i2, w) or None,
-    number of valid pairs seen).
+    groups is _group_tails(mat, k).  A pair of rows is valid when their tails
+    from position k+1 agree while their first and k-th letters differ.
+    Returns ((i1, i2, w) or None, number of valid pairs seen).
     """
     best = None
     count = 0
-    for idxs in _group_tails(mat, k):
+    for idxs in groups:
         heads = mat[idxs, :k].tolist()
         for (i1, u), (i2, v) in itertools.combinations(zip(idxs, heads), 2):
             if u[0] == v[0] or u[k - 1] == v[k - 1]:
@@ -704,13 +722,17 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     certs: dict[tuple, Certificate] = {}
     stats = TrivializeStats()
     used_ws: set[Word] = set()
+    conclusion_groups = None  # cur's from position 2; the collision stage's too at k == 1
 
     for _ in range(cfg.max_rounds):
         stats.rounds += 1
         round_reductions = 0
 
         # collision stage
-        col, count = _best_collision(cur, cfg.k, used_ws)
+        if cfg.k == 1 and conclusion_groups is None:
+            conclusion_groups = _group_tails(cur, 1)
+        groups = conclusion_groups if cfg.k == 1 else _group_tails(cur, cfg.k)
+        col, count = _best_collision(cur, groups, cfg.k, used_ws)
         stats.collisions_found += count
         w_entry = None
         w = None
@@ -731,12 +753,15 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
                 cur_ref.update(zip(rd.rows.tolist(), (rd.ends - 1).tolist()))
                 cur = cur.copy()
                 cur[rd.rows] = _excise_rows(rd.words, np.searchsorted(rd.rows, rows), si, ti)
+                conclusion_groups = None
             round_reductions = len(rows)
             stats.letters_removed += int((ti - si - 1).sum())
             stats.reductions_applied += round_reductions
 
         # conclusion stage
-        for idxs in _group_tails(cur, 1):
+        if conclusion_groups is None:
+            conclusion_groups = _group_tails(cur, 1)
+        for idxs in conclusion_groups:
             seen: dict[int, int] = {}
             for i, x in zip(idxs, cur[idxs, 0].tolist()):
                 if x not in seen:

@@ -320,7 +320,9 @@ def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     """num x ell int8 matrix of independent uniform freely reduced words (m <= 127).
 
     Codes are drawn a column at a time and written as letters straight away,
-    so no temporary is larger than one column.
+    so no temporary is larger than one column; a row at code c that draws d in
+    0..2m-2 moves to next_code[c * (2m-1) + d], the d-th code but c's inverse.
+    int32 draws give the values and generator state of default int64 draws.
     """
     if m < 2 or ell < 1 or num < 1:
         raise ValueError("need m >= 2, ell >= 1, num >= 1")
@@ -330,14 +332,17 @@ def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     two_m = 2 * m
     gens = np.arange(1, m + 1, dtype=np.int8)
     code_letter = np.concatenate([gens, -gens])
+    draws = np.arange(two_m - 1)
+    inverse = (np.arange(two_m)[:, None] + m) % two_m
+    next_code = (draws + (draws >= inverse)).ravel().astype(np.int32)
     letters = np.empty((num, ell), dtype=np.int8)
-    codes = gen.integers(0, two_m, size=num)
+    codes = gen.integers(0, two_m, size=num, dtype=np.int32)
     letters[:, 0] = code_letter[codes]
     for j in range(1, ell):
-        forbidden = (codes + m) % two_m
-        codes = gen.integers(0, two_m - 1, size=num)
-        codes += codes >= forbidden
-        letters[:, j] = code_letter[codes]
+        codes *= two_m - 1
+        codes += gen.integers(0, two_m - 1, size=num, dtype=np.int32)
+        next_code.take(codes, out=codes)
+        code_letter.take(codes, out=letters[:, j])
     return letters
 
 

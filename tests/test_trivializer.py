@@ -80,7 +80,8 @@ class TestFindTailCollisions:
 
     @staticmethod
     def search(words_, k):
-        return tz._best_collision(Presentation(2, [W(s) for s in words_]).matrix, k, set())
+        mat = Presentation(2, [W(s) for s in words_]).matrix
+        return tz._best_collision(mat, tz._group_tails(mat, k), k, set())
 
     def test_crossed_prefix_pair(self):
         best, pairs = self.search(["abab", "baab"], 2)
@@ -140,6 +141,54 @@ class TestGroupTails:
     def test_single_row_has_no_group(self):
         mat = np.array([[1, 2, 1]], dtype=np.int8)
         assert tz._group_tails(mat, 1) == []
+
+    @staticmethod
+    def long_ragged_rows(m, width, seed):
+        """Rows sharing a few long tails, cut to many lengths, some with a changed last letter."""
+        rng = np.random.default_rng(seed)
+        letters = np.concatenate([np.arange(1, m + 1), -np.arange(1, m + 1)])
+        bases = rng.choice(letters, size=(4, width + 1)).tolist()
+        rows = []
+        for _ in range(400):
+            u = bases[rng.integers(4)][: rng.choice([0, 1, 2, width // 2, width, width + 1])]
+            if u and rng.random() < 0.3:
+                u[-1] = int(rng.choice(letters))  # differs from its kin past the first chunk
+            rows.append(tuple(u))
+        return rows
+
+    @pytest.mark.parametrize("m,width", [(2, 60), (127, 12)])
+    @pytest.mark.parametrize("constant_keys", [False, True])
+    def test_tails_wider_than_an_exact_key(self, monkeypatch, m, width, constant_keys):
+        # tails past 8 letters get hashed keys; with every key equal, all rows
+        # reach the exact check, so the groups cannot change
+        if constant_keys:
+            monkeypatch.setattr(tz, "_tail_keys", lambda t: np.zeros(len(t), dtype=np.uint64))
+        rows = self.long_ragged_rows(m, width, seed=m)
+        mat = Presentation(m, rows).matrix
+        assert mat.shape[1] == width + 1
+        for start in (1, 2, 3, 9, width // 2, width, width + 1, width + 2):
+            assert tz._group_tails(mat, start) == tail_groups_reference(rows, start)
+
+    def test_constant_keys_keep_random_groups(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        mat = rng.integers(1, 4, size=(400, 6)).astype(np.int8)
+        rows = [tuple(r) for r in mat.tolist()]
+        monkeypatch.setattr(tz, "_tail_keys", lambda t: np.zeros(len(t), dtype=np.uint64))
+        for start in range(1, mat.shape[1] + 2):
+            assert tz._group_tails(mat, start) == tail_groups_reference(rows, start)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=12),
+                    min_size=1, max_size=25),
+           st.data())
+    def test_duplicates_and_inverse_pairs(self, raw, data):
+        rows = [free_reduce(tuple(u)) for u in raw]
+        rows += [rows[i] for i in data.draw(st.lists(st.integers(0, len(rows) - 1)))]
+        rows += [invert(rows[i]) for i in data.draw(st.lists(st.integers(0, len(rows) - 1)))]
+        rows = data.draw(st.permutations(rows))
+        mat = Presentation(3, rows).matrix
+        for start in range(1, mat.shape[1] + 2):
+            assert tz._group_tails(mat, start) == tail_groups_reference(rows, start)
 
 
 def scan(r, w, search_from=1):
@@ -420,6 +469,59 @@ class TestTrivialize:
         # the certificates' own steps are the re-indexed copies
         outside = [s for s in built if not any(s is t for t in in_certs)]
         assert in_certs and len(outside) <= len(in_certs)
+
+    @staticmethod
+    def count_groupings(monkeypatch):
+        """The (start, matrix) of every _group_tails call trivialize makes."""
+        calls = []
+        group_tails = tz._group_tails
+
+        def recording(mat, start):
+            calls.append((start, mat.copy()))
+            return group_tails(mat, start)
+
+        monkeypatch.setattr(tz, "_group_tails", recording)
+        return calls
+
+    def test_groups_tails_once_at_k1_when_reduction_is_inert(self, monkeypatch):
+        calls = self.count_groupings(monkeypatch)
+        pres = sample_presentation(ModelParams.from_density(2, 16, 0.55),
+                                   RandomSource(0).child(0))
+        for max_rounds in (1, 3):
+            calls.clear()
+            v = tz.trivialize(pres, tz.TrivializerConfig.for_params(2, 16, max_rounds=max_rounds))
+            assert v.config.k == 1 and v.stats.reductions_applied == 0
+            assert v.outcome == tz.OUTCOME_TRIVIAL
+            assert [start for start, _ in calls] == [1]
+
+    def test_groups_tails_afresh_after_excision(self, monkeypatch):
+        calls = self.count_groupings(monkeypatch)
+        pres = build_reduction_fixture()
+        v = tz.trivialize(pres, tz.TrivializerConfig(m=2, ell=40, k=1))
+        assert v.stats.reductions_applied == 1
+        assert [start for start, _ in calls] == [1, 1]
+        assert np.array_equal(calls[0][1], pres.matrix)
+        assert not np.array_equal(calls[1][1], pres.matrix)  # the reduced matrix
+
+    def test_next_round_reuses_the_conclusion_groups(self, monkeypatch):
+        from test_golden import reduction_sweep_presentation
+
+        calls = self.count_groupings(monkeypatch)
+        v = tz.trivialize(reduction_sweep_presentation(True),
+                          tz.TrivializerConfig(m=2, ell=80, k=1, max_rounds=3))
+        assert v.stats.rounds >= 2 and v.stats.reductions_applied
+        # one grouping for the input, then one after each round that excised
+        assert len(calls) == v.stats.rounds + 1
+        mats = [mat.tobytes() for _, mat in calls]
+        assert len(set(mats)) == len(mats)
+
+    def test_groups_tails_twice_a_round_at_k2(self, monkeypatch):
+        calls = self.count_groupings(monkeypatch)
+        pres = sample_presentation(ModelParams.from_density(2, 16, 0.55),
+                                   RandomSource(0).child(0))
+        v = tz.trivialize(pres, tz.TrivializerConfig(m=2, ell=16, k=2))
+        assert v.stats.rounds == 1
+        assert [start for start, _ in calls] == [2, 1]
 
     def test_verdict_json_serializable(self):
         pres = build_reduction_fixture()

@@ -517,18 +517,18 @@ def _exact_rank(mat: list) -> int:
     return rank
 
 
-def _exponent_matrix(R: Presentation) -> np.ndarray:
-    """|R| x m exponent sums, from a bincount over 2m+1 letter bins per relator.
+def _exponent_matrix(mat: np.ndarray, m: int) -> np.ndarray:
+    """Exponent sums of a zero-padded letter matrix, from 2m+1 letter bins per row.
 
     The bincount runs over blocks of about EXPONENT_BLOCK_LETTERS letters, so
-    its intp bin indices stay a few MB whatever the size of R.
+    its intp bin indices stay a few MB whatever the size of the matrix.
     """
-    n, m, width = len(R), R.m, R.max_length()
+    n, width = mat.shape
     bins_per_row = 2 * m + 1
     rows = max(1, EXPONENT_BLOCK_LETTERS // max(1, width))
     E = np.empty((n, m), dtype=np.intp)
     for start in range(0, n, rows):
-        block = R.matrix[start:start + rows]
+        block = mat[start:start + rows]
         # letter x of the block's relator i counts in bin m + x of its row of
         # 2m+1 bins; the zero padding lands in bin m, which no exponent reads
         bins = np.repeat(np.arange(len(block)) * bins_per_row + m, width)
@@ -539,23 +539,29 @@ def _exponent_matrix(R: Presentation) -> np.ndarray:
     return E
 
 
+def _exponent_rank(mat: np.ndarray, m: int) -> int:
+    """Rational rank of the exponent sums of a zero-padded letter matrix."""
+    E = _exponent_matrix(mat, m)
+    # rank(E) = rank(E^T E); the Gram matrix is m x m so the exact
+    # elimination stays tiny.  Entries are bounded by rows * width^2.
+    if mat.shape[0] * mat.shape[1] ** 2 < (1 << 62):
+        return _exact_rank((E.T @ E).tolist())
+    return _exact_rank(E.tolist())
+
+
 def abelianization_guard(R: Presentation) -> str:
     """Independent soundness oracle from exponent sums.
 
     If the |R| x m exponent matrix has rational rank below m, the
-    abelianization is infinite and the group cannot be trivial.
+    abelianization is infinite and the group cannot be trivial.  No rows
+    outrank all rows, so first 4m rows of full rank m decide on their own.
     """
     if len(R) == 0:
         return CERTAINLY_NONTRIVIAL
-    E = _exponent_matrix(R)
-    # rank(E) = rank(E^T E); the Gram matrix is m x m so the exact
-    # elimination stays tiny.  Entries are bounded by |R| * max_len^2.
-    max_len = R.max_length()
-    if len(R) * max_len * max_len < (1 << 62):
-        gram = (E.T @ E).tolist()
-        rank = _exact_rank(gram)
-    else:
-        rank = _exact_rank(E.tolist())
+    probe = 4 * R.m
+    rank = _exponent_rank(R.matrix[:probe], R.m)
+    if rank < R.m and len(R) > probe:
+        rank = _exponent_rank(R.matrix, R.m)
     return POSSIBLY_TRIVIAL if rank >= R.m else CERTAINLY_NONTRIVIAL
 
 

@@ -50,8 +50,14 @@ def char_to_letter(c: str) -> Letter:
     raise ValueError(f"invalid letter character: {c!r}")
 
 
+_LETTER_CHARS = {x: letter_to_char(x) for i in range(1, 27) for x in (i, -i)}
+
+
 def word_to_str(w: Sequence[Letter]) -> str:
-    return "".join(letter_to_char(x) for x in w)
+    try:
+        return "".join(map(_LETTER_CHARS.__getitem__, w))
+    except KeyError:  # letter_to_char names the letter that has no character
+        return "".join(letter_to_char(x) for x in w)
 
 
 def word_from_str(s: str, m: int | None = None) -> Word:

@@ -677,16 +677,49 @@ class TestAbelianizationGuard:
         R = Presentation(2, [W("ab"), W("ab"), W("abab")])
         assert tz.abelianization_guard(R) == tz.CERTAINLY_NONTRIVIAL
 
+    def test_later_row_lifts_deficient_probe(self):
+        # the first 4m rows have zero exponent sum in b; row 9 is b
+        R = Presentation(2, [W("a"), W("aa"), W("bAB"), W("abaB"), W("A"), W("baB"),
+                             W("Bab"), W("bbaBB"), W("b")])
+        assert tz.abelianization_guard(R) == tz.POSSIBLY_TRIVIAL
+
+    def test_every_row_deficient(self):
+        R = Presentation(2, [W("a"), W("aa"), W("bAB"), W("abaB"), W("baB")] * 3)
+        assert tz.abelianization_guard(R) == tz.CERTAINLY_NONTRIVIAL
+
+    @given(st.data())
+    def test_matches_rank_of_full_exponent_matrix(self, data):
+        m = data.draw(st.integers(1, 3))
+        letter = st.integers(-m, m).filter(bool)
+        rows = data.draw(st.lists(st.lists(letter, max_size=5).map(tuple), max_size=16))
+        for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
+        E = [[r.count(g) - r.count(-g) for g in range(1, m + 1)] for r in rows]
+        full = tz._exact_rank(E) == m
+        assert tz.abelianization_guard(Presentation(m, rows)) == \
+            (tz.POSSIBLY_TRIVIAL if full else tz.CERTAINLY_NONTRIVIAL)
+
+    def test_sampled_guard_ranks_only_the_probe(self, monkeypatch):
+        pres = sample_presentation(ModelParams.from_density(3, 12, 0.5), RandomSource(8).child(0))
+        ranked, probed = [], []
+        exact_rank, exponent_matrix = tz._exact_rank, tz._exponent_matrix
+        monkeypatch.setattr(tz, "_exact_rank", lambda mat: ranked.append(mat) or exact_rank(mat))
+        monkeypatch.setattr(tz, "_exponent_matrix",
+                            lambda mat, m: probed.append(len(mat)) or exponent_matrix(mat, m))
+        assert tz.abelianization_guard(pres) == tz.POSSIBLY_TRIVIAL
+        assert len(ranked) == 1 and probed == [12] and len(pres) > 12
+
     def test_relator_list_edit_leaves_presentation_unchanged(self):
         params = ModelParams(2, 10, 50)
         pres = sample_presentation(params, RandomSource(3).child(0))
         relators, matrix = pres.relators, pres.matrix.copy()
-        exponents, guard = tz._exponent_matrix(pres), tz.abelianization_guard(pres)
+        exponents = tz._exponent_matrix(pres.matrix, pres.m)
+        guard = tz.abelianization_guard(pres)
         listed = pres.relators
         listed[5] = (1, 2) * 5
         assert pres.relators == relators and listed != relators
         assert np.array_equal(pres.matrix, matrix)
-        assert np.array_equal(tz._exponent_matrix(pres), exponents)
+        assert np.array_equal(tz._exponent_matrix(pres.matrix, pres.m), exponents)
         assert tz.abelianization_guard(pres) == guard
         with pytest.raises(ValueError):
             pres.matrix[5, 0] = 1
@@ -695,11 +728,11 @@ class TestAbelianizationGuard:
         pres = sample_presentation(ModelParams(3, 12, 300), RandomSource(4).child(0))
         ragged = Presentation(3, list(pres.relators) + [W("cA")])
         assert ragged.matrix[-1].tolist() == [3, -1] + [0] * 10
-        E = tz._exponent_matrix(pres)
+        E = tz._exponent_matrix(pres.matrix, pres.m)
         expected = [[sum((x == g) - (x == -g) for x in r) for g in (1, 2, 3)]
                     for r in ragged.relators]
         assert E.tolist() == expected[:-1]
-        assert tz._exponent_matrix(ragged).tolist() == expected
+        assert tz._exponent_matrix(ragged.matrix, ragged.m).tolist() == expected
 
     def test_matches_for_sampled(self):
         params = ModelParams.from_density(2, 10, 0.5)
@@ -713,7 +746,7 @@ class TestAbelianizationGuard:
         expected = [[sum((x == g) - (x == -g) for x in r) for g in (1, 2, 3)]
                     for r in ragged.relators]
         monkeypatch.setattr(tz, "EXPONENT_BLOCK_LETTERS", block_letters)
-        assert tz._exponent_matrix(ragged).tolist() == expected
+        assert tz._exponent_matrix(ragged.matrix, ragged.m).tolist() == expected
 
     def test_guard_peak_memory_is_a_few_matrices(self):
         import tracemalloc
@@ -742,6 +775,35 @@ class TestPlantedRate:
 
 
 class TestSoundnessSweep:
+    @pytest.mark.parametrize("max_rounds", [1, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_negative_controls(self, seed, max_rounds):
+        # Every relator has zero exponent sum in b, so b has infinite order in
+        # the abelianization and the group is not trivial, whatever the
+        # derivation finds.  Tail pairs (a T, A T) give round 1 the trivial
+        # word w = AA, and copies of w planted in block 0 of the hosts let
+        # the reduction stage fire.
+        gen = RandomSource(seed).generator()
+        mat = words.sample_relator_matrix(2, 60, 800, gen)
+        balanced = [tuple(r) for r, b in zip(mat.tolist(), (mat == 2).sum(1) - (mat == -2).sum(1))
+                    if b == 0]
+        rows = []
+        for T in [r for r in balanced if abs(r[0]) == 2][:6]:
+            rows += [(1,) + T, (-1,) + T]
+        for r in balanced[:40]:
+            r = list(r)
+            at = int(gen.integers(tz.RESERVED_PREFIX, 30))
+            r[at:at] = (-1, -1)
+            rows.append(free_reduce(r))
+        R = Presentation(2, rows)
+        assert not tz._exponent_matrix(R.matrix, 2)[:, 1].any()
+        cfg = tz.TrivializerConfig(m=2, ell=R.max_length(), k=1, max_rounds=max_rounds)
+        v = tz.trivialize(R, cfg)  # a SoundnessError fails the test
+        assert v.outcome == tz.OUTCOME_UNKNOWN
+        assert v.stats.reductions_applied > 0
+        assert all(tz.check_certificate(R, cert) for cert in v.certificates)
+        assert tz.abelianization_guard(R) == tz.CERTAINLY_NONTRIVIAL
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("density", [0.45, 0.5, 0.55])
     def test_small_grid(self, seed, density):

@@ -373,6 +373,20 @@ class TestStrForms:
         for s in ("", "ab", "aBcC"):
             assert word_to_str(word_from_str(s)) == s
 
+    def test_word_to_str_matches_letter_to_char(self):
+        letters = [x for i in range(1, 27) for x in (i, -i)]
+        assert word_to_str(letters) == "".join(map(words.letter_to_char, letters))
+        assert word_to_str(np.array(letters, dtype=np.int8)) == word_to_str(letters)
+        assert word_to_str(tuple(np.array([1, -2], dtype=np.int8))) == "aB"
+
+    @pytest.mark.parametrize("bad", [0, 27, -27])
+    def test_word_to_str_keeps_letter_error(self, bad):
+        with pytest.raises(ValueError) as expected:
+            words.letter_to_char(bad)
+        with pytest.raises(ValueError) as got:
+            word_to_str((1, bad, 2))
+        assert str(got.value) == str(expected.value)
+
     def test_word_from_str_respects_m(self):
         with pytest.raises(ValueError):
             word_from_str("abc", m=2)

@@ -41,18 +41,20 @@ def tutte_count(n: int) -> int:
     return num // den
 
 
-def _cycle_count(perm: tuple) -> int:
+def _cycle_lengths(perm: tuple) -> list:
+    """Lengths of the cycles of perm, in the order of their smallest elements."""
     seen = [False] * len(perm)
-    cycles = 0
+    lengths = []
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
+        ln = 0
         j = start
         while not seen[j]:
             seen[j] = True
+            ln += 1
             j = perm[j]
-    return cycles
+        if ln:
+            lengths.append(ln)
+    return lengths
 
 
 def _is_transitive(sigma: tuple, n_darts: int) -> bool:
@@ -93,24 +95,11 @@ def rooted_map_census(n: int, max_edges: int = 4) -> list:
     for sigma in permutations(range(n_darts)):
         if not _is_transitive(sigma, n_darts):
             continue
-        v = _cycle_count(sigma)
-        phi = tuple(sigma[d ^ 1] for d in range(n_darts))
-        f = _cycle_count(phi)
-        if v - n + f != 2:
+        valences = _cycle_lengths(sigma)
+        f = len(_cycle_lengths(tuple(sigma[d ^ 1] for d in range(n_darts))))
+        if len(valences) - n + f != 2:
             continue
-        seen = [False] * n_darts
-        lengths = []
-        for start in range(n_darts):
-            if seen[start]:
-                continue
-            ln = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                ln += 1
-                j = sigma[j]
-            lengths.append(ln)
-        out.append(MapRecord(v, n, f, tuple(sorted(lengths))))
+        out.append(MapRecord(len(valences), n, f, tuple(sorted(valences))))
     return out
 
 

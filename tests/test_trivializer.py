@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -420,6 +422,28 @@ class TestTrivialize:
         assert v.outcome == tz.OUTCOME_TRIVIAL
         assert v.stats.rounds <= 3
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_outcome_matches_certificate_classes(self, m):
+        # trivial iff the certified equalities x = y, with -x = -y, join the
+        # 2m symbols into one class; the classes are found here by a BFS
+        outcomes = []
+        for ell, density, seed in itertools.product(range(8, 13), (0.5, 0.55), range(4)):
+            params = ModelParams.from_density(m, ell, density)
+            v = tz.trivialize(sample_presentation(params, RandomSource(seed).child(0)))
+            edges = {}
+            for c in v.certificates:
+                for x, y in ((c.x, c.y), (-c.x, -c.y)):
+                    edges.setdefault(x, []).append(y)
+                    edges.setdefault(y, []).append(x)
+            seen, todo = {1}, [1]
+            while todo:
+                new = set(edges.get(todo.pop(), ())) - seen
+                seen |= new
+                todo += new
+            assert (v.outcome == tz.OUTCOME_TRIVIAL) == (len(seen) == 2 * m), (ell, density, seed)
+            outcomes.append(v.outcome)
+        assert set(outcomes) == {tz.OUTCOME_TRIVIAL, tz.OUTCOME_UNKNOWN}
+
     def test_empty_presentation(self):
         v = tz.trivialize(Presentation(2, []), tz.TrivializerConfig(m=2, ell=4, k=1))
         assert v.outcome == tz.OUTCOME_UNKNOWN
@@ -688,26 +712,42 @@ class TestAbelianizationGuard:
         assert tz.abelianization_guard(R) == tz.CERTAINLY_NONTRIVIAL
 
     @given(st.data())
-    def test_matches_rank_of_full_exponent_matrix(self, data):
+    def test_matches_gcd_of_minors(self, data):
+        # the index [Z^m : L] of the row lattice L is the gcd of the m x m
+        # minors of the exponent matrix, 0 when they all vanish
+        def det(M):
+            if len(M) == 1:
+                return M[0][0]
+            return sum((-1) ** j * M[0][j] * det([r[:j] + r[j + 1:] for r in M[1:]])
+                       for j in range(len(M)))
+
         m = data.draw(st.integers(1, 3))
         letter = st.integers(-m, m).filter(bool)
         rows = data.draw(st.lists(st.lists(letter, max_size=5).map(tuple), max_size=16))
         for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
             rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
         E = [[r.count(g) - r.count(-g) for g in range(1, m + 1)] for r in rows]
-        full = tz._exact_rank(E) == m
+        index = math.gcd(*(det(list(M)) for M in itertools.combinations(E, m)))
         assert tz.abelianization_guard(Presentation(m, rows)) == \
-            (tz.POSSIBLY_TRIVIAL if full else tz.CERTAINLY_NONTRIVIAL)
+            (tz.POSSIBLY_TRIVIAL if index in (1, 2) else tz.CERTAINLY_NONTRIVIAL)
 
-    def test_sampled_guard_ranks_only_the_probe(self, monkeypatch):
+    def test_index_above_two_is_nontrivial(self):
+        # full rank, but Z^2 / L is Z/3 or Z/2 x Z/2
+        assert tz.abelianization_guard(Presentation(2, [W("a"), W("bbb")])) \
+            == tz.CERTAINLY_NONTRIVIAL
+        assert tz.abelianization_guard(Presentation(2, [W("aa"), W("bb")])) \
+            == tz.CERTAINLY_NONTRIVIAL
+        assert tz.abelianization_guard(Presentation(2, [W("aa"), W("bb"), W("ab")])) \
+            == tz.POSSIBLY_TRIVIAL
+
+    def test_sampled_guard_reads_only_the_probe(self, monkeypatch):
         pres = sample_presentation(ModelParams.from_density(3, 12, 0.5), RandomSource(8).child(0))
-        ranked, probed = [], []
-        exact_rank, exponent_matrix = tz._exact_rank, tz._exponent_matrix
-        monkeypatch.setattr(tz, "_exact_rank", lambda mat: ranked.append(mat) or exact_rank(mat))
+        probed = []
+        exponent_matrix = tz._exponent_matrix
         monkeypatch.setattr(tz, "_exponent_matrix",
                             lambda mat, m: probed.append(len(mat)) or exponent_matrix(mat, m))
         assert tz.abelianization_guard(pres) == tz.POSSIBLY_TRIVIAL
-        assert len(ranked) == 1 and probed == [12] and len(pres) > 12
+        assert probed == [12] and len(pres) > 12
 
     def test_relator_list_edit_leaves_presentation_unchanged(self):
         params = ModelParams(2, 10, 50)
@@ -774,35 +814,60 @@ class TestPlantedRate:
         assert a == b
 
 
+def b_sum_control(seed, m, keep):
+    """Relators whose exponent sums in b pass keep, set up for the reduction stage.
+
+    Tail pairs (a T, A T) give round 1 the trivial word w = AA, and copies of
+    w planted in block 0 of the hosts let the reduction stage fire.
+    """
+    gen = RandomSource(seed).generator()
+    length = tz.TrivializerConfig(m=m, ell=2, k=1).block_size + 24
+    mat = words.sample_relator_matrix(m, length, 800, gen)
+    balanced = [tuple(r) for r, b in zip(mat.tolist(), (mat == 2).sum(1) - (mat == -2).sum(1))
+                if keep(b)]
+    rows = []
+    for T in [r for r in balanced if abs(r[0]) == 2][:6]:
+        rows += [(1,) + T, (-1,) + T]
+    for r in balanced[:40]:
+        r = list(r)
+        at = int(gen.integers(tz.RESERVED_PREFIX, 30))
+        r[at:at] = (-1, -1)
+        rows.append(free_reduce(r))
+    return Presentation(m, rows)
+
+
 class TestSoundnessSweep:
-    @pytest.mark.parametrize("max_rounds", [1, 3])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_negative_controls(self, seed, max_rounds):
-        # Every relator has zero exponent sum in b, so b has infinite order in
-        # the abelianization and the group is not trivial, whatever the
-        # derivation finds.  Tail pairs (a T, A T) give round 1 the trivial
-        # word w = AA, and copies of w planted in block 0 of the hosts let
-        # the reduction stage fire.
-        gen = RandomSource(seed).generator()
-        mat = words.sample_relator_matrix(2, 60, 800, gen)
-        balanced = [tuple(r) for r, b in zip(mat.tolist(), (mat == 2).sum(1) - (mat == -2).sum(1))
-                    if b == 0]
-        rows = []
-        for T in [r for r in balanced if abs(r[0]) == 2][:6]:
-            rows += [(1,) + T, (-1,) + T]
-        for r in balanced[:40]:
-            r = list(r)
-            at = int(gen.integers(tz.RESERVED_PREFIX, 30))
-            r[at:at] = (-1, -1)
-            rows.append(free_reduce(r))
-        R = Presentation(2, rows)
-        assert not tz._exponent_matrix(R.matrix, 2)[:, 1].any()
-        cfg = tz.TrivializerConfig(m=2, ell=R.max_length(), k=1, max_rounds=max_rounds)
+    @staticmethod
+    def assert_unknown_and_guarded(R, max_rounds):
+        cfg = tz.TrivializerConfig(m=R.m, ell=R.max_length(), k=1, max_rounds=max_rounds)
         v = tz.trivialize(R, cfg)  # a SoundnessError fails the test
         assert v.outcome == tz.OUTCOME_UNKNOWN
         assert v.stats.reductions_applied > 0
         assert all(tz.check_certificate(R, cert) for cert in v.certificates)
         assert tz.abelianization_guard(R) == tz.CERTAINLY_NONTRIVIAL
+
+    @pytest.mark.parametrize("max_rounds", [1, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_negative_controls(self, seed, max_rounds):
+        # Every relator has zero exponent sum in b, so b has infinite order in
+        # the abelianization and the group is not trivial, whatever the
+        # derivation finds.
+        R = b_sum_control(seed, 2, lambda b: b == 0)
+        assert not tz._exponent_matrix(R.matrix, 2)[:, 1].any()
+        self.assert_unknown_and_guarded(R, max_rounds)
+
+    @pytest.mark.parametrize("max_rounds", [1, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("modulus", [3, 4])
+    def test_finite_negative_controls(self, modulus, m, max_rounds):
+        # Every exponent sum in b is divisible by the modulus, so the
+        # abelianization maps onto Z/modulus: the exponent rows have full
+        # rank, yet the group has order above two.
+        R = b_sum_control(0, m, lambda b: b % modulus == 0)
+        E = tz._exponent_matrix(R.matrix, m)
+        assert not (E[:, 1] % modulus).any()
+        assert tz._add_rows([None] * m, E.tolist()) == modulus
+        self.assert_unknown_and_guarded(R, max_rounds)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("density", [0.45, 0.5, 0.55])

@@ -785,6 +785,8 @@ def planted_reduction_rate(k: int, m: int, blocks: int, rng: RandomSource) -> tu
     Per-block this rate exceeds 1/4 once k is large enough for the wrong-form
     occurrences (the block starting or ending with d w d^-1) to be negligible.
     """
+    if blocks < 1:
+        raise ValueError(f"blocks must be at least 1, got {blocks}")
     size = TrivializerConfig(m=m, ell=k, k=k).block_size
     w = (1, 2) * k
     hits = 0

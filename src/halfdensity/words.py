@@ -10,6 +10,7 @@ inverse as the corresponding uppercase letter ("aBa" = a b^-1 a).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -322,13 +323,59 @@ def presentation_from_text(text: str) -> Presentation:
 # excluding the inverse of its predecessor.
 
 
+#: Draws per generator call of sample_relator_matrix (a block of columns).
+SAMPLE_BLOCK = 1 << 16
+#: Rows of an r-step table are at most this, or 2m(2m-1) when r = 1.
+STEP_TABLE_ROWS = 1 << 15
+
+
+@functools.lru_cache(maxsize=8)
+def _step_tables(m: int) -> tuple:
+    """Read-only (code_letter, next_code, r, steps, last) for m generators.
+
+    A row at code c that draws d in 0..2m-2 moves to the d-th code but c's
+    inverse: next_code[c * (2m-1) + d].  r is the largest r >= 1 with
+    2m (2m-1)^r rows at most STEP_TABLE_ROWS; row c (2m-1)^r + sum d_i
+    (2m-1)^(r-1-i) of steps holds the r letters that draws d_0..d_r-1 give
+    after code c, and last holds the code they end on, times (2m-1)^r.
+    """
+    two_m, b = 2 * m, 2 * m - 1
+    gens = np.arange(1, m + 1, dtype=np.int8)
+    code_letter = np.concatenate([gens, -gens])
+    draws = np.arange(b)
+    inverse = (np.arange(two_m)[:, None] + m) % two_m
+    next_code = (draws + (draws >= inverse)).astype(np.int32)
+    r = 1
+    while two_m * b ** (r + 1) <= STEP_TABLE_ROWS:
+        r += 1
+    # axis 0 is the start code and axis 1 + i the draw d_i; codes broadcasts
+    # over the draws not yet taken
+    steps = np.empty((two_m,) + (b,) * r + (r,), dtype=np.int8)
+    codes = np.arange(two_m).reshape((two_m,) + (1,) * r)
+    for i in range(r):
+        codes = next_code[codes, draws.reshape((b,) + (1,) * (r - 1 - i))]
+        steps[..., i] = code_letter[codes]
+    next_code, steps, last = next_code.ravel(), steps.reshape(-1, r), (codes * b**r).ravel()
+    for table in (code_letter, next_code, steps, last):
+        table.flags.writeable = False
+    return code_letter, next_code, r, steps, last
+
+
 def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     """num x ell int8 matrix of independent uniform freely reduced words (m <= 127).
 
-    Codes are drawn a column at a time and written as letters straight away,
-    so no temporary is larger than one column; a row at code c that draws d in
-    0..2m-2 moves to next_code[c * (2m-1) + d], the d-th code but c's inverse.
-    int32 draws give the values and generator state of default int64 draws.
+    Column 0 is one draw in 0..2m-1 per row; every later column is one draw
+    in 0..2m-2 per row, mapped by _step_tables' next_code.  Later columns are
+    drawn in blocks: one int32 (cols, num) array per generator call, cols a
+    multiple of r with cols * num at most SAMPLE_BLOCK (the row's last block
+    may be shorter), each freed before the next is drawn.  A (cols, num) call
+    yields the values, and leaves the generator state, of cols calls of size
+    num, and int32 draws those of default int64 draws, so matrix and stream
+    equal a column-at-a-time sampler's.  Within a block, each group of r draw
+    rows is packed into one key per row of the r-step table, so a code
+    advances r columns per lookup and one gather writes the block's letters.
+    When a block cannot hold r columns, or r = 1 and it would hold one, the
+    columns are drawn and chained one at a time instead.
     """
     if m < 2 or ell < 1 or num < 1:
         raise ValueError("need m >= 2, ell >= 1, num >= 1")
@@ -336,19 +383,36 @@ def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
         raise ValueError(f"int8 letters need m <= 127, got {m}")
     gen = as_generator(rng)
     two_m = 2 * m
-    gens = np.arange(1, m + 1, dtype=np.int8)
-    code_letter = np.concatenate([gens, -gens])
-    draws = np.arange(two_m - 1)
-    inverse = (np.arange(two_m)[:, None] + m) % two_m
-    next_code = (draws + (draws >= inverse)).ravel().astype(np.int32)
+    code_letter, next_code, r, steps, last = _step_tables(m)
     letters = np.empty((num, ell), dtype=np.int8)
     codes = gen.integers(0, two_m, size=num, dtype=np.int32)
     letters[:, 0] = code_letter[codes]
-    for j in range(1, ell):
-        codes *= two_m - 1
-        codes += gen.integers(0, two_m - 1, size=num, dtype=np.int32)
-        next_code.take(codes, out=codes)
-        code_letter.take(codes, out=letters[:, j])
+    width = SAMPLE_BLOCK // num // r * r
+    if width <= 1:
+        for j in range(1, ell):
+            codes *= two_m - 1
+            codes += gen.integers(0, two_m - 1, size=num, dtype=np.int32)
+            next_code.take(codes, out=codes)
+            code_letter.take(codes, out=letters[:, j])
+        return letters
+    powers = (two_m - 1) ** np.arange(r - 1, -1, -1)
+    codes = codes * (two_m - 1) ** r
+    for j in range(1, ell, width):
+        cols = min(width, ell - j)
+        full, rest = divmod(cols, r)
+        block = gen.integers(0, two_m - 1, size=(cols, num), dtype=np.int32)
+        keys = np.empty((full + (rest > 0), num), dtype=np.intp)
+        np.einsum("i,gin->gn", powers, block[:full * r].reshape(full, r, num),
+                  out=keys[:full])
+        if rest:
+            # only the row's last block is short; its short group reads as
+            # padded with zero draws, and the code that group ends on is unused
+            np.einsum("i,in->n", powers[:rest], block[full * r:], out=keys[full])
+        del block
+        for key in keys:
+            key += codes
+            last.take(key, out=codes)
+        letters[:, j:j + cols] = steps.take(keys.T, axis=0).reshape(num, -1)[:, :cols]
     return letters
 
 

@@ -813,6 +813,11 @@ class TestPlantedRate:
         b = tz.planted_reduction_rate(2, 2, 2000, RandomSource(18))
         assert a == b
 
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_rejects_fewer_than_one_block(self, blocks):
+        with pytest.raises(ValueError, match="blocks"):
+            tz.planted_reduction_rate(2, 2, blocks, RandomSource(18))
+
 
 def b_sum_control(seed, m, keep):
     """Relators whose exponent sums in b pass keep, set up for the reduction stage.

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfdensity import words
@@ -157,18 +159,71 @@ def reference_relator_matrix(m, ell, num, gen):
     return letters
 
 
+def assert_matches_reference(m, ell, num, seed):
+    """Two calls in a row on one generator, as perfbench/planted.py shares one:
+    same bytes and same generator state as reference_relator_matrix."""
+    got_gen, ref_gen = (RandomSource(seed).generator() for _ in range(2))
+    for _ in range(2):
+        got = sample_relator_matrix(m, ell, num, got_gen)
+        ref = reference_relator_matrix(m, ell, num, ref_gen)
+        assert got.dtype == np.int8 and got.tobytes() == ref.tobytes(), (m, ell, num)
+        assert got_gen.bit_generator.state == ref_gen.bit_generator.state
+
+
 class TestSampling:
     @pytest.mark.parametrize("m", [2, 3, 127])
     @pytest.mark.parametrize("ell", [1, 2, 24, 81])
     @pytest.mark.parametrize("num", [1, 1000])
     def test_matches_reference_sampler(self, m, ell, num):
-        # one generator over two calls in a row, as perfbench/planted.py shares one
-        got_gen, ref_gen = (RandomSource(m * ell + num).generator() for _ in range(2))
-        for _ in range(2):
-            got = sample_relator_matrix(m, ell, num, got_gen)
-            ref = reference_relator_matrix(m, ell, num, ref_gen)
-            assert got.dtype == np.int8 and got.tobytes() == ref.tobytes()
-            assert got_gen.bit_generator.state == ref_gen.bit_generator.state
+        assert_matches_reference(m, ell, num, m * ell + num)
+
+    @pytest.mark.parametrize("m", [2, 3, 127])
+    @pytest.mark.parametrize("num_of", [
+        lambda block, r: 1,
+        lambda block, r: block // (3 * r),
+        lambda block, r: block // r - 1,
+        lambda block, r: block // r,
+        lambda block, r: block // r + 1,
+        lambda block, r: block,
+        lambda block, r: block + 1,
+    ], ids=["1", "block/3r", "block/r-1", "block/r", "block/r+1", "block", "block+1"])
+    def test_matches_reference_at_block_boundaries(self, m, num_of):
+        r = words._step_tables(m)[2]
+        num = num_of(words.SAMPLE_BLOCK, r)
+        # r + 1 columns fill one group; 4r + 3 end mid-group, and mid-block
+        # where a block holds more than one group
+        for ell in (1, 2, r + 1, 4 * r + 3):
+            assert_matches_reference(m, ell, num, m * ell + num)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 40), st.integers(1, 40), st.integers(1, 64),
+           st.integers(0, 2**32))
+    def test_matches_reference_across_small_blocks(self, m, ell, num, block, seed):
+        with mock.patch.object(words, "SAMPLE_BLOCK", block):
+            assert_matches_reference(m, ell, num, seed)
+
+    def test_step_tables_are_read_only_and_bounded(self):
+        assert [words._step_tables(m)[2] for m in (2, 3, 5, 127)] == [8, 5, 3, 1]
+        for m in range(2, 30):
+            for table in words._step_tables(m):
+                assert not isinstance(table, np.ndarray) or not table.flags.writeable
+        info = words._step_tables.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_peak_memory_is_a_few_blocks_over_the_result(self):
+        import tracemalloc
+
+        sample_relator_matrix(2, 5833, 1024, RandomSource(0))
+        tracemalloc.start()
+        try:
+            mat = sample_relator_matrix(2, 5833, 1024, RandomSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, one block of int32 draws and its keys and letters; a
+        # full-size code or key matrix would take over 20 blocks' bytes
+        assert peak < mat.nbytes + 3 * 4 * words.SAMPLE_BLOCK
+
     def test_shape_and_reduced(self):
         p = ModelParams(2, 4, 3)
         pres = sample_presentation(p, RandomSource(0))

@@ -94,6 +94,8 @@ def decay_bounds(m: int, n: int) -> tuple[Fraction, Fraction]:
 
 def sample_relation_counts(m: int, n: int, samples: int, rng) -> dict[str, int]:
     """Counts of the relation of letter n to letter 0 over sampled words."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     mat = words.sample_relator_matrix(m, n + 1, samples, rng)
     first = mat[:, 0].astype(np.int16)
     nth = mat[:, n].astype(np.int16)

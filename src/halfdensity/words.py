@@ -331,13 +331,15 @@ STEP_TABLE_ROWS = 1 << 15
 
 @functools.lru_cache(maxsize=8)
 def _step_tables(m: int) -> tuple:
-    """Read-only (code_letter, next_code, r, steps, last) for m generators.
+    """Read-only (code_letter, r, steps, last) for m generators.
 
-    A row at code c that draws d in 0..2m-2 moves to the d-th code but c's
-    inverse: next_code[c * (2m-1) + d].  r is the largest r >= 1 with
-    2m (2m-1)^r rows at most STEP_TABLE_ROWS; row c (2m-1)^r + sum d_i
-    (2m-1)^(r-1-i) of steps holds the r letters that draws d_0..d_r-1 give
-    after code c, and last holds the code they end on, times (2m-1)^r.
+    code_letter maps a code to its letter.  A row at code c that draws d in
+    0..2m-2 moves to the d-th code but c's inverse.  r is the largest r >= 1
+    with 2m (2m-1)^r rows at most STEP_TABLE_ROWS; row c (2m-1)^r + sum d_i
+    (2m-1)^(r-1-i) of the contiguous (rows, r) int8 steps holds the r letters
+    that draws d_0..d_r-1 give after code c, and the int32 last holds the code
+    they end on, times (2m-1)^r, so that adding the next r draws' key gives
+    the next row.
     """
     two_m, b = 2 * m, 2 * m - 1
     gens = np.arange(1, m + 1, dtype=np.int8)
@@ -355,53 +357,68 @@ def _step_tables(m: int) -> tuple:
     for i in range(r):
         codes = next_code[codes, draws.reshape((b,) + (1,) * (r - 1 - i))]
         steps[..., i] = code_letter[codes]
-    next_code, steps, last = next_code.ravel(), steps.reshape(-1, r), (codes * b**r).ravel()
-    for table in (code_letter, next_code, steps, last):
+    steps, last = steps.reshape(-1, r), (codes * b**r).ravel()
+    for table in (code_letter, steps, last):
         table.flags.writeable = False
-    return code_letter, next_code, r, steps, last
+    return code_letter, r, steps, last
 
 
 def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     """num x ell int8 matrix of independent uniform freely reduced words (m <= 127).
 
-    Column 0 is one draw in 0..2m-1 per row; every later column is one draw
-    in 0..2m-2 per row, mapped by _step_tables' next_code.  Later columns are
-    drawn in blocks: one int32 (cols, num) array per generator call, cols a
-    multiple of r with cols * num at most SAMPLE_BLOCK (the row's last block
-    may be shorter), each freed before the next is drawn.  A (cols, num) call
-    yields the values, and leaves the generator state, of cols calls of size
-    num, and int32 draws those of default int64 draws, so matrix and stream
-    equal a column-at-a-time sampler's.  Within a block, each group of r draw
-    rows is packed into one key per row of the r-step table, so a code
-    advances r columns per lookup and one gather writes the block's letters.
-    When a block cannot hold r columns, or r = 1 and it would hold one, the
-    columns are drawn and chained one at a time instead.
+    Column 0 is one draw in 0..2m-1 per row, a code; every later column is
+    one draw in 0..2m-2 per row.  Each group of r later columns becomes one
+    int32 key per row, the draws as base-(2m-1) digits (a short last group
+    padded with zero digits); key plus the code, pre-multiplied by (2m-1)^r,
+    picks the row of _step_tables' steps that holds the group's r letters
+    and of last that holds the next code, so a code advances r columns per
+    lookup.  When a block of SAMPLE_BLOCK draws holds r columns and more than
+    one, the later columns are drawn a block at a time: one int32 (cols, num)
+    array per generator call, cols a multiple of r (the row's last block may
+    be shorter), each freed before the next, and one gather writes the
+    block's letters.  Otherwise each column is one generator call, folded
+    into the key as it is drawn, and a group's r letters are stored as one
+    r-byte item per row.  A (cols, num) call yields the values, and leaves
+    the generator state, of cols calls of size num, and int32 draws those of
+    default int64 draws, so matrix and stream equal a column-at-a-time
+    sampler's.
     """
     if m < 2 or ell < 1 or num < 1:
         raise ValueError("need m >= 2, ell >= 1, num >= 1")
     if m > 127:
         raise ValueError(f"int8 letters need m <= 127, got {m}")
     gen = as_generator(rng)
-    two_m = 2 * m
-    code_letter, next_code, r, steps, last = _step_tables(m)
+    two_m, b = 2 * m, 2 * m - 1
+    code_letter, r, steps, last = _step_tables(m)
     letters = np.empty((num, ell), dtype=np.int8)
     codes = gen.integers(0, two_m, size=num, dtype=np.int32)
     letters[:, 0] = code_letter[codes]
+    codes *= b**r
     width = SAMPLE_BLOCK // num // r * r
     if width <= 1:
-        for j in range(1, ell):
-            codes *= two_m - 1
-            codes += gen.integers(0, two_m - 1, size=num, dtype=np.int32)
-            next_code.take(codes, out=codes)
-            code_letter.take(codes, out=letters[:, j])
+        items = steps.view(f"V{r}").reshape(-1)
+        for j in range(1, ell, r):
+            cols = min(r, ell - j)
+            key = gen.integers(0, b, size=num, dtype=np.int32)
+            for _ in range(cols - 1):
+                key *= b
+                key += gen.integers(0, b, size=num, dtype=np.int32)
+            if cols < r:
+                # the row's last group; the code it ends on is unused
+                key *= b ** (r - cols)
+                key += codes
+                letters[:, j:] = steps.take(key, axis=0)[:, :cols]
+                break
+            key += codes
+            last.take(key, out=codes)
+            letters[:, j:j + r].view(f"V{r}")[:, 0] = items.take(key)
         return letters
-    powers = (two_m - 1) ** np.arange(r - 1, -1, -1)
-    codes = codes * (two_m - 1) ** r
+    powers = b ** np.arange(r - 1, -1, -1, dtype=np.int32)
     for j in range(1, ell, width):
         cols = min(width, ell - j)
         full, rest = divmod(cols, r)
-        block = gen.integers(0, two_m - 1, size=(cols, num), dtype=np.int32)
-        keys = np.empty((full + (rest > 0), num), dtype=np.intp)
+        block = gen.integers(0, b, size=(cols, num), dtype=np.int32)
+        keys = np.empty((full + (rest > 0), num), dtype=np.int32)
         np.einsum("i,gin->gn", powers, block[:full * r].reshape(full, r, num),
                   out=keys[:full])
         if rest:

@@ -151,6 +151,14 @@ class TestVerifyDist:
             assert r[1] == r[2]  # exact law equals oracle
             assert abs(float(r[4])) < 4.5
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_rejects_fewer_than_one_sample(self, tmp_path, capsys, monkeypatch, samples):
+        argv = ["verify-dist", "--m", "2", "--n", "4", "--samples", samples,
+                "--seed", "9", "--out", str(tmp_path / "vd.csv")]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == f"error: samples must be >= 1, got {samples}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConditionsAndPhaseMap:
     def test_star_csv(self, tmp_path, capsys):

@@ -109,3 +109,8 @@ class TestSampledFrequencies:
             p = float(totals[rel])
             se = (p * (1 - p) / samples) ** 0.5
             assert abs(counts[rel] / samples - p) < 5 * se, rel
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_fewer_than_one_sample(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            dist.sample_relation_counts(2, 3, samples, RandomSource(0))

@@ -188,12 +188,17 @@ class TestSampling:
         lambda block, r: block + 1,
     ], ids=["1", "block/3r", "block/r-1", "block/r", "block/r+1", "block", "block+1"])
     def test_matches_reference_at_block_boundaries(self, m, num_of):
-        r = words._step_tables(m)[2]
+        r = words._step_tables(m)[1]
         num = num_of(words.SAMPLE_BLOCK, r)
-        # r + 1 columns fill one group; 4r + 3 end mid-group, and mid-block
-        # where a block holds more than one group
-        for ell in (1, 2, r + 1, 4 * r + 3):
+        # r columns leave one short group; r + 1 fill one group; 2r + 1 fill
+        # two; 4r + 3 end mid-group, and mid-block where a block holds more
+        # than one group
+        for ell in (1, 2, r, r + 1, 2 * r + 1, 4 * r + 3):
             assert_matches_reference(m, ell, num, m * ell + num)
+
+    def test_matches_reference_at_a_sweep_shape(self):
+        # a04's m=2, ell=22 matrix at density 1/2: one generator call a column
+        assert_matches_reference(2, 22, 3**11, 22)
 
     @settings(deadline=None)
     @given(st.integers(2, 5), st.integers(1, 40), st.integers(1, 40), st.integers(1, 64),
@@ -203,7 +208,7 @@ class TestSampling:
             assert_matches_reference(m, ell, num, seed)
 
     def test_step_tables_are_read_only_and_bounded(self):
-        assert [words._step_tables(m)[2] for m in (2, 3, 5, 127)] == [8, 5, 3, 1]
+        assert [words._step_tables(m)[1] for m in (2, 3, 5, 127)] == [8, 5, 3, 1]
         for m in range(2, 30):
             for table in words._step_tables(m):
                 assert not isinstance(table, np.ndarray) or not table.flags.writeable
@@ -223,6 +228,21 @@ class TestSampling:
         # the result, one block of int32 draws and its keys and letters; a
         # full-size code or key matrix would take over 20 blocks' bytes
         assert peak < mat.nbytes + 3 * 4 * words.SAMPLE_BLOCK
+
+    def test_peak_memory_of_column_draws_is_a_few_bytes_a_row(self):
+        import tracemalloc
+
+        num = 3**11
+        sample_relator_matrix(2, 22, num, RandomSource(0))
+        tracemalloc.start()
+        try:
+            mat = sample_relator_matrix(2, 22, num, RandomSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one column of int32 draws, the int32 keys and codes and a group's
+        # r letters; a full int64 code matrix would take 8 * 22 bytes a row
+        assert peak < mat.nbytes + 32 * num
 
     def test_shape_and_reduced(self):
         p = ModelParams(2, 4, 3)

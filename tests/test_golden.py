@@ -42,9 +42,18 @@ CLI_CASES = {
                         "a03c780e864654a6a3d1470c9bf7af2352a0c94d557d382df28f9c19004c352b"),
     "diagrams-tutte": (["diagrams", "tutte", "--n", "4", "--with-census"],
                        "af82d3d7dc962149350c11016912c6814ba6c37916e976d42510da7c69b008dd"),
+    "diagrams-bound": (["diagrams", "bound", "--faces", "3", "--ell", "20", "--m", "2"],
+                       "9afa97af8398793ff42b517125fd9a69b346e75248cd4105b8e2ae3e1654f860"),
+    "diagrams-fulfill": (["diagrams", "fulfill", "--faces", "3", "--boundary", "20",
+                          "--ell", "20", "--density", "0.45"],
+                         "d47d7bbceea4536a9fb200c3099c226661380244435de723ecf1dee10fb3d916"),
     "conditions": (["conditions", "--which", "spade", "--k-expr", "threshold-k",
                     "--ell-grid", "pow2:10:14"],
                    "30e6a96a7a27aed65864ca63262c55347ded07c4ef4d0d2e34c22616ebf80c28"),
+    "conditions-asterisk": (["conditions", "--which", "asterisk", "--K-expr",
+                             "window-K:cprime=2", "--f-expr",
+                             "family:alpha=1/3,beta=1/3,c0=1e5"],
+                            "a785c02ae4ac6545c23271d40ad6948cc0813837dd35d12eaa693264d5eaf42b"),
     "phase-map": (["phase-map", "--alpha", "0:1.5:0.25", "--beta", "-1:2:0.5"],
                   "ab78f106ba38c489fb5edb5bcb2404821cffeaabeb91977c144db0fe01758dfb"),
 }

@@ -42,7 +42,7 @@ _RATE_KEYS = {"zero": (), "trivial-threshold": (), "hyperbolic-threshold": (),
               "family": ("alpha", "beta", "c0")}
 
 
-def parse_rate_expr(spec: str) -> thresholds.RateFunction:
+def parse_rate_expr(spec: str) -> thresholds.GrowthExpr:
     """Rate-function syntax for --f-expr / --k-expr / --K-expr.
 
     Accepted: 'zero', 'trivial-threshold', 'hyperbolic-threshold', 'threshold-k',
@@ -135,8 +135,11 @@ def _model_recorded(args) -> dict:
             "density": params.density, "f": params.f, **spec}
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+def _resolve_seed(args) -> int | None:
+    """--seed, else one drawn from the OS; None for subcommands without --seed."""
+    if not hasattr(args, "seed"):
+        return None
+    if args.seed is not None:
         return args.seed
     return secrets.randbits(63)
 
@@ -486,6 +489,10 @@ def _merge_dash_values(argv: list) -> list:
     return out
 
 
+#: Parsed arguments that steer a run without entering its recorded params.
+_RUN_ONLY = ("subcommand", "seed", "out", "threads", "log")
+
+
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code."""
     if argv is None:
@@ -500,47 +507,17 @@ def run(argv=None) -> int:
         threads = man.threads if args.threads is None else args.threads
         return _run(man.subcommand, man.params, man.seed, args.out, threads=threads)
 
-    if sub == "sample":
-        recorded = _model_recorded(args)
-        recorded["max_letters"] = args.max_letters
-        return _run(sub, recorded, _resolve_seed(args), args.out)
-
+    recorded = {key: val for key, val in vars(args).items() if key not in _RUN_ONLY}
+    if sub in ("sample", "trivialize"):
+        recorded = {**_model_recorded(args), "max_letters": args.max_letters}
     if sub == "trivialize":
-        recorded = _model_recorded(args)
-        recorded["max_letters"] = args.max_letters
         cfg = trivializer.TrivializerConfig.for_params(
             args.m, args.ell, k=args.k_override, max_rounds=args.max_rounds
         )
         recorded.update({"k": cfg.k, "block_size": cfg.block_size,
                          "block_count": cfg.block_count, "max_rounds": cfg.max_rounds})
-        return _run(sub, recorded, _resolve_seed(args), args.out, log=args.log)
-
-    if sub == "verify-dist":
-        recorded = {"m": args.m, "n": args.n, "samples": args.samples}
-        return _run(sub, recorded, _resolve_seed(args), args.out)
-
-    if sub == "pigeonhole":
-        recorded = {"n": args.n, "q": args.q, "z": args.z, "mu": args.mu,
-                    "c": args.c, "trials": args.trials, "exact_budget": args.exact_budget}
-        return _run(sub, recorded, _resolve_seed(args), args.out, threads=args.threads)
-
-    if sub == "diagrams":
-        recorded = {"diagram_cmd": args.diagram_cmd}
-        for key in ("n", "with_census", "faces", "boundary", "ell", "density", "m", "max_n"):
-            if hasattr(args, key):
-                recorded[key] = getattr(args, key)
-        return _run(sub, recorded, None, args.out)
-
-    if sub == "conditions":
-        recorded = {"which": args.which, "f_expr": args.f_expr, "k_expr": args.k_expr,
-                    "K_expr": args.K_expr, "ell_grid": args.ell_grid, "m": args.m}
-        return _run(sub, recorded, None, args.out)
-
-    if sub == "phase-map":
-        recorded = {"alpha": args.alpha, "beta": args.beta, "coeff": args.coeff}
-        return _run(sub, recorded, None, args.out)
-
-    raise CliError(f"unknown subcommand {sub!r}")
+    return _run(sub, recorded, _resolve_seed(args), args.out,
+                threads=getattr(args, "threads", 1), log=getattr(args, "log", None))
 
 
 def main() -> None:

@@ -25,6 +25,9 @@ from .words import ModelParams, ResourceLimitError
 #: Scale parameter floor demanded by the window lemma.
 CONFORMING_K_MIN = 10**10
 
+#: Largest edge count the census enumerates; it walks all (2n)! permutations.
+CENSUS_MAX_EDGES = 4
+
 
 # ---------------------------------------------------------------------------
 # rooted planar map census
@@ -80,7 +83,7 @@ class MapRecord(NamedTuple):
     valences: tuple
 
 
-def rooted_map_census(n: int, max_edges: int = 4) -> list:
+def rooted_map_census(n: int) -> list:
     """All planar rotation systems on 2n darts with the pairing (01)(23)...
 
     Each record appears once per labeled rotation system; the rooted-map
@@ -88,8 +91,8 @@ def rooted_map_census(n: int, max_edges: int = 4) -> list:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > max_edges:
-        raise ResourceLimitError(f"census over (2n)! permutations needs n <= {max_edges}")
+    if n > CENSUS_MAX_EDGES:
+        raise ResourceLimitError(f"census over (2n)! permutations needs n <= {CENSUS_MAX_EDGES}")
     n_darts = 2 * n
     out = []
     for sigma in permutations(range(n_darts)):
@@ -103,7 +106,7 @@ def rooted_map_census(n: int, max_edges: int = 4) -> list:
     return out
 
 
-def enumerate_rooted_maps(n: int, max_edges: int = 4) -> int:
+def enumerate_rooted_maps(n: int) -> int:
     """Exhaustive rooted planar map count from the rotation-system census.
 
     With the dart pairing fixed, each unrooted map of automorphism group size
@@ -111,7 +114,7 @@ def enumerate_rooted_maps(n: int, max_edges: int = 4) -> int:
     2n/a rootings, so the rooted count is
     census_size * #pairings / (2n-1)!.
     """
-    census_size = len(rooted_map_census(n, max_edges))
+    census_size = len(rooted_map_census(n))
     n_darts = 2 * n
     pairings = math.factorial(n_darts) // (math.factorial(n) * 2**n)
     total = census_size * pairings

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .rng import RNG_ALGORITHM
 
@@ -64,19 +64,19 @@ class RunManifest:
 
     @classmethod
     def read(cls, path) -> "RunManifest":
+        """Load a manifest; ValueError names the field that is missing or edited."""
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-        return cls(
-            subcommand=d["subcommand"],
-            params=d["params"],
-            seed=d["seed"],
-            threads=d.get("threads", 1),
-            outputs=d.get("outputs", []),
-            tool_version=d.get("tool_version", ""),
-            rng_algorithm=d.get("rng_algorithm", RNG_ALGORITHM),
-            created_utc=d.get("created_utc", ""),
-            wall_clock_s=d.get("wall_clock_s", 0.0),
-        )
+        if not isinstance(d, dict):
+            raise ValueError(f"manifest {path} is not a JSON object")
+        for key in ("subcommand", "params", "seed"):
+            if key not in d:
+                raise ValueError(f"manifest {path} has no {key!r} field")
+        man = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        if d.get("digest") != man.digest:
+            raise ValueError(f"manifest {path} 'digest' does not match its "
+                             "subcommand, params and seed")
+        return man
 
 
 def now_utc() -> str:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import RandomSource, as_generator
+from .rng import RandomSource
 from .words import ResourceLimitError
 
 #: Trials per simulation chunk; fixed so that results do not depend on threading.
@@ -218,12 +218,12 @@ def coincidence_simulate(cfg: PigeonholeConfig, trials: int, rng,
                          threads: int = 1) -> SimResult:
     """Monte Carlo estimate of the coincidence probability.
 
-    Trials are processed in fixed-size chunks; with a RandomSource each chunk
-    draws from its own child stream, so the result depends only on
-    (seed, trials), never on threading.  A plain Generator is consumed
-    sequentially instead.  A chunk runs in blocks of whole trials that read
-    its stream in the order of one (trials, q, z) draw, and finds boxes in a
-    guide table, so every ball lands where a binary search over cum puts it.
+    Trials are processed in fixed-size chunks, and each chunk draws from its
+    own child stream of rng (a RandomSource or an int seed), so the result
+    depends only on (seed, trials), never on threading.  A chunk runs in
+    blocks of whole trials that read its stream in the order of one
+    (trials, q, z) draw, and finds boxes in a guide table, so every ball
+    lands where a binary search over cum puts it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -232,16 +232,12 @@ def coincidence_simulate(cfg: PigeonholeConfig, trials: int, rng,
     guide = _guide_table(cum)
 
     counts = [min(CHUNK_TRIALS, trials - s) for s in range(0, trials, CHUNK_TRIALS)]
-    if isinstance(rng, RandomSource):
-        gens = [rng.child(i).generator() for i in range(len(counts))]
-    elif isinstance(rng, (int, np.integer)):
-        src = RandomSource(int(rng))
-        gens = [src.child(i).generator() for i in range(len(counts))]
-    else:
-        # One shared stream cannot be split across threads.
-        gen = as_generator(rng)
-        gens = [gen] * len(counts)
-        threads = 1
+    if isinstance(rng, (int, np.integer)):
+        rng = RandomSource(int(rng))
+    elif not isinstance(rng, RandomSource):
+        raise TypeError(f"chunk streams need a RandomSource or int seed, "
+                        f"not {type(rng).__name__}")
+    gens = [rng.child(i).generator() for i in range(len(counts))]
 
     if threads > 1 and len(counts) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -44,13 +44,11 @@ class RandomSource:
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Coerce an int seed, RandomSource, SeedSequence, or Generator."""
+    """Coerce an int seed, RandomSource, or Generator."""
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, RandomSource):
         return rng.generator()
-    if isinstance(rng, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(rng))
     if isinstance(rng, (int, np.integer)):
         return RandomSource(int(rng)).generator()
     raise TypeError(f"cannot interpret {type(rng).__name__} as a random source")

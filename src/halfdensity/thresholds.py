@@ -1,6 +1,6 @@
 """Growth-rate conditions and the phase classifier for the f(ell) family.
 
-Rate functions are linear combinations of terms
+Rate functions are GrowthExprs, linear combinations of terms
 
     c * ell^a * log(ell)^b * loglog(ell)^g
 
@@ -17,10 +17,10 @@ Three conditions are evaluated:
 * asterisk:  3000 K^2 log(K ell) + 10^4 ell/K - ell f -> -infinity
              (diagram count loses to fulfillability decay)
 
-classify_phase encodes the headline decision table for
-f = c0 * log^beta(ell) / ell^alpha: hyperbolic when f dominates
-10^5 log^(1/3)/ell^(1/3), trivial when f is eventually below
-log(ell)/(4 ell) - loglog(ell)/ell, unknown in between.
+classify_rate encodes the headline decision table: hyperbolic when f
+dominates 10^5 log^(1/3)/ell^(1/3), trivial when f is eventually below
+log(ell)/(4 ell) - loglog(ell)/ell, unknown in between.  classify_phase
+applies it to f = c0 * log^beta(ell) / ell^alpha.
 """
 
 from __future__ import annotations
@@ -153,60 +153,37 @@ class GrowthExpr:
         return total
 
 
-@dataclass(frozen=True)
-class RateFunction:
-    """A named rate function in GrowthExpr form.
-
-    parametric holds (alpha, beta, coeff) for members of the family
-    c0 * log^beta / ell^alpha.
-    """
-
-    label: str
-    expr: GrowthExpr
-    parametric: Optional[tuple] = None
-
-    def evaluate(self, ell: int, m: int = 2) -> float:
-        return self.expr.evaluate(ell, m)
-
-
-def family(alpha, beta, coeff=1) -> RateFunction:
+def family(alpha, beta, coeff=1) -> GrowthExpr:
     """f(ell) = coeff * log^beta(ell) / ell^alpha."""
-    a, b = _fr(alpha), _fr(beta)
-    return RateFunction(
-        label=f"family(alpha={a}, beta={b}, c0={coeff})",
-        expr=GrowthExpr.monomial(-a, b, 0, coeff),
-        parametric=(a, b, coeff),
-    )
+    return GrowthExpr.monomial(-_fr(alpha), beta, 0, coeff)
 
 
-def zero_rate() -> RateFunction:
-    return RateFunction(label="zero", expr=GrowthExpr({}), parametric=None)
+def zero_rate() -> GrowthExpr:
+    return GrowthExpr()
 
 
-def constant_rate(value) -> RateFunction:
-    return RateFunction(label=f"const({value})", expr=GrowthExpr.constant(value))
+def constant_rate(value) -> GrowthExpr:
+    return GrowthExpr.constant(value)
 
 
-def trivial_threshold_f() -> RateFunction:
+def trivial_threshold_f() -> GrowthExpr:
     """The trivial-side threshold log(ell)/(4 ell) - loglog(ell)/ell."""
-    expr = GrowthExpr({(Fraction(-1), Fraction(1), Fraction(0)): Fraction(1, 4),
+    return GrowthExpr({(Fraction(-1), Fraction(1), Fraction(0)): Fraction(1, 4),
                        (Fraction(-1), Fraction(0), Fraction(1)): Fraction(-1)})
-    return RateFunction(label="trivial-threshold", expr=expr)
 
 
-def hyperbolic_threshold_f() -> RateFunction:
+def hyperbolic_threshold_f() -> GrowthExpr:
     """The hyperbolic-side threshold 10^5 log^(1/3)(ell)/ell^(1/3)."""
     return family(Fraction(1, 3), Fraction(1, 3), 10**5)
 
 
-def threshold_head_k() -> RateFunction:
+def threshold_head_k() -> GrowthExpr:
     """Head length k(ell) = (1/2) log(ell) - loglog(ell)."""
-    expr = GrowthExpr({(Fraction(0), Fraction(1), Fraction(0)): Fraction(1, 2),
+    return GrowthExpr({(Fraction(0), Fraction(1), Fraction(0)): Fraction(1, 2),
                        (Fraction(0), Fraction(0), Fraction(1)): Fraction(-1)})
-    return RateFunction(label="threshold-k", expr=expr)
 
 
-def hyperbolic_window_K(cprime=1) -> RateFunction:
+def hyperbolic_window_K(cprime=1) -> GrowthExpr:
     """Window scale K(ell) = c' ell^(1/3) / log^(1/3)(ell).
 
     This is the choice used for the hyperbolicity threshold.  The effective
@@ -216,7 +193,7 @@ def hyperbolic_window_K(cprime=1) -> RateFunction:
     return family(Fraction(-1, 3), Fraction(-1, 3), cprime)
 
 
-def delta_hyperbolic_window_K() -> RateFunction:
+def delta_hyperbolic_window_K() -> GrowthExpr:
     """Window scale K(ell) = ell^(1/3) / log^(2/3)(ell), used for the
     delta = c ell^(5/3) hyperbolicity constant."""
     return family(Fraction(-1, 3), Fraction(-2, 3), 1)
@@ -263,10 +240,10 @@ def heuristic_verdict(trace: list) -> str:
     return VERDICT_INDETERMINATE
 
 
-def star_condition(k_fn: RateFunction, f: RateFunction, ell_grid: list,
+def star_condition(k_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
                    m: int = 2) -> ConditionReport:
     """Does k(ell) - 2 ell f(ell) diverge?"""
-    symbolic = k_fn.expr - f.expr.shift_ell(1).scale(2)
+    symbolic = k_fn - f.shift_ell(1).scale(2)
     trace = [(ell, k_fn.evaluate(ell, m) - 2 * ell * f.evaluate(ell, m)) for ell in ell_grid]
     return ConditionReport("star", symbolic.limit_verdict(), symbolic, trace)
 
@@ -292,13 +269,13 @@ def _exp_base(expr: GrowthExpr, m: int):
     return GrowthExpr.monomial(a, b, 0, coeff)
 
 
-def spade_condition(k_fn: RateFunction, m: int, ell_grid: list) -> ConditionReport:
+def spade_condition(k_fn: GrowthExpr, m: int, ell_grid: list) -> ConditionReport:
     """Does the block count b = (ell-2)/((2k+2)(2m-1)^(2k)) diverge?"""
     base = 2 * m - 1
     symbolic = None
     verdict = VERDICT_INDETERMINATE
     detail: dict = {}
-    two_k = k_fn.expr.scale(2)
+    two_k = k_fn.scale(2)
     growing = [(key, c) for key, c in two_k.terms.items() if key[0] > 0 and c > 0]
     expo = _exp_base(two_k, m)
     if expo is not None:
@@ -311,7 +288,6 @@ def spade_condition(k_fn: RateFunction, m: int, ell_grid: list) -> ConditionRepo
         ratio_coeff = nc / dc if isinstance(nc, Fraction) and isinstance(dc, Fraction) \
             else float(nc) / float(dc)
         symbolic = GrowthExpr.monomial(*ratio_key, ratio_coeff)
-        detail["leading"] = (ratio_key, ratio_coeff)
         if ratio_key > _ZERO_KEY:
             verdict = VERDICT_DIVERGES if ratio_coeff > 0 else VERDICT_TO_MINUS_INF
         elif ratio_key == _ZERO_KEY:
@@ -334,15 +310,15 @@ def spade_condition(k_fn: RateFunction, m: int, ell_grid: list) -> ConditionRepo
     return ConditionReport("spade", verdict, symbolic, trace, detail)
 
 
-def asterisk_condition(K_fn: RateFunction, f: RateFunction, ell_grid: list,
+def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
                        m: int = 2) -> ConditionReport:
     """Does 3000 K^2 log(K ell) + 10^4 ell/K - ell f go to minus infinity?"""
     base = 2 * m - 1
     symbolic = None
     verdict = VERDICT_INDETERMINATE
     detail: dict = {}
-    if K_fn.expr.is_monomial():
-        ((aK, bK, gK), cK), = K_fn.expr.terms.items()
+    if K_fn.is_monomial():
+        ((aK, bK, gK), cK), = K_fn.terms.items()
         if cK > 0 and gK == 0:
             log_c = 0 if cK == 1 else math.log(float(cK), base)
             log_Kl = GrowthExpr({_ZERO_KEY: log_c,
@@ -352,7 +328,7 @@ def asterisk_condition(K_fn: RateFunction, f: RateFunction, ell_grid: list,
             t1 = (K2 * log_Kl).scale(3000)
             inv_c = 1 / cK if isinstance(cK, Fraction) else 1.0 / cK
             t2 = GrowthExpr.monomial(1 - aK, -bK, 0, inv_c).scale(10**4)
-            t3 = f.expr.shift_ell(1)
+            t3 = f.shift_ell(1)
             symbolic = t1 + t2 - t3
             verdict = symbolic.limit_verdict()
             detail["terms"] = {"diagram_count": t1, "window_loss": t2, "decay": t3}
@@ -380,17 +356,22 @@ class PhaseVerdict:
     clause: str
 
 
-def _classify_expr(f_expr: GrowthExpr) -> PhaseVerdict:
+def classify_rate(f: GrowthExpr) -> PhaseVerdict:
     """Eventual-dominance comparison of f against the two threshold functions.
 
-    Hyperbolic when f - f_hyp has positive leading coefficient (or the
-    expressions coincide), trivial dually against f_triv; otherwise unknown.
-    Leading-term comparison is exact rational arithmetic, so the corner
-    (alpha, beta) = (1/3, 1/3) is decided by coeff >= 10^5, and f_(1,1) is
-    trivial only when its coefficient stays below 1/4 (the loglog correction
-    blocks coefficient 1/4 itself and above).
+    f = 0 is trivial by the classical density-one-half statement, and f must
+    otherwise vanish.  Hyperbolic when f - f_hyp has positive leading
+    coefficient (or the expressions coincide), trivial dually against f_triv;
+    otherwise unknown.  Leading-term comparison is exact rational arithmetic,
+    so the corner (alpha, beta) = (1/3, 1/3) is decided by coeff >= 10^5, and
+    f_(1,1) is trivial only when its coefficient stays below 1/4 (the loglog
+    correction blocks coefficient 1/4 itself and above).
     """
-    diff_h = f_expr - hyperbolic_threshold_f().expr
+    if not f.terms:
+        return PhaseVerdict(OUTCOME_TRIVIAL, "f = 0: classical model at density one-half")
+    if f.leading_term()[0] >= _ZERO_KEY:
+        raise ValueError(f"{f!r} is not o(1)")
+    diff_h = f - hyperbolic_threshold_f()
     if not diff_h.terms:
         return PhaseVerdict(OUTCOME_HYPERBOLIC, "f equals the hyperbolic threshold")
     key, lead = diff_h.leading_term()
@@ -400,7 +381,7 @@ def _classify_expr(f_expr: GrowthExpr) -> PhaseVerdict:
             f"f eventually >= 10^5 log^(1/3)/ell^(1/3): leading term ell^{key[0]} "
             f"log^{key[1]} loglog^{key[2]} has coefficient {lead} > 0",
         )
-    diff_t = trivial_threshold_f().expr - f_expr
+    diff_t = trivial_threshold_f() - f
     if not diff_t.terms:
         return PhaseVerdict(OUTCOME_TRIVIAL, "f equals the trivial threshold")
     key, lead = diff_t.leading_term()
@@ -417,28 +398,11 @@ def classify_phase(alpha, beta, coeff) -> PhaseVerdict:
     """Classify f = coeff * log^beta(ell) / ell^alpha.
 
     Requires f to vanish: alpha > 0, or alpha = 0 with beta < 0 (coeff 0
-    means f = 0 and is trivial by the classical density-one-half statement).
+    means f = 0 and is trivial).
     """
-    a, b = _fr(alpha), _fr(beta)
     if coeff < 0:
         raise ValueError("coefficient must be nonnegative")
-    if coeff == 0:
-        return PhaseVerdict(OUTCOME_TRIVIAL, "f = 0: classical model at density one-half")
-    if not (a > 0 or (a == 0 and b < 0)):
-        raise ValueError(f"f_(alpha={a}, beta={b}) is not o(1)")
-    return _classify_expr(GrowthExpr.monomial(-a, b, 0, _fr(coeff)))
-
-
-def classify_rate(rf: RateFunction) -> PhaseVerdict:
-    """Classify any rate function, including the named thresholds."""
-    if not rf.expr.terms:
-        return PhaseVerdict(OUTCOME_TRIVIAL, "f = 0: classical model at density one-half")
-    if rf.parametric is not None:
-        return classify_phase(*rf.parametric)
-    lt = rf.expr.leading_term()
-    if lt[0] >= _ZERO_KEY:
-        raise ValueError(f"{rf.label} is not o(1)")
-    return _classify_expr(rf.expr)
+    return classify_rate(family(alpha, beta, Fraction(coeff)))
 
 
 @dataclass(frozen=True)
@@ -492,7 +456,6 @@ def delta_constant(kappa: float, N: int) -> float:
     return 120.0 * kappa * kappa * N**3
 
 
-def delta_for_ell(ell: int, c2: float = 1.0) -> float:
-    """delta with kappa = c2 ell^(-2/3) and N = ell, proportional to ell^(5/3)."""
-    kappa = c2 * float(ell) ** (-2.0 / 3.0)
-    return delta_constant(kappa, ell)
+def delta_for_ell(ell: int) -> float:
+    """delta with kappa = ell^(-2/3) and N = ell, proportional to ell^(5/3)."""
+    return delta_constant(float(ell) ** (-2.0 / 3.0), ell)

@@ -138,7 +138,8 @@ def test_a04_trivializer_soundness():
 
 
 def test_a05_trivializer_efficacy_trend():
-    with criterion(5, "success rate nondecreasing in ell and above pilot floor", 600):
+    with criterion(5, "success rates equal the pilot's, nondecreasing in ell, above its floor",
+                   600):
         pilot = json.loads(CALIBRATION.read_text())
         m = pilot["params"]["m"]
         density = pilot["params"]["density"]
@@ -155,6 +156,8 @@ def test_a05_trivializer_efficacy_trend():
         ells = sorted(rates)
         assert all(rates[a] <= rates[b] for a, b in zip(ells, ells[1:])), rates
         assert rates[max(ells)] >= pilot["floor_ell20"] > 0.5, rates
+        # the committed pilot must be the one these seeds reproduce
+        assert {str(ell): rate for ell, rate in rates.items()} == pilot["rates"], rates
 
 
 def test_a06_w_reduction_rate():

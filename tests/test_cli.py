@@ -90,6 +90,44 @@ class TestReproducibility:
         assert out.read_bytes() == out2.read_bytes()
 
 
+def _drop_subcommand(man):
+    del man["subcommand"]
+    return man
+
+
+def _drop_num(man):
+    del man["params"]["num"]
+    return man
+
+
+def _set_k_text(man):
+    man["params"]["k"] = "1"
+    return man
+
+
+class TestRerunRejectsMalformedManifest:
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_subcommand, "has no 'subcommand' field"),
+        (_drop_num, "'digest' does not match"),
+        (lambda man: [man], "is not a JSON object"),
+        (_set_k_text, "'digest' does not match"),
+    ], ids=["no-subcommand", "params-without-num", "json-list", "k-as-text"])
+    def test_exits_one_without_output(self, edit, message, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "v.json"
+        run_ok(["trivialize", "--m", "2", "--ell", "10", "--num", "5", "--seed", "1",
+                "--out", str(out)])
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(edit(json.loads(
+            (tmp_path / "v.json.manifest.json").read_text()))))
+        capsys.readouterr()
+        again = tmp_path / "again.json"
+        argv = ["rerun", "--manifest", str(path), "--out", str(again)]
+        assert run_main(monkeypatch, argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not again.exists() and not (tmp_path / "again.json.manifest.json").exists()
+
+
 class TestTrivializeOutput:
     def test_verdict_schema(self, tmp_path, capsys):
         out = tmp_path / "v.json"
@@ -218,7 +256,7 @@ class TestConditionsAndPhaseMap:
             cli.parse_rate_expr(spec)
 
     def test_rate_expression_keys(self):
-        assert cli.parse_rate_expr("family:alpha=1,beta=1,c0=100").parametric == (1, 1, 100.0)
+        assert cli.parse_rate_expr("family:alpha=1,beta=1,c0=100").terms == {(-1, 1, 0): 100.0}
         assert cli.parse_rate_expr("window-K:cprime=2") == thresholds.hyperbolic_window_K(2)
 
     def test_negative_beta_value_form(self, tmp_path, capsys):

@@ -134,11 +134,8 @@ def _reference_successes(cfg, trials, rng):
     cum = np.cumsum(np.array([float(p) for p in cfg.mu]))
     cum[-1] = 1.0
     counts = [min(ph.CHUNK_TRIALS, trials - s) for s in range(0, trials, ph.CHUNK_TRIALS)]
-    if isinstance(rng, RandomSource):
-        gens = [rng.child(i).generator() for i in range(len(counts))]
-    else:
-        gens = [rng] * len(counts)
-    return sum(_reference_chunk(g, cfg, c, cum) for g, c in zip(gens, counts))
+    return sum(_reference_chunk(rng.child(i).generator(), cfg, c, cum)
+               for i, c in enumerate(counts))
 
 
 def _criterion3_grid():
@@ -185,8 +182,11 @@ class TestKernelMatchesBinarySearch:
         trials = 2 * ph.CHUNK_TRIALS + 1001
         got = ph.coincidence_simulate(cfg, trials, RandomSource(9))
         assert got.successes == _reference_successes(cfg, trials, RandomSource(9))
-        shared = ph.coincidence_simulate(cfg, trials, np.random.default_rng(9))
-        assert shared.successes == _reference_successes(cfg, trials, np.random.default_rng(9))
+
+    def test_shared_generator_rejected(self):
+        # one Generator cannot be split into per-chunk streams
+        with pytest.raises(TypeError):
+            ph.coincidence_simulate(EDGE_CONFIGS[0], 10, np.random.default_rng(9))
 
     def test_geometric_cum_reaches_one_before_last_box(self):
         assert np.cumsum([float(p) for p in ph.geometric_measure(256)])[-2] == 1.0

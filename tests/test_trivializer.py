@@ -547,6 +547,48 @@ class TestTrivialize:
         assert v.stats.rounds == 1
         assert [start for start, _ in calls] == [2, 1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_properties_on_small_ragged_presentations(self, data):
+        m = data.draw(st.sampled_from([2, 3]))
+        letters = [x for x in range(-m, m + 1) if x]
+        raw = data.draw(st.lists(st.lists(st.sampled_from(letters), max_size=12),
+                                 max_size=14))
+        rows = [free_reduce(tuple(u)) for u in raw]
+        for _ in range(data.draw(st.integers(0, 6)) if rows else 0):
+            r = rows[data.draw(st.integers(0, len(rows) - 1))]
+            kind = data.draw(st.sampled_from(["duplicate", "inverse", "new first letter"]))
+            if kind == "duplicate":
+                rows.append(r)
+            elif kind == "inverse":
+                rows.append(invert(r))
+            elif r:
+                # the same tail under a first letter that keeps the word reduced
+                firsts = [z for z in letters if len(r) < 2 or z != -r[1]]
+                rows.append((data.draw(st.sampled_from(firsts)),) + r[1:])
+        R = Presentation(m, data.draw(st.permutations(rows))[:14])
+        k = data.draw(st.integers(1, 3))
+        cfg = tz.TrivializerConfig(m=m, ell=max(R.max_length(), k), k=k,
+                                   max_rounds=data.draw(st.integers(1, 3)))
+        v = tz.trivialize(R, cfg)  # a SoundnessError fails the test
+        assert all(tz.check_certificate(R, cert) for cert in v.certificates)
+        edges = {}
+        for c in v.certificates:
+            for x, y in ((c.x, c.y), (-c.x, -c.y)):
+                edges.setdefault(x, set()).add(y)
+                edges.setdefault(y, set()).add(x)
+        seen, todo = {1}, [1]
+        while todo:
+            new = edges.get(todo.pop(), set()) - seen
+            seen |= new
+            todo += new
+        assert (v.outcome == tz.OUTCOME_TRIVIAL) == (len(seen) == 2 * m)
+        if v.outcome == tz.OUTCOME_TRIVIAL:
+            assert tz.abelianization_guard(R) == tz.POSSIBLY_TRIVIAL
+        assert v.stats.equality_edges == len(v.certificates)
+        assert 1 <= v.stats.rounds <= cfg.max_rounds
+        assert json.dumps(tz.trivialize(R, cfg).to_json_dict()) == json.dumps(v.to_json_dict())
+
     def test_verdict_json_serializable(self):
         pres = build_reduction_fixture()
         v = tz.trivialize(pres, tz.TrivializerConfig(m=2, ell=40, k=1))

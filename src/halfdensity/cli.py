@@ -314,6 +314,8 @@ def _exec_conditions(recorded, seed, out, digest) -> str:
     preamble = [f"condition={report.condition}", f"verdict={report.verdict}"]
     if report.symbolic is not None:
         preamble.append(f"symbolic={report.symbolic!r}")
+    if "heuristic" in report.detail:  # the label of an indeterminate verdict
+        preamble.append(f"heuristic={report.detail['heuristic']}")
     rows = [[ell, f"{val:.12g}"] for ell, val in report.trace]
     _csv_out(out, digest, ["ell", "value"], rows, preamble)
     return f"conditions: {report.condition} verdict={report.verdict} -> {out}"
@@ -505,7 +507,10 @@ def run(argv=None) -> int:
         if man.subcommand not in _EXECUTORS:
             raise CliError(f"manifest has unknown subcommand {man.subcommand!r}")
         threads = man.threads if args.threads is None else args.threads
-        return _run(man.subcommand, man.params, man.seed, args.out, threads=threads)
+        try:
+            return _run(man.subcommand, man.params, man.seed, args.out, threads=threads)
+        except (KeyError, TypeError) as exc:
+            raise CliError(f"manifest {args.manifest} has malformed params: {exc!r}") from None
 
     recorded = {key: val for key, val in vars(args).items() if key not in _RUN_ONLY}
     if sub in ("sample", "trivialize"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .rng import RNG_ALGORITHM
 
@@ -43,19 +43,7 @@ class RunManifest:
         return manifest_digest(self.subcommand, self.params, self.seed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "threads": self.threads,
-            "outputs": list(self.outputs),
-            "tool_version": self.tool_version,
-            "rng_algorithm": self.rng_algorithm,
-            "created_utc": self.created_utc,
-            "wall_clock_s": self.wall_clock_s,
-            "digest": self.digest,
-        }
+        return {**asdict(self), "format_version": FORMAT_VERSION, "digest": self.digest}
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -48,7 +48,7 @@ from .words import (
 from .rng import RandomSource
 
 RESERVED_PREFIX = 2
-#: Letters per bincount block of the abelianization guard's exponent sums.
+#: Letters per block of rows the abelianization guard bins at once.
 EXPONENT_BLOCK_LETTERS = 1 << 18
 
 POSSIBLY_TRIVIAL = "possibly-trivial"
@@ -495,25 +495,15 @@ def reduce_relator(r: Word, w: Word, cfg: TrivializerConfig):
 
 
 def _exponent_matrix(mat: np.ndarray, m: int) -> np.ndarray:
-    """Exponent sums of a zero-padded letter matrix, from 2m+1 letter bins per row.
-
-    The bincount runs over blocks of about EXPONENT_BLOCK_LETTERS letters, so
-    its intp bin indices stay a few MB whatever the size of the matrix.
-    """
+    """Exponent sums of a zero-padded letter matrix: one bincount, an intp bin per letter."""
     n, width = mat.shape
     bins_per_row = 2 * m + 1
-    rows = max(1, EXPONENT_BLOCK_LETTERS // max(1, width))
-    E = np.empty((n, m), dtype=np.intp)
-    for start in range(0, n, rows):
-        block = mat[start:start + rows]
-        # letter x of the block's relator i counts in bin m + x of its row of
-        # 2m+1 bins; the zero padding lands in bin m, which no exponent reads
-        bins = np.repeat(np.arange(len(block)) * bins_per_row + m, width)
-        bins += block.ravel()
-        counts = np.bincount(bins, minlength=bins_per_row * len(block))
-        counts = counts.reshape(len(block), bins_per_row)
-        E[start:start + len(block)] = counts[:, m + 1:] - counts[:, m - 1::-1]
-    return E
+    # letter x of relator i counts in bin m + x of its row of 2m+1 bins; the
+    # zero padding lands in bin m, which no exponent reads
+    bins = np.repeat(np.arange(n) * bins_per_row + m, width)
+    bins += mat.ravel()
+    counts = np.bincount(bins, minlength=bins_per_row * n).reshape(n, bins_per_row)
+    return counts[:, m + 1:] - counts[:, m - 1::-1]
 
 
 def _add_rows(basis: list, rows) -> int:
@@ -545,18 +535,20 @@ def abelianization_guard(R: Presentation) -> str:
 
     The abelianization is Z^m / L, L the lattice of the exponent-sum rows; a
     trivial group has order at most two, so an index [Z^m : L] above two (or
-    infinite) rules it out.  Rows are read in blocks that double from 4m until
-    the index is 1 or 2.  Once the index is a finite D, L contains D Z^m, so
-    later rows count only as their distinct residues mod D.
+    infinite) rules it out.  Rows are read in blocks that double from 4m, up
+    to about EXPONENT_BLOCK_LETTERS letters (or one row), until the index is
+    1 or 2.  Once the index is a finite D, L contains D Z^m, so later rows
+    count only as their distinct residues mod D.
     """
     basis, index = [None] * R.m, 0
-    start, size = 0, 4 * R.m
+    cap = max(1, EXPONENT_BLOCK_LETTERS // max(1, R.matrix.shape[1]))
+    start, size = 0, min(4 * R.m, cap)
     while start < len(R) and index not in (1, 2):
         E = _exponent_matrix(R.matrix[start:start + size], R.m)
         if index:
             E %= index
         index = _add_rows(basis, set(map(tuple, E.tolist())))
-        start, size = start + size, 2 * size
+        start, size = start + size, min(2 * size, cap)
     return POSSIBLY_TRIVIAL if index in (1, 2) else CERTAINLY_NONTRIVIAL
 
 
@@ -701,46 +693,39 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     certs: dict[tuple, Certificate] = {}
     stats = TrivializeStats()
     used_ws: set[Word] = set()
-    conclusion_groups = None  # cur's from position 2; the collision stage's too at k == 1
+    # cur's tail groups by start position; a round that excises letters empties it
+    groups: dict[int, list] = {}
+
+    def groups_at(start: int) -> list:
+        if start not in groups:
+            groups[start] = _group_tails(cur, start)
+        return groups[start]
 
     for _ in range(cfg.max_rounds):
         stats.rounds += 1
-        round_reductions = 0
 
         # collision stage
-        if cfg.k == 1 and conclusion_groups is None:
-            conclusion_groups = _group_tails(cur, 1)
-        groups = conclusion_groups if cfg.k == 1 else _group_tails(cur, cfg.k)
-        col, count = _best_collision(cur, groups, cfg.k, used_ws)
+        col, count = _best_collision(cur, groups_at(cfg.k), cfg.k, used_ws)
         stats.collisions_found += count
-        w_entry = None
-        w = None
+        rows = ()  # the rows this round reduces; only a round that reduced has a next
         if col is not None:
             i1, i2, w = col
             used_ws.add(w)
-            step = CollisionStep(ref_of(i1), ref_of(i2), cfg.k, w)
-            deriv.append(step)
-            w_entry = len(deriv) - 1
-
-        # reduction stage
-        if w is not None:
-            # w comes from the collision search: freely reduced, of length 2k
+            deriv.append(CollisionStep(ref_of(i1), ref_of(i2), cfg.k, w))
+            # reduction stage; w is freely reduced, of length 2k
             rows, si, ti = _hits(cur, w, cfg)
             if len(rows):
-                rd = _DeferredRound(len(deriv), cur, rows, si, ti, cur_ref, w_entry, len(w))
+                rd = _DeferredRound(len(deriv), cur, rows, si, ti, cur_ref, len(deriv) - 1, len(w))
                 deriv.extend([rd] * (int(rd.ends[-1]) - len(deriv)))
                 cur_ref.update(zip(rd.rows.tolist(), (rd.ends - 1).tolist()))
                 cur = cur.copy()
                 cur[rd.rows] = _excise_rows(rd.words, np.searchsorted(rd.rows, rows), si, ti)
-                conclusion_groups = None
-            round_reductions = len(rows)
+                groups.clear()
             stats.letters_removed += int((ti - si - 1).sum())
-            stats.reductions_applied += round_reductions
+            stats.reductions_applied += len(rows)
 
         # conclusion stage
-        if conclusion_groups is None:
-            conclusion_groups = _group_tails(cur, 1)
-        for idxs in conclusion_groups:
+        for idxs in groups_at(1):
             seen: dict[int, int] = {}
             for i, x in zip(idxs, cur[idxs, 0].tolist()):
                 if x not in seen:
@@ -749,16 +734,14 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
                         key = min((y, x), (x, y), (-y, -x), (-x, -y))
                         if key in certs:
                             continue
-                        r1_ref, r2_ref = ref_of(j), ref_of(i)
-                        deriv.append(ConclusionStep(r1_ref, r2_ref, y, x))
-                        steps = _certificate_steps(deriv, len(deriv) - 1)
-                        certs[key] = Certificate(y, x, steps)
+                        deriv.append(ConclusionStep(ref_of(j), ref_of(i), y, x))
+                        certs[key] = Certificate(y, x, _certificate_steps(deriv, len(deriv) - 1))
                         for a, b in ((x, y), (-x, -y)):
                             old, new = label[b], label[a]
                             label = {s: new if t == old else t for s, t in label.items()}
                     seen[x] = i
 
-        if len(set(label.values())) == 1 or w is None or round_reductions == 0:
+        if len(set(label.values())) == 1 or not len(rows):
             break
 
     stats.equality_edges = len(certs)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from halfdensity import cli, thresholds, trivializer, words
-from halfdensity.manifest import RunManifest
+from halfdensity.manifest import RunManifest, manifest_digest
 
 
 def run_ok(argv):
@@ -127,6 +127,30 @@ class TestRerunRejectsMalformedManifest:
         assert err.startswith("error: ") and message in err
         assert not again.exists() and not (tmp_path / "again.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("params", [
+        lambda p: {**p, "k": "1"},
+        lambda p: list(p.values()),
+    ], ids=["k-as-text", "params-as-list"])
+    def test_wrong_param_types_with_matching_digest(self, params, tmp_path, capsys,
+                                                    monkeypatch):
+        # the digest shows the manifest is self-consistent, not that its
+        # params have the types the parser would record
+        out = tmp_path / "v.json"
+        run_ok(["trivialize", "--m", "2", "--ell", "10", "--num", "5", "--seed", "1",
+                "--out", str(out)])
+        man = json.loads((tmp_path / "v.json.manifest.json").read_text())
+        man["params"] = params(man["params"])
+        man["digest"] = manifest_digest(man["subcommand"], man["params"], man["seed"])
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(man))
+        capsys.readouterr()
+        again = tmp_path / "again.json"
+        argv = ["rerun", "--manifest", str(path), "--out", str(again)]
+        assert run_main(monkeypatch, argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {path} has malformed params")
+        assert not again.exists() and not (tmp_path / "again.json.manifest.json").exists()
+
 
 class TestTrivializeOutput:
     def test_verdict_schema(self, tmp_path, capsys):
@@ -207,6 +231,13 @@ class TestConditionsAndPhaseMap:
         text = out.read_text()
         assert "# verdict=diverges" in text
         assert "loglog" in text
+
+    def test_indeterminate_verdict_names_its_heuristic(self, tmp_path, capsys):
+        out = tmp_path / "asterisk.csv"
+        run_ok(["conditions", "--which", "asterisk", "--K-expr", "threshold-k",
+                "--f-expr", "zero", "--out", str(out)])
+        preamble = [l for l in out.read_text().splitlines() if l.startswith("#")]
+        assert preamble[-2:] == ["# verdict=indeterminate", "# heuristic=diverges"]
 
     def test_asterisk_rejects_without_K(self, tmp_path, capsys):
         with pytest.raises(cli.CliError):

@@ -372,6 +372,21 @@ class TestReduceRelator:
             tz.reduce_relator(r, w, cfg)
 
 
+def class_of_a(certificates) -> set:
+    """The symbols that the certified x = y, with -x = -y, join to a, by a BFS."""
+    edges = {}
+    for c in certificates:
+        for x, y in ((c.x, c.y), (-c.x, -c.y)):
+            edges.setdefault(x, set()).add(y)
+            edges.setdefault(y, set()).add(x)
+    seen, todo = {1}, [1]
+    while todo:
+        new = edges.get(todo.pop(), set()) - seen
+        seen |= new
+        todo += new
+    return seen
+
+
 class TestTrivialize:
     def test_degenerate_tail_match_without_reduction(self):
         R = Presentation(2, [W("abb"), W("bbb")])
@@ -425,22 +440,13 @@ class TestTrivialize:
     @pytest.mark.parametrize("m", [2, 3])
     def test_outcome_matches_certificate_classes(self, m):
         # trivial iff the certified equalities x = y, with -x = -y, join the
-        # 2m symbols into one class; the classes are found here by a BFS
+        # 2m symbols into one class
         outcomes = []
         for ell, density, seed in itertools.product(range(8, 13), (0.5, 0.55), range(4)):
             params = ModelParams.from_density(m, ell, density)
             v = tz.trivialize(sample_presentation(params, RandomSource(seed).child(0)))
-            edges = {}
-            for c in v.certificates:
-                for x, y in ((c.x, c.y), (-c.x, -c.y)):
-                    edges.setdefault(x, []).append(y)
-                    edges.setdefault(y, []).append(x)
-            seen, todo = {1}, [1]
-            while todo:
-                new = set(edges.get(todo.pop(), ())) - seen
-                seen |= new
-                todo += new
-            assert (v.outcome == tz.OUTCOME_TRIVIAL) == (len(seen) == 2 * m), (ell, density, seed)
+            joined = len(class_of_a(v.certificates)) == 2 * m
+            assert (v.outcome == tz.OUTCOME_TRIVIAL) == joined, (ell, density, seed)
             outcomes.append(v.outcome)
         assert set(outcomes) == {tz.OUTCOME_TRIVIAL, tz.OUTCOME_UNKNOWN}
 
@@ -572,17 +578,7 @@ class TestTrivialize:
                                    max_rounds=data.draw(st.integers(1, 3)))
         v = tz.trivialize(R, cfg)  # a SoundnessError fails the test
         assert all(tz.check_certificate(R, cert) for cert in v.certificates)
-        edges = {}
-        for c in v.certificates:
-            for x, y in ((c.x, c.y), (-c.x, -c.y)):
-                edges.setdefault(x, set()).add(y)
-                edges.setdefault(y, set()).add(x)
-        seen, todo = {1}, [1]
-        while todo:
-            new = edges.get(todo.pop(), set()) - seen
-            seen |= new
-            todo += new
-        assert (v.outcome == tz.OUTCOME_TRIVIAL) == (len(seen) == 2 * m)
+        assert (v.outcome == tz.OUTCOME_TRIVIAL) == (len(class_of_a(v.certificates)) == 2 * m)
         if v.outcome == tz.OUTCOME_TRIVIAL:
             assert tz.abelianization_guard(R) == tz.POSSIBLY_TRIVIAL
         assert v.stats.equality_edges == len(v.certificates)
@@ -823,12 +819,26 @@ class TestAbelianizationGuard:
 
     @pytest.mark.parametrize("block_letters", [1, 7, 12, 50, 1 << 18])
     def test_exponent_matrix_same_over_row_blocks(self, monkeypatch, block_letters):
+        # the guard bins blocks of at most max(1, block_letters // width) rows,
+        # in row order, and its verdict does not depend on the cap
         pres = sample_presentation(ModelParams(3, 12, 300), RandomSource(5).child(0))
         ragged = Presentation(3, list(pres.relators) + [W("cA"), (), W("bbC")])
-        expected = [[sum((x == g) - (x == -g) for x in r) for g in (1, 2, 3)]
-                    for r in ragged.relators]
+        control = b_sum_control(0, 3, lambda b: b % 3 == 0)  # index 3
+        verdicts = [tz.abelianization_guard(R) for R in (ragged, control)]
+        assert verdicts[1] == tz.CERTAINLY_NONTRIVIAL
+        blocks = []
+        exponent_matrix = tz._exponent_matrix
+        monkeypatch.setattr(tz, "_exponent_matrix",
+                            lambda mat, m: blocks.append(mat) or exponent_matrix(mat, m))
         monkeypatch.setattr(tz, "EXPONENT_BLOCK_LETTERS", block_letters)
-        assert tz._exponent_matrix(ragged.matrix, ragged.m).tolist() == expected
+        for R, verdict in zip((ragged, control), verdicts):
+            blocks.clear()
+            assert tz.abelianization_guard(R) == verdict
+            cap = max(1, block_letters // R.matrix.shape[1])
+            assert blocks and all(len(b) <= cap for b in blocks)
+            read = np.concatenate(blocks)
+            assert np.array_equal(read, R.matrix[:len(read)])
+        assert len(read) == len(control)  # a nontrivial verdict reads every row
 
     def test_guard_peak_memory_is_a_few_matrices(self):
         import tracemalloc

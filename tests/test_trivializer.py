@@ -722,6 +722,16 @@ class TestCertificateMutations:
                 continue
             assert ok is False, (where, mutant)
 
+    def test_collision_with_unequal_tails_is_rejected(self):
+        # abab and baba have different heads, and w = Ab is their prefix
+        # quotient; only the tail check (bab != aba) refutes the collision,
+        # which would otherwise certify A = a through the tails of Ab and ab
+        pres = Presentation(2, [W("abab"), W("baba"), W("ab")])
+        steps = [tz.RelatorStep(0, W("abab")), tz.RelatorStep(1, W("baba")),
+                 tz.CollisionStep(0, 1, 1, W("Ab")), tz.RelatorStep(2, W("ab")),
+                 tz.ConclusionStep(2, 3, -1, 1)]
+        assert tz.check_certificate(pres, tz.Certificate(-1, 1, steps)) is False
+
 
 class TestAbelianizationGuard:
     def test_rank_two(self):

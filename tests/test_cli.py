@@ -365,6 +365,15 @@ class TestErrors:
         assert capsys.readouterr().err == \
             "soundness error: derived 'trivial' for an infinite group\n"
 
+    def test_guard_contradiction_exits_three(self, tmp_path, capsys, monkeypatch):
+        # trivialize itself is left in place: its own guard call must raise
+        monkeypatch.setattr(trivializer, "abelianization_guard",
+                            lambda R: trivializer.CERTAINLY_NONTRIVIAL)
+        argv = ["trivialize", "--m", "2", "--ell", "16", "--density", "0.55", "--seed", "0",
+                "--out", str(tmp_path / "v.json")]
+        assert run_main(monkeypatch, argv) == 3
+        assert capsys.readouterr().err.startswith("soundness error: pipeline derived 'trivial'")
+
     def test_main_exits_zero_on_success(self, tmp_path, capsys, monkeypatch):
         argv = ["sample", "--m", "2", "--ell", "4", "--num", "2", "--seed", "1",
                 "--out", str(tmp_path / "x")]

@@ -734,6 +734,15 @@ class TestCertificateMutations:
 
 
 class TestAbelianizationGuard:
+    def test_contradicted_trivial_verdict_raises(self, monkeypatch):
+        # trivialize runs the guard on its own trivial verdicts
+        pres = build_reduction_fixture()
+        cfg = tz.TrivializerConfig(m=2, ell=40, k=1)
+        assert tz.trivialize(pres, cfg).outcome == tz.OUTCOME_TRIVIAL
+        monkeypatch.setattr(tz, "abelianization_guard", lambda R: tz.CERTAINLY_NONTRIVIAL)
+        with pytest.raises(tz.SoundnessError):
+            tz.trivialize(pres, cfg)
+
     def test_rank_two(self):
         assert tz.abelianization_guard(Presentation(2, [W("ab"), W("aB")])) \
             == tz.POSSIBLY_TRIVIAL

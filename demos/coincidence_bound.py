@@ -22,6 +22,13 @@ sim = ph.coincidence_simulate(cfg, TRIALS, RandomSource(1))
 print(f"  exact {exact} = {float(exact):.4f}, simulated {sim.estimate:.4f} "
       f"(stderr {sim.stderr:.4f})\n")
 
+print("a large exact case: n=64 boxes, q=2 colors, z=16 balls each")
+cfg = ph.PigeonholeConfig.uniform(64, 2, 16)
+exact = ph.coincidence_exact(cfg)
+sim = ph.coincidence_simulate(cfg, TRIALS, RandomSource(1))
+print(f"  exact {float(exact):.6f}, simulated {sim.estimate:.6f} "
+      f"(stderr {sim.stderr:.6f}), bound {ph.coincidence_bound(cfg):.4f}\n")
+
 print(f"{'n':>4} {'q':>2} {'z':>4} {'measure':>9} {'bound':>7} {'simulated':>9}")
 for q in (2, 3):
     for n in (16, 64):

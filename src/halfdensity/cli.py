@@ -238,8 +238,7 @@ def _exec_pigeonhole(recorded, seed, out, digest, threads=1) -> str:
                                              RandomSource(seed).child(0), threads=threads)
     bound = pigeonhole.coincidence_bound(cfg) if cfg.hypothesis_met else None
     try:
-        exact = pigeonhole.coincidence_exact(cfg, max_outcomes=recorded["exact_budget"])
-        exact_str = str(exact)
+        exact_str = str(pigeonhole.coincidence_exact(cfg))
     except words.ResourceLimitError:
         exact_str = None
     payload = {
@@ -425,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--exact-budget", dest="exact_budget", type=int, default=1 << 16,
-                   help="max outcomes for the exact enumeration (else omitted)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("diagrams", help="diagram counting and bounds")

@@ -6,9 +6,9 @@ Whenever z >= 2 n^(1-1/q), the probability is at least
 1 - exp(-c z / n^(1-1/q)) for c <= -(1/4) ln(1 - 2^-q), in particular for the
 default c = 2^-(q+2).  The bound holds for every mu.
 
-coincidence_exact is the brute-force oracle (full enumeration over n^(qz)
-outcomes); coincidence_simulate is the Monte Carlo estimator with
-deterministic chunked streams.  It finds each ball's box through a guide
+coincidence_exact is the exact oracle, by inclusion-exclusion over the types
+of box subsets, within a work budget (EXACT_BUDGET); coincidence_simulate is
+the Monte Carlo estimator with deterministic chunked streams.  It finds each ball's box through a guide
 table over the cumulative measure (Chen & Asau 1974), with a binary search
 only for the rare draws in a bucket that a box boundary cuts, and runs each
 chunk in blocks of whole trials that hold at most BLOCK_DRAWS draws, so a
@@ -18,9 +18,9 @@ chunk's memory does not grow with its number of trials.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,9 @@ GUIDE_BUCKETS = 1 << 12
 #: Most uniform draws in one block of a chunk (and 8x as many box flags);
 #: this bounds a chunk's working memory.
 BLOCK_DRAWS = 1 << 17
+#: Most work of the exact oracle: its two transforms make (subset types) x n
+#: additions of integers of about q z log2(D) bits.
+EXACT_BUDGET = 1 << 32
 
 
 class HypothesisError(ValueError):
@@ -114,37 +117,41 @@ def coincidence_bound(cfg: PigeonholeConfig) -> float:
     return -math.expm1(-float(cfg.c) * cfg.z / scale)
 
 
-def _group_outcomes(cfg: PigeonholeConfig) -> list[tuple[int, Fraction]]:
-    """(hit-box bitmask, weight) over all n^z placements of one color group."""
-    out = []
-    for combo in product(range(cfg.n), repeat=cfg.z):
-        w = Fraction(1)
-        mask = 0
-        for b in combo:
-            w *= cfg.mu[b]
-            mask |= 1 << b
-        out.append((mask, w))
-    return out
+def _binomial_transform(f: np.ndarray) -> np.ndarray:
+    """f(t) <- sum over s <= t of prod_i C(t_i, s_i) f(s), in place along every axis."""
+    for axis in range(f.ndim):
+        g = np.moveaxis(f, axis, 0)
+        for j in range(1, len(g)):
+            g[j:] = g[j:] + g[j - 1:-1]  # Pascal's rule: row j of the triangle
+    return f
 
 
-def coincidence_exact(cfg: PigeonholeConfig, max_outcomes: int = 1 << 21) -> Fraction:
-    """Exact coincidence probability by enumeration over all n^(qz) outcomes."""
-    total_outcomes = cfg.n ** (cfg.q * cfg.z)
-    if total_outcomes > max_outcomes:
-        raise ResourceLimitError(
-            f"enumeration over n^(qz) = {total_outcomes} outcomes exceeds budget {max_outcomes}"
-        )
-    groups = _group_outcomes(cfg)
-    prob = Fraction(0)
-    for picks in product(groups, repeat=cfg.q):
-        inter = ~0
-        w = Fraction(1)
-        for mask, gw in picks:
-            inter &= mask
-            w *= gw
-        if inter != 0:
-            prob += w
-    return prob
+def coincidence_exact(cfg: PigeonholeConfig) -> Fraction:
+    """Exact coincidence probability by inclusion-exclusion over box subsets.
+
+    With H the boxes one color hits, P(no box gets every color) is
+    sum_S (-1)^|S| g(S)^q, where g(S) = P(S in H) is
+    sum_{T in S} (-1)^|T| (1 - mu(T))^z.  Both sums see a subset only through
+    its type, the number of boxes it takes from each class of equal mass, and
+    mu scaled by D, the lcm of its denominators, keeps every term an integer.
+    Raises ResourceLimitError past EXACT_BUDGET.
+    """
+    mu = [Fraction(p) for p in cfg.mu]
+    D = math.lcm(*(p.denominator for p in mu))
+    classes = Counter(int(p * D) for p in mu)
+    shape = tuple(c + 1 for c in classes.values())
+    work = math.prod(shape) * cfg.n * cfg.q * cfg.z * D.bit_length()
+    if work > EXACT_BUDGET:
+        raise ResourceLimitError(f"exact oracle over {math.prod(shape)} subset types "
+                                 f"needs {work} bit operations, over budget {EXACT_BUDGET}")
+    types = np.indices(shape, dtype=object)
+    odd = types.sum(axis=0) % 2 == 1
+    f = (D - sum(a * t for a, t in zip(classes, types))) ** cfg.z
+    f[odd] *= -1
+    g = _binomial_transform(f) ** cfg.q  # (D^z g(type))^q
+    g[odd] *= -1
+    miss = _binomial_transform(g).flat[-1]  # weighs each type by its C(c_i, t_i)
+    return 1 - Fraction(miss, D ** (cfg.q * cfg.z))
 
 
 class SimResult(NamedTuple):

@@ -99,6 +99,17 @@ def test_a03_pigeonhole_oracle_and_domination():
                             cfg, 100_000, RandomSource(7000 + seed).child(0)
                         )
                         assert sim.estimate - 3 * sim.stderr >= bound, (q, n, z, maker)
+                        if maker.__name__ == "geometric" and n > 16:
+                            continue  # 2^n subset types: past the oracle's budget
+                        exact = pigeonhole.coincidence_exact(cfg)
+                        cell = (cfg.n, q, z, maker.__name__)
+                        assert bound <= exact, cell
+                        if sim.stderr > 0:
+                            assert abs(sim.estimate - exact) <= 3 * sim.stderr, cell
+                        if float(exact) == 1.0:
+                            print(f"criterion 3: exact is 1.0 in double precision at "
+                                  f"n={n} q={q} z={z} {maker.__name__} "
+                                  f"(1 - exact = {float(1 - exact):.3g})")
 
 
 def _soundness_grid(max_letters=4_000_000):

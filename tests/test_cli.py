@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -197,6 +198,16 @@ class TestPigeonholeOutput:
                 "--trials", "20000", "--seed", "4", "--out", str(out)])
         d = json.loads(out.read_text())
         assert d["hypothesis_met"] is True
+        assert d["estimate"] - 3 * d["stderr"] >= d["bound"]
+        assert d["bound"] <= Fraction(d["exact"]) < 1
+
+    def test_exact_null_past_budget(self, tmp_path, capsys):
+        # 2^17 subset types of a geometric measure on 17 boxes
+        out = tmp_path / "pg.json"
+        run_ok(["pigeonhole", "--mu", "geometric", "--n", "17", "--q", "3", "--z", "56",
+                "--trials", "2000", "--seed", "2", "--out", str(out)])
+        d = json.loads(out.read_text())
+        assert d["exact"] is None
         assert d["estimate"] - 3 * d["stderr"] >= d["bound"]
 
 

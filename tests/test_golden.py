@@ -37,7 +37,7 @@ CLI_CASES = {
                     "89afa4a6cc7203e7491e4202fda499fdce0bd2db2924fbfaba2642c1c48a2083"),
     "pigeonhole": (["pigeonhole", "--n", "16", "--q", "2", "--z", "16", "--trials", "20000",
                     "--seed", "34"],
-                   "238d176eb621379fd9239bcf49198dce3408b64c85b5a916fb8c6f9fc19046c1"),
+                   "3b92d1cc77d05e58f303bb929b278453c956bbc1e58c3f5059902b47e16c0c06"),
     "diagrams-census": (["diagrams", "census", "--max-n", "3"],
                         "a03c780e864654a6a3d1470c9bf7af2352a0c94d557d382df28f9c19004c352b"),
     "diagrams-tutte": (["diagrams", "tutte", "--n", "4", "--with-census"],

@@ -1,4 +1,8 @@
+import collections
+import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +67,35 @@ class TestBound:
             assert float(ph.default_bound_constant(q)) <= -0.25 * math.log1p(-(2.0**-q))
 
 
+def brute_force_exact(cfg):
+    """Sum over all n^(qz) outcomes: one color's n^z placements by hit set, then q colors."""
+    hits = collections.Counter()
+    for balls in itertools.product(range(cfg.n), repeat=cfg.z):
+        hits[sum(1 << b for b in set(balls))] += math.prod(F(cfg.mu[b]) for b in balls)
+    return sum((math.prod(w for _, w in picks)
+                for picks in itertools.product(hits.items(), repeat=cfg.q)
+                if functools.reduce(operator.and_, (mask for mask, _ in picks))), F(0))
+
+
+def _small_measures(n):
+    """Uniform, geometric, one box of zero mass, repeated masses, a cut guide bucket."""
+    yield "uniform", ph.uniform_measure(n)
+    if n > 1:
+        yield "geometric", ph.geometric_measure(n)
+        yield "zero_mass", (F(0),) + ph.uniform_measure(n - 1)
+    if n > 2:
+        weights = [i // 2 + 1 for i in range(n)]  # 1, 1, 2, 2, 3, ...
+        yield "repeated", tuple(F(w, sum(weights)) for w in weights)
+    if n == 3:
+        yield "cut_inside_bucket", (F(1, 3), F(1, 4096), F(2, 3) - F(1, 4096))
+
+
+#: Every config with n <= 6, q <= 4 and n^(qz) <= 2^18, under each small measure.
+SMALL_CONFIGS = [pytest.param(ph.PigeonholeConfig(n, q, z, mu), id=f"n{n}-q{q}-z{z}-{name}")
+                 for n in range(1, 7) for q in range(2, 5) for z in range(1, 10)
+                 if n ** (q * z) <= 1 << 18 for name, mu in _small_measures(n)]
+
+
 class TestExact:
     def test_two_boxes_two_colors(self):
         assert ph.coincidence_exact(ph.PigeonholeConfig.uniform(2, 2, 2)) == F(7, 8)
@@ -74,8 +107,24 @@ class TestExact:
         assert ph.coincidence_exact(ph.PigeonholeConfig.uniform(2, 2, 1)) == F(1, 2)
 
     def test_budget(self):
+        # 2^17 subset types; the uniform measure is one class of n + 1 types
         with pytest.raises(ResourceLimitError):
-            ph.coincidence_exact(ph.PigeonholeConfig.uniform(10, 3, 10))
+            ph.coincidence_exact(ph.PigeonholeConfig.geometric(17, 3, 56))
+        assert 0 < ph.coincidence_exact(ph.PigeonholeConfig.uniform(10, 3, 10)) < 1
+
+    def test_budget_bounds_one_large_class(self):
+        # n + 1 types, but n^2 additions: refused before any is made
+        with pytest.raises(ResourceLimitError):
+            ph.coincidence_exact(ph.PigeonholeConfig.uniform(8000, 2, 5))
+
+    @pytest.mark.parametrize("cfg", SMALL_CONFIGS)
+    def test_matches_brute_force(self, cfg):
+        assert ph.coincidence_exact(cfg) == brute_force_exact(cfg)
+
+    def test_golden_case(self):
+        # the CLI's golden pigeonhole case, past any enumeration of its 16^32 outcomes
+        exact = ph.coincidence_exact(ph.PigeonholeConfig.uniform(16, 2, 16))
+        assert math.isclose(float(1 - exact), 2.876626766106288e-06, rel_tol=1e-12)
 
     def test_monotone_in_z(self):
         vals = [ph.coincidence_exact(ph.PigeonholeConfig.uniform(2, 2, z))

@@ -516,8 +516,7 @@ def run(argv=None) -> int:
         cfg = trivializer.TrivializerConfig.for_params(
             args.m, args.ell, k=args.k_override, max_rounds=args.max_rounds
         )
-        recorded.update({"k": cfg.k, "block_size": cfg.block_size,
-                         "block_count": cfg.block_count, "max_rounds": cfg.max_rounds})
+        recorded.update({"k": cfg.k, "max_rounds": cfg.max_rounds})
     return _run(sub, recorded, _resolve_seed(args), args.out,
                 threads=getattr(args, "threads", 1), log=getattr(args, "log", None))
 

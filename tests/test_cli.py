@@ -178,8 +178,9 @@ class TestTrivializeOutput:
         run_ok(["trivialize", "--m", "2", "--ell", "1", "--num", "4", "--seed", "0",
                 "--k-override", "1", "--out", str(out)])
         assert json.loads(out.read_text())["parameters"]["block_count"] == 0
+        # derived from m, ell and k, so not recorded where a rerun could contradict it
         man = RunManifest.read(str(out) + ".manifest.json")
-        assert man.params["block_count"] == 0
+        assert "block_count" not in man.params and "block_size" not in man.params
 
 
 class TestPigeonholeOutput:

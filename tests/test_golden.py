@@ -25,13 +25,13 @@ CLI_CASES = {
                "e7ae8fa32a7778094bc528124e8bbbc019dd1af6ed66193ddeefc3367f5a95f5"),
     "trivialize": (["trivialize", "--m", "2", "--ell", "14", "--density", "0.55",
                     "--seed", "32"],
-                   "917f327cb469e8ad42dec6dc0a9d505aaaa5e0283dac63d9b6eecf50131758bf"),
+                   "8a35805b61f170c5cbb0b771cd593e9fa829a0fceb7d4f9797eee60853be07e9"),
     "trivialize-k-override": (["trivialize", "--m", "2", "--ell", "10", "--density", "0.5",
                                "--seed", "1", "--k-override", "2"],
-                              "9d394c8fc78a0ef7e89e299af0c533fff30bf8081c9c3863f4a0a0217d82f6f9"),
+                              "1fa4b9881fbae06a9d93de18570b5b9366fc1dab3e1354268df1e30037fc1874"),
     "trivialize-m3-rounds2": (["trivialize", "--m", "3", "--ell", "10", "--density", "0.5",
                                "--seed", "5", "--max-rounds", "2"],
-                              "5bc7ba8836dc57e698741d5ccdfafb22ee45eaba9a7fca3a02930c9e156776d3"),
+                              "57feae06dcfeaa5989277ab9bb7a217d2465c8b750c92fbccc19841f0e9bda90"),
     "verify-dist": (["verify-dist", "--m", "2", "--n", "4", "--samples", "20000",
                      "--seed", "33"],
                     "89afa4a6cc7203e7491e4202fda499fdce0bd2db2924fbfaba2642c1c48a2083"),
@@ -75,8 +75,8 @@ def test_trivialize_log_bytes(tmp_path, capsys):
     out, log = tmp_path / "v.json", tmp_path / "v.log"
     assert cli.run(["trivialize", "--m", "2", "--ell", "16", "--density", "0.55",
                     "--seed", "0", "--out", str(out), "--log", str(log)]) == 0
-    assert sha256_of(out) == "8987901ec94529dd4c710c5a850f1be0921a3fd9d0d7198478f2686467923865"
-    assert sha256_of(log) == "fce621c47d0a57a2e82ca33f595bdf790170f8633f2ca4dea8fe342b3f16c680"
+    assert sha256_of(out) == "8f6714c719acf36d3809a5952e3e8752a55c7e0bc031f4917a75043148f33183"
+    assert sha256_of(log) == "fc221007ae57b1088fe100d7cbe652280b70b4c3c122105b7c39c1ba705320d1"
 
 
 # No CLI-reachable input fires the reduction stage, so the hand-built fixture

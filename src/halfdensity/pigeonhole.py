@@ -7,12 +7,12 @@ Whenever z >= 2 n^(1-1/q), the probability is at least
 default c = 2^-(q+2).  The bound holds for every mu.
 
 coincidence_exact is the exact oracle, by inclusion-exclusion over the types
-of box subsets, within a work budget (EXACT_BUDGET); coincidence_simulate is
-the Monte Carlo estimator with deterministic chunked streams.  It finds each ball's box through a guide
-table over the cumulative measure (Chen & Asau 1974), with a binary search
-only for the rare draws in a bucket that a box boundary cuts, and runs each
-chunk in blocks of whole trials that hold at most BLOCK_DRAWS draws, so a
-chunk's memory does not grow with its number of trials.
+of box subsets within a work budget; coincidence_simulate is the Monte Carlo
+estimator with deterministic chunked streams.  It finds each ball's box
+through a guide table over the cumulative measure (Chen & Asau 1974), with a
+binary search only for the rare draws in a bucket that a box boundary cuts,
+and runs each chunk in blocks of whole trials that hold at most BLOCK_DRAWS
+draws, so a chunk's memory does not grow with its number of trials.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ GUIDE_BUCKETS = 1 << 12
 #: Most uniform draws in one block of a chunk (and 8x as many box flags);
 #: this bounds a chunk's working memory.
 BLOCK_DRAWS = 1 << 17
-#: Most work of the exact oracle: its two transforms make (subset types) x n
-#: additions of integers of about q z log2(D) bits.
+#: Most work of the exact oracle, past which it raises ResourceLimitError: its
+#: two transforms make (subset types) x n additions of about q z log2(D) bits.
 EXACT_BUDGET = 1 << 32
 
 
@@ -127,23 +127,19 @@ def _binomial_transform(f: np.ndarray) -> np.ndarray:
 
 
 def coincidence_exact(cfg: PigeonholeConfig) -> Fraction:
-    """Exact coincidence probability by inclusion-exclusion over box subsets.
+    """Exact coincidence probability by inclusion-exclusion over box subsets S.
 
-    With H the boxes one color hits, P(no box gets every color) is
-    sum_S (-1)^|S| g(S)^q, where g(S) = P(S in H) is
-    sum_{T in S} (-1)^|T| (1 - mu(T))^z.  Both sums see a subset only through
-    its type, the number of boxes it takes from each class of equal mass, and
-    mu scaled by D, the lcm of its denominators, keeps every term an integer.
-    Raises ResourceLimitError past EXACT_BUDGET.
+    P(no box gets every color) = sum_S (-1)^|S| g(S)^q, where g(S), the chance
+    that one color hits all of S, is sum_{T in S} (-1)^|T| (1 - mu(T))^z.  Both
+    sums see S only through its type (how many boxes it takes from each class
+    of equal mass), and D, the lcm of mu's denominators, keeps them integral.
     """
-    mu = [Fraction(p) for p in cfg.mu]
-    D = math.lcm(*(p.denominator for p in mu))
-    classes = Counter(int(p * D) for p in mu)
+    D = math.lcm(*(Fraction(p).denominator for p in cfg.mu))
+    classes = Counter(int(Fraction(p) * D) for p in cfg.mu)
     shape = tuple(c + 1 for c in classes.values())
     work = math.prod(shape) * cfg.n * cfg.q * cfg.z * D.bit_length()
     if work > EXACT_BUDGET:
-        raise ResourceLimitError(f"exact oracle over {math.prod(shape)} subset types "
-                                 f"needs {work} bit operations, over budget {EXACT_BUDGET}")
+        raise ResourceLimitError(f"exact oracle needs {work} bit operations > {EXACT_BUDGET}")
     types = np.indices(shape, dtype=object)
     odd = types.sum(axis=0) % 2 == 1
     f = (D - sum(a * t for a, t in zip(classes, types))) ** cfg.z

@@ -43,8 +43,7 @@ MUTANTS = [
            ("tests/test_trivializer.py",)),
     # trivialize stops checking its trivial verdicts against the guard
     Mutant("trivialize-guard-call", "src/halfdensity/trivializer.py",
-           "    if outcome == OUTCOME_TRIVIAL and abelianization_guard(R) == CERTAINLY_NONTRIVIAL:",
-           "    if False:",
+           "and abelianization_guard(R) == CERTAINLY_NONTRIVIAL:", "and False:",
            ("tests/test_trivializer.py", "tests/test_cli.py")),
     # the exact oracle drops the sign of the outer inclusion-exclusion sum
     Mutant("oracle-outer-sign", "src/halfdensity/pigeonhole.py",

@@ -107,7 +107,8 @@ class TestExact:
         assert ph.coincidence_exact(ph.PigeonholeConfig.uniform(2, 2, 1)) == F(1, 2)
 
     def test_budget(self):
-        # 2^17 subset types; the uniform measure is one class of n + 1 types
+        # 2^17 subset types x 17 boxes x 3 * 56 * 17 bits is past the budget; a
+        # uniform measure on 10 boxes is one class of 11 types
         with pytest.raises(ResourceLimitError):
             ph.coincidence_exact(ph.PigeonholeConfig.geometric(17, 3, 56))
         assert 0 < ph.coincidence_exact(ph.PigeonholeConfig.uniform(10, 3, 10)) < 1
@@ -121,10 +122,28 @@ class TestExact:
     def test_matches_brute_force(self, cfg):
         assert ph.coincidence_exact(cfg) == brute_force_exact(cfg)
 
-    def test_golden_case(self):
-        # the CLI's golden pigeonhole case, past any enumeration of its 16^32 outcomes
-        exact = ph.coincidence_exact(ph.PigeonholeConfig.uniform(16, 2, 16))
-        assert math.isclose(float(1 - exact), 2.876626766106288e-06, rel_tol=1e-12)
+    @pytest.mark.parametrize("n,q,z", [(16, 2, 16), (64, 3, 33), (256, 3, 324)])
+    def test_uniform_closed_form(self, n, q, z):
+        # sum_j (-1)^j C(n,j) (N_j / n^z)^q, with N_j the placements of z balls
+        # that hit all of j given boxes
+        hits = [sum((-1) ** i * math.comb(j, i) * (n - i) ** z for i in range(j + 1))
+                for j in range(n + 1)]
+        miss = sum((-1) ** j * math.comb(n, j) * F(hits[j], n ** z) ** q for j in range(n + 1))
+        assert ph.coincidence_exact(ph.PigeonholeConfig.uniform(n, q, z)) == 1 - miss
+
+    @pytest.mark.parametrize("name", ["geometric", "zero_mass", "repeated"])
+    def test_matches_sum_over_box_subsets(self, name):
+        # each of the 2^8 subsets S on its own, and g(S) over the subsets T of S
+        mu = dict(_small_measures(8))[name]
+        cfg = ph.PigeonholeConfig(8, 3, 12, mu)
+
+        def g(S):
+            return sum((-1) ** r * (1 - sum(mu[b] for b in T)) ** cfg.z
+                       for r in range(len(S) + 1) for T in itertools.combinations(S, r))
+
+        miss = sum((-1) ** r * g(S) ** cfg.q
+                   for r in range(9) for S in itertools.combinations(range(8), r))
+        assert ph.coincidence_exact(cfg) == 1 - miss
 
     def test_monotone_in_z(self):
         vals = [ph.coincidence_exact(ph.PigeonholeConfig.uniform(2, 2, z))

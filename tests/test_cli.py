@@ -302,6 +302,32 @@ class TestConditionsAndPhaseMap:
         assert cli.parse_rate_expr("family:alpha=1,beta=1,c0=100").terms == {(-1, 1, 0): 100.0}
         assert cli.parse_rate_expr("window-K:cprime=2") == thresholds.hyperbolic_window_K(2)
 
+    @pytest.mark.parametrize("spec,expected", [
+        ("zero", thresholds.GrowthExpr()),
+        ("trivial-threshold", thresholds.trivial_threshold_f()),
+        ("hyperbolic-threshold", thresholds.hyperbolic_threshold_f()),
+        ("threshold-k", thresholds.threshold_head_k()),
+        ("window-K", thresholds.hyperbolic_window_K(1)),
+        ("window-K:cprime=3/2", thresholds.hyperbolic_window_K(Fraction(3, 2))),
+        ("delta-K", thresholds.delta_hyperbolic_window_K()),
+        ("const:3/2", thresholds.GrowthExpr.constant(Fraction(3, 2))),
+        ("family:alpha=1/3,beta=-2", thresholds.family(Fraction(1, 3), -2, 1.0)),
+        ("family:c0=1e5,beta=1/3,alpha=1/3",
+         thresholds.family(Fraction(1, 3), Fraction(1, 3), 10**5)),
+    ])
+    def test_every_rate_name_parses_to_its_builder(self, spec, expected):
+        assert cli.parse_rate_expr(spec) == expected
+
+    @pytest.mark.parametrize("spec", ["family:alpha=1", "family:beta=1", "const:", "const:x"])
+    def test_rate_expression_without_its_value(self, spec, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.csv"
+        argv = ["conditions", "--which", "star", "--k-expr", "threshold-k",
+                "--f-expr", spec, "--out", str(out)]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot parse rate expression {spec!r}:")
+        assert not out.exists()
+
     def test_negative_beta_value_form(self, tmp_path, capsys):
         out = tmp_path / "pm.csv"
         run_ok(["phase-map", "--alpha", "0:1:0.5", "--beta", "-1:0:0.5",

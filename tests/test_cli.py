@@ -256,6 +256,37 @@ class TestConditionsAndPhaseMap:
             cli.run(["conditions", "--which", "asterisk", "--f-expr", "zero",
                      "--out", str(tmp_path / "x.csv")])
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--which", "star", "--f-expr", "zero"], "star needs --k-expr and --f-expr"),
+        (["--which", "star", "--k-expr", "threshold-k"], "star needs --k-expr and --f-expr"),
+        (["--which", "spade", "--f-expr", "zero"], "spade needs --k-expr"),
+        (["--which", "asterisk", "--K-expr", "window-K"],
+         "asterisk needs --K-expr and --f-expr"),
+        # --f-expr is parsed whenever it is given, before the needs check
+        (["--which", "star", "--f-expr", "bogus"], "unknown rate expression 'bogus'"),
+        (["--which", "spade", "--k-expr", "threshold-k", "--f-expr", "bogus"],
+         "unknown rate expression 'bogus'"),
+        # the needs check runs before the condition's own expressions are parsed
+        (["--which", "star", "--k-expr", "bogus"], "star needs --k-expr and --f-expr"),
+        (["--which", "star", "--k-expr", "bogus", "--f-expr", "zero"],
+         "unknown rate expression 'bogus'"),
+    ])
+    def test_missing_or_bad_expression_exits_one(self, argv, message, tmp_path, capsys,
+                                                 monkeypatch):
+        out = tmp_path / "x.csv"
+        assert run_main(monkeypatch, ["conditions", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_expression_the_condition_does_not_read_stays_unparsed(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        run_ok(["conditions", "--which", "spade", "--k-expr", "threshold-k",
+                "--K-expr", "bogus", "--ell-grid", "1024", "--out", str(out)])
+        run_ok(["conditions", "--which", "star", "--k-expr", "threshold-k", "--f-expr", "zero",
+                "--K-expr", "bogus", "--ell-grid", "1024", "--out", str(out)])
+        run_ok(["conditions", "--which", "asterisk", "--K-expr", "window-K", "--f-expr", "zero",
+                "--k-expr", "bogus", "--ell-grid", "1024", "--out", str(out)])
+
     def test_phase_map_regions(self, tmp_path, capsys):
         out = tmp_path / "pm.csv"
         run_ok(["phase-map", "--alpha", "0.05:1.5:0.05", "--beta", "-1:2:0.25",

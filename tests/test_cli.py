@@ -173,6 +173,21 @@ class TestTrivializeOutput:
         d = json.loads(out.read_text())
         assert d["parameters"]["k"] == 2
 
+    def test_f_expr_materializes_num_and_reruns(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        run_ok(["trivialize", "--m", "2", "--ell", "16", "--f-expr", "trivial-threshold",
+                "--seed", "7", "--out", str(out)])
+        man = RunManifest.read(str(out) + ".manifest.json")
+        assert man.params["num_spec"] == "f-expr"
+        assert man.params["f_expr"] == "trivial-threshold"
+        f_value = thresholds.trivial_threshold_f().evaluate(16, 2)
+        assert man.params["f_value"] == f_value
+        assert man.params["num"] == words.ModelParams.from_f(2, 16, f_value).num
+        assert json.loads(out.read_text())["model"]["num"] == man.params["num"]
+        again = tmp_path / "again.json"
+        run_ok(["rerun", "--manifest", str(out) + ".manifest.json", "--out", str(again)])
+        assert again.read_bytes() == out.read_bytes()
+
     def test_block_count_clamped_at_zero(self, tmp_path, capsys):
         out = tmp_path / "v.json"
         run_ok(["trivialize", "--m", "2", "--ell", "1", "--num", "4", "--seed", "0",

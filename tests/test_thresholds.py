@@ -78,6 +78,23 @@ class TestSpadeCondition:
         key, _ = rep.symbolic.leading_term()
         assert key == (1, 0, 0)
 
+    def test_half_log_minus_half_loglog_is_bounded(self):
+        k = th.GrowthExpr({(F(0), F(1), F(0)): F(1, 2), (F(0), F(0), F(1)): F(-1, 2)})
+        rep = th.spade_condition(k, 2, GRID)
+        assert rep.verdict == th.VERDICT_BOUNDED
+        assert rep.symbolic == th.GrowthExpr.constant(1.0)
+        assert "heuristic" not in rep.detail
+
+    def test_log_k_converges_to_zero(self):
+        rep = th.spade_condition(th.family(0, 1, 1), 2, GRID)
+        assert rep.verdict == th.VERDICT_TO_ZERO
+        assert rep.symbolic == th.GrowthExpr.monomial(-1, -1, 0, 0.5)
+
+    def test_log_squared_k_is_indeterminate(self):
+        rep = th.spade_condition(th.family(0, 2, 1), 2, GRID)
+        assert rep.verdict == th.VERDICT_INDETERMINATE and rep.symbolic is None
+        assert rep.detail["heuristic"] == th.VERDICT_TO_ZERO
+
     def test_trace_positive_and_increasing_for_matched_k(self):
         rep = th.spade_condition(th.threshold_head_k(), 2, GRID)
         vals = [v for _, v in rep.trace]

@@ -656,6 +656,39 @@ class TestCheckCertificate:
         with pytest.raises(tz.CertificateError):
             tz.check_certificate(pres, tz.Certificate(cert.x, cert.y, steps))
 
+    def test_unknown_step_kind_rejected(self, fixture_run):
+        _, cert = fixture_run
+        bad = cert.to_json_dict()
+        bad["steps"][0]["kind"] = "lemma"
+        with pytest.raises(tz.CertificateError, match="unknown step kind 'lemma'"):
+            tz.Certificate.from_json_dict(bad)
+
+    def test_no_steps_raises(self, fixture_run):
+        pres, cert = fixture_run
+        with pytest.raises(tz.CertificateError, match="no steps"):
+            tz.check_certificate(pres, tz.Certificate(cert.x, cert.y, []))
+
+    def test_step_of_no_step_type_raises(self, fixture_run):
+        pres, cert = fixture_run
+        steps = [tuple(dataclasses.astuple(cert.steps[0]))] + list(cert.steps[1:])
+        with pytest.raises(tz.CertificateError, match="unknown step type tuple"):
+            tz.check_certificate(pres, tz.Certificate(cert.x, cert.y, steps))
+
+    def test_citing_a_conclusion_raises(self, fixture_run):
+        pres, cert = fixture_run
+        steps = list(cert.steps)
+        idx, con = next((i, s) for i, s in enumerate(steps)
+                        if isinstance(s, tz.ConclusionStep))
+        steps.append(dataclasses.replace(con, r1=idx))
+        with pytest.raises(tz.CertificateError, match="references a non-word step"):
+            tz.check_certificate(pres, tz.Certificate(cert.x, cert.y, steps))
+
+    def test_conclusion_citing_an_empty_relator_fails(self):
+        pres = Presentation(2, [(), (1, 2)])
+        steps = [tz.RelatorStep(0, ()), tz.RelatorStep(1, (1, 2)),
+                 tz.ConclusionStep(0, 1, 2, 1)]
+        assert tz.check_certificate(pres, tz.Certificate(2, 1, steps)) is False
+
     def test_wrong_asserted_equality_fails(self, fixture_run):
         pres, cert = fixture_run
         assert tz.check_certificate(pres, tz.Certificate(cert.y, cert.x, cert.steps)) is False

@@ -15,6 +15,7 @@ from halfdensity.rng import RandomSource
 from halfdensity.words import (
     ModelParams,
     Presentation,
+    concat_reduce,
     free_reduce,
     invert,
     is_reduced,
@@ -945,6 +946,91 @@ def b_sum_control(seed, m, keep):
     return Presentation(m, rows)
 
 
+#: Seeds per (m, k) of the seeded reduction sweep.
+SWEEP_SEEDS = 4
+
+
+def reduction_presentation(m, k, pick, between, gen):
+    """A presentation on which the reduction stage fires at head length k.
+
+    pick(options) and between(lo, hi) make the random choices and gen samples
+    the random words.  Rows hold one to three blocks.  Rows 0 and 1 are a
+    tail-collision pair (h1 T, h2 T) whose heads of length k differ at
+    positions 1 and k, so round 1's w is h1^-1 h2.  Later pairs (-h1 T',
+    -h2 T'), (h2 T', h1 T') or (-h2 T', -h1 T'), with -h the letterwise
+    inverse, supply other w for later rounds.  Copies of d w d^-1 are
+    planted in blocks, and partners z h'[2..] of hosts h reduced by the first
+    few w let conclusions cite reductions, from several rounds.  With
+    x = h1[0] and y = h2[0], x != -y, so {x, y} and {-x, -y} are two classes.
+    Returns the presentation and the w of the pairs, in row order.
+    """
+    size = tz.TrivializerConfig(m=m, ell=2, k=k).block_size
+    cfg1 = tz.TrivializerConfig(m=m, ell=3 * size + 2, k=k)
+    letters = [z for x in range(1, m + 1) for z in (x, -x)]
+
+    def word(length):
+        return list(words.sample_relator_matrix(m, length, 1, gen)[0].tolist())
+
+    def neg(h):
+        return tuple(-z for z in h)
+
+    def head(first_not, last_not):
+        h = []
+        for i in range(k):
+            banned = {-h[-1]} if h else set()
+            banned |= set(first_not) if i == 0 else set()
+            banned |= set(last_not) if i == k - 1 else set()
+            h.append(pick([z for z in letters if z not in banned]))
+        return tuple(h)
+
+    def plant(r, w, block, dmax=3):
+        d = free_reduce([pick(letters) for _ in range(between(0, dmax))])
+        lo = tz.RESERVED_PREFIX + block * size
+        at = between(lo, min(lo + size, len(r)) - 2 * len(d) - len(w))
+        r[at : at + 2 * len(d) + len(w)] = d + w + invert(d)
+
+    tail = tuple(word(between(size + 2, 3 * size + 2) - k))
+    h1 = head((), (-tail[0],))
+    h2 = head((h1[0], -h1[0]), (-tail[0], h1[-1]))
+    x, y = h1[0], h2[0]
+    same_class = {x: y, y: x, -x: -y, -y: -x}
+    rows, ws = [h1 + tail, h2 + tail], [concat_reduce(invert(h1), h2)]
+    count = between(5, 40)
+    while len(rows) < count:
+        kind = pick(["plain", "planted", "pair", "partner"])
+        r = word(between(size + 2, 3 * size + 2))
+        if kind == "pair":
+            a, b = pick([(neg(h1), neg(h2)), (h2, h1), (neg(h2), neg(h1))])
+            if r[k] not in (-a[-1], -b[-1]):
+                rows += [a + tuple(r[k:]), b + tuple(r[k:])]
+                w = concat_reduce(invert(a), b)
+                ws += [w] if w not in ws else []
+            continue
+        if kind == "planted":
+            for block in range(cfg1.block_count_for(len(r))):
+                plant(r, pick(ws), block)
+        if kind == "partner":
+            # one block that each round may shorten by a bare w, as in
+            # perfbench's planted hosts; the partner then has no block
+            r = word(between(size + 4, size + 8))
+            for w_i in ws[:3]:
+                plant(r, w_i, 0, dmax=between(0, 1))
+        r = free_reduce(r)
+        if kind == "partner" and len(r) >= 2:
+            reduced, rounds = r, 0
+            for i, w_i in enumerate(ws[: between(1, len(ws))]):
+                reduced, records = tz.reduce_relator(reduced, w_i, cfg1)
+                rounds = i + 1 if records else rounds
+            # a round-1 match stays inside a class, so later rounds matter
+            zs = [same_class.get(r[0])] if rounds <= 1 else letters
+            zs = [z for z in zs if z not in (None, r[0], -reduced[1])]
+            if zs:
+                rows.append((pick(zs),) + reduced[1:])
+        if r:
+            rows.append(r)
+    return Presentation(m, rows[:count]), ws
+
+
 class TestSoundnessSweep:
     @staticmethod
     def assert_unknown_and_guarded(R, max_rounds):
@@ -989,79 +1075,48 @@ class TestSoundnessSweep:
         if v.outcome == tz.OUTCOME_TRIVIAL:
             assert tz.abelianization_guard(pres) == tz.POSSIBLY_TRIVIAL
 
-    @settings(max_examples=60)
-    @given(st.data())
-    def test_reduction_stage_fires(self, data):
-        # m=2, k=1: rows of 38-110 letters hold one to three blocks of 36.
-        # Rows 0 and 1 are a tail-collision pair (x T, y T), so round 1's w
-        # is x^-1 y.  Later pairs (-x T', -y T'), (y T', x T') or (-y T', -x T')
-        # certify nothing new but supply other w for later rounds.  Copies of
-        # d w d^-1 are planted in blocks, and partners z h'[2..] of hosts h
-        # reduced by the first few w let conclusions cite reductions, from
-        # several rounds; x != -y, so {x, y} and {-x, -y} are two classes.
-        m, size = 2, tz.TrivializerConfig(m=2, ell=2, k=1).block_size
-        cfg1 = tz.TrivializerConfig(m=2, ell=110, k=1)
-        letters = [1, 2, -1, -2]
-        gen = RandomSource(data.draw(st.integers(0, 2**32 - 1))).generator()
-
-        def word(length):
-            return list(words.sample_relator_matrix(m, length, 1, gen)[0].tolist())
-
-        def plant(r, w, block, dmax=3):
-            d = free_reduce(data.draw(st.lists(st.sampled_from(letters), max_size=dmax)))
-            lo = tz.RESERVED_PREFIX + block * size
-            at = data.draw(st.integers(lo, min(lo + size, len(r)) - 2 * len(d) - len(w)))
-            r[at : at + 2 * len(d) + len(w)] = d + w + invert(d)
-
-        tail = tuple(word(data.draw(st.integers(37, 109))))
-        x = data.draw(st.sampled_from([z for z in letters if z != -tail[0]]))
-        y = data.draw(st.sampled_from([z for z in letters if z not in (x, -x, -tail[0])]))
-        same_class = {x: y, y: x, -x: -y, -y: -x}
-        rows, ws = [(x,) + tail, (y,) + tail], [(-x, y)]
-        count = data.draw(st.integers(5, 40))
-        while len(rows) < count:
-            kind = data.draw(st.sampled_from(["plain", "planted", "pair", "partner"]))
-            r = word(data.draw(st.integers(38, 110)))
-            if kind == "pair":
-                a, b = data.draw(st.sampled_from([(-x, -y), (y, x), (-y, -x)]))
-                if r[1] not in (-a, -b):
-                    rows += [(a,) + tuple(r[1:]), (b,) + tuple(r[1:])]
-                    ws += [(-a, b)] if (-a, b) not in ws else []
-                continue
-            if kind == "planted":
-                for block in range(tz.TrivializerConfig(m=m, ell=len(r), k=1).block_count):
-                    plant(r, data.draw(st.sampled_from(ws)), block)
-            if kind == "partner":
-                # one block that each round may shorten by a bare w, as in
-                # perfbench's planted hosts; the partner then has no block
-                r = word(data.draw(st.integers(40, 44)))
-                for w_i in ws[:3]:
-                    plant(r, w_i, 0, dmax=data.draw(st.integers(0, 1)))
-            r = free_reduce(r)
-            if kind == "partner" and len(r) >= 2:
-                reduced, rounds = r, 0
-                for i, w_i in enumerate(ws[: data.draw(st.integers(1, len(ws)))]):
-                    reduced, records = tz.reduce_relator(reduced, w_i, cfg1)
-                    rounds = i + 1 if records else rounds
-                # a round-1 match stays inside a class, so later rounds matter
-                zs = [same_class[r[0]]] if rounds <= 1 else letters
-                zs = [z for z in zs if z not in (r[0], -reduced[1])]
-                if zs:
-                    rows.append((data.draw(st.sampled_from(zs)),) + reduced[1:])
-            if r:
-                rows.append(r)
-        R = Presentation(m, rows[:count])
-        cfg = tz.TrivializerConfig(m=m, ell=R.max_length(), k=1,
-                                   max_rounds=data.draw(st.sampled_from([3, 2, 1])))
+    @staticmethod
+    def check_reduction_run(R, ws, k, max_rounds):
+        """Trivialize R at head length k; every certificate replays, the guard agrees,
+        round 1 makes exactly the reductions its w = ws[0] finds, and a rerun matches."""
+        cfg = tz.TrivializerConfig(m=R.m, ell=R.max_length(), k=k, max_rounds=max_rounds)
         v = tz.trivialize(R, cfg)  # a SoundnessError fails the test
         for cert in v.certificates:
             assert tz.check_certificate(R, cert)
         if v.outcome == tz.OUTCOME_TRIVIAL:
             assert tz.abelianization_guard(R) == tz.POSSIBLY_TRIVIAL
         # round 1 excises exactly what the one-row call finds with its w
-        first_round = sum(len(tz.reduce_relator(r, ws[0], cfg)[1]) for r in rows[:count])
+        first_round = sum(len(tz.reduce_relator(r, ws[0], cfg)[1]) for r in R.relators)
         assert v.stats.reductions_applied >= first_round
-        if cfg.max_rounds == 1:
+        if max_rounds == 1:
             assert v.stats.reductions_applied == first_round
         again = tz.trivialize(R, cfg)
         assert json.dumps(again.to_json_dict()) == json.dumps(v.to_json_dict())
+        return v
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_reduction_stage_fires(self, data):
+        gen = RandomSource(data.draw(st.integers(0, 2**32 - 1))).generator()
+        R, ws = reduction_presentation(2, 1, lambda xs: data.draw(st.sampled_from(xs)),
+                                       lambda lo, hi: data.draw(st.integers(lo, hi)), gen)
+        self.check_reduction_run(R, ws, 1, data.draw(st.sampled_from([3, 2, 1])))
+
+    @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_seeded_reduction_sweep(self, m, k):
+        # block sizes 36, 100, 486 and 3750; each seed's presentation runs at
+        # one to three rounds, and some runs must reduce, reach round 2 and
+        # certify an equality that cites a reduction
+        reduced = second_rounds = cited = 0
+        for seed in range(SWEEP_SEEDS):
+            gen = RandomSource(seed).child(m * 10 + k).generator()
+            R, ws = reduction_presentation(
+                m, k, lambda xs: xs[int(gen.integers(len(xs)))],
+                lambda lo, hi: int(gen.integers(lo, hi + 1)), gen)
+            for max_rounds in (1, 2, 3):
+                v = self.check_reduction_run(R, ws, k, max_rounds)
+                reduced += v.stats.reductions_applied > 0
+                second_rounds += v.stats.rounds >= 2
+                cited += any(isinstance(s, tz.ReductionStep)
+                             for cert in v.certificates for s in cert.steps)
+        assert reduced and second_rounds and cited

@@ -17,7 +17,7 @@ print("the three conditions on the matched threshold functions:")
 star = th.star_condition(th.threshold_head_k(), th.trivial_threshold_f(), GRID)
 print(f"  head-length margin k - 2 ell f: {star.verdict}; "
       f"symbolically {star.symbolic!r}")
-spade = th.spade_condition(th.threshold_head_k(), 2, GRID)
+spade = th.spade_condition(th.threshold_head_k(), GRID)
 key, coeff = spade.symbolic.leading_term()
 print(f"  block count: {spade.verdict}; leading growth ell^{key[0]} log^{key[1]}")
 ast = th.asterisk_condition(th.hyperbolic_window_K(1), th.family(F(1, 3), F(1, 3), 10**5), GRID)

@@ -36,55 +36,52 @@ class CliError(ValueError):
 # small parsers
 
 
-#: The argument keys each rate expression takes; const takes a bare value.
-_RATE_KEYS = {"zero": (), "trivial-threshold": (), "hyperbolic-threshold": (),
-              "threshold-k": (), "window-K": ("cprime",), "delta-K": (), "const": (),
-              "family": ("alpha", "beta", "c0")}
+def _family(alpha, beta, c0="1.0") -> thresholds.GrowthExpr:
+    c0 = float(c0)
+    if not math.isfinite(c0):
+        raise ValueError(f"c0 must be finite, got {c0}")
+    return thresholds.family(Fraction(alpha), Fraction(beta), c0)
+
+
+#: Each rate expression's builder and the argument keys it takes (rational alpha,
+#: beta and cprime, finite c0); None: the bare rational value after the colon.
+_RATES = {
+    "zero": (thresholds.GrowthExpr, ()),
+    "trivial-threshold": (thresholds.trivial_threshold_f, ()),
+    "hyperbolic-threshold": (thresholds.hyperbolic_threshold_f, ()),
+    "threshold-k": (thresholds.threshold_head_k, ()),
+    "window-K": (lambda cprime="1": thresholds.hyperbolic_window_K(Fraction(cprime)),
+                 ("cprime",)),
+    "delta-K": (thresholds.delta_hyperbolic_window_K, ()),
+    "const": (lambda value: thresholds.GrowthExpr.constant(Fraction(value)), None),
+    "family": (_family, ("alpha", "beta", "c0")),
+}
 
 
 def parse_rate_expr(spec: str) -> thresholds.GrowthExpr:
-    """Rate-function syntax for --f-expr / --k-expr / --K-expr.
+    """The rate 'name[:key=value,...]' of --f-expr / --k-expr / --K-expr, name in _RATES.
 
-    Accepted: 'zero', 'trivial-threshold', 'hyperbolic-threshold', 'threshold-k',
-    'window-K[:cprime=C]', 'delta-K', 'const:V', and
-    'family:alpha=A,beta=B,c0=C' with rational A, B and finite C.  A key
-    that the name does not take, or a repeated key, is an error.
+    A key that the name does not take, or a repeated key, is an error.
     """
     name, _, argstr = spec.partition(":")
-    if name not in _RATE_KEYS:
+    if name not in _RATES:
         raise CliError(f"unknown rate expression {spec!r}")
+    build, keys = _RATES[name]
     kwargs = {}
-    if argstr and name != "const":
+    if argstr and keys is not None:
         for part in argstr.split(","):
             key, _, val = part.partition("=")
             key = key.strip()
             if not val:
                 raise CliError(f"malformed rate expression argument {part!r}")
-            if key not in _RATE_KEYS[name]:
+            if key not in keys:
                 raise CliError(f"rate expression {name!r} takes no argument {key!r}")
             if key in kwargs:
                 raise CliError(f"rate expression {name!r} repeats argument {key!r}")
             kwargs[key] = val.strip()
     try:
-        if name == "zero":
-            return thresholds.zero_rate()
-        if name == "trivial-threshold":
-            return thresholds.trivial_threshold_f()
-        if name == "hyperbolic-threshold":
-            return thresholds.hyperbolic_threshold_f()
-        if name == "threshold-k":
-            return thresholds.threshold_head_k()
-        if name == "window-K":
-            return thresholds.hyperbolic_window_K(Fraction(kwargs.get("cprime", "1")))
-        if name == "delta-K":
-            return thresholds.delta_hyperbolic_window_K()
-        if name == "const":
-            return thresholds.constant_rate(Fraction(argstr))
-        c0 = float(kwargs.get("c0", 1.0))
-        if not math.isfinite(c0):
-            raise ValueError(f"c0 must be finite, got {c0}")
-        return thresholds.family(Fraction(kwargs["alpha"]), Fraction(kwargs["beta"]), c0)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        return build(argstr) if keys is None else build(**kwargs)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse rate expression {spec!r}: {exc}") from None
 
 
@@ -290,26 +287,27 @@ def _exec_diagrams(recorded, seed, out, digest) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+#: Each condition's function and the rate flags it reads, in argument order.
+_CONDITIONS = {
+    "star": (thresholds.star_condition, ("k_expr", "f_expr")),
+    "spade": (thresholds.spade_condition, ("k_expr",)),
+    "asterisk": (thresholds.asterisk_condition, ("K_expr", "f_expr")),
+}
+
+
 def _exec_conditions(recorded, seed, out, digest) -> str:
     grid = parse_ell_grid(recorded["ell_grid"])
-    m = recorded["m"]
     which = recorded["which"]
-    f = parse_rate_expr(recorded["f_expr"]) if recorded["f_expr"] else None
-    if which == "star":
-        if not recorded["k_expr"] or f is None:
-            raise CliError("star needs --k-expr and --f-expr")
-        report = thresholds.star_condition(parse_rate_expr(recorded["k_expr"]), f, grid, m)
-    elif which == "spade":
-        if not recorded["k_expr"]:
-            raise CliError("spade needs --k-expr")
-        report = thresholds.spade_condition(parse_rate_expr(recorded["k_expr"]), m, grid)
-    elif which == "asterisk":
-        if not recorded["K_expr"] or f is None:
-            raise CliError("asterisk needs --K-expr and --f-expr")
-        report = thresholds.asterisk_condition(parse_rate_expr(recorded["K_expr"]),
-                                               f, grid, m)
-    else:
+    # --f-expr is parsed whenever given; the other flags once all those read are given
+    rates = {"f_expr": parse_rate_expr(recorded["f_expr"])} if recorded["f_expr"] else {}
+    if which not in _CONDITIONS:
         raise CliError(f"unknown condition {which!r}")
+    condition, flags = _CONDITIONS[which]
+    if not all(recorded[flag] for flag in flags):
+        raise CliError(f"{which} needs "
+                       + " and ".join("--" + flag.replace("_", "-") for flag in flags))
+    rates.update((flag, parse_rate_expr(recorded[flag])) for flag in flags if flag not in rates)
+    report = condition(*(rates[flag] for flag in flags), grid, recorded["m"])
     preamble = [f"condition={report.condition}", f"verdict={report.verdict}"]
     if report.symbolic is not None:
         preamble.append(f"symbolic={report.symbolic!r}")
@@ -449,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
 
     p = sub.add_parser("conditions", help="condition traces as CSV")
-    p.add_argument("--which", choices=("star", "spade", "asterisk"), required=True)
+    p.add_argument("--which", choices=_CONDITIONS, required=True)
     p.add_argument("--k-expr", dest="k_expr")
     p.add_argument("--K-expr", dest="K_expr")
     p.add_argument("--f-expr", dest="f_expr")

@@ -42,6 +42,8 @@ OUTCOME_UNKNOWN = "unknown"
 OUTCOME_NOT_SMALL = "not-o1"
 
 _ZERO_KEY = (Fraction(0), Fraction(0), Fraction(0))
+_LOG_KEY = (Fraction(0), Fraction(1), Fraction(0))
+_LOGLOG_KEY = (Fraction(0), Fraction(0), Fraction(1))
 
 
 def _fr(x) -> Fraction:
@@ -158,18 +160,9 @@ def family(alpha, beta, coeff=1) -> GrowthExpr:
     return GrowthExpr.monomial(-_fr(alpha), beta, 0, coeff)
 
 
-def zero_rate() -> GrowthExpr:
-    return GrowthExpr()
-
-
-def constant_rate(value) -> GrowthExpr:
-    return GrowthExpr.constant(value)
-
-
 def trivial_threshold_f() -> GrowthExpr:
     """The trivial-side threshold log(ell)/(4 ell) - loglog(ell)/ell."""
-    return GrowthExpr({(Fraction(-1), Fraction(1), Fraction(0)): Fraction(1, 4),
-                       (Fraction(-1), Fraction(0), Fraction(1)): Fraction(-1)})
+    return GrowthExpr({(-1, 1, 0): Fraction(1, 4), (-1, 0, 1): Fraction(-1)})
 
 
 def hyperbolic_threshold_f() -> GrowthExpr:
@@ -179,8 +172,7 @@ def hyperbolic_threshold_f() -> GrowthExpr:
 
 def threshold_head_k() -> GrowthExpr:
     """Head length k(ell) = (1/2) log(ell) - loglog(ell)."""
-    return GrowthExpr({(Fraction(0), Fraction(1), Fraction(0)): Fraction(1, 2),
-                       (Fraction(0), Fraction(0), Fraction(1)): Fraction(-1)})
+    return GrowthExpr({_LOG_KEY: Fraction(1, 2), _LOGLOG_KEY: Fraction(-1)})
 
 
 def hyperbolic_window_K(cprime=1) -> GrowthExpr:
@@ -248,8 +240,7 @@ def star_condition(k_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
     return ConditionReport("star", symbolic.limit_verdict(), symbolic, trace)
 
 
-_EXPONENT_KEYS = {_ZERO_KEY, (Fraction(0), Fraction(1), Fraction(0)),
-                  (Fraction(0), Fraction(0), Fraction(1))}
+_EXPONENT_KEYS = {_ZERO_KEY, _LOG_KEY, _LOGLOG_KEY}
 
 
 def _exp_base(expr: GrowthExpr, m: int):
@@ -258,8 +249,8 @@ def _exp_base(expr: GrowthExpr, m: int):
     (2m-1)^(c log ell) = ell^c and (2m-1)^(c loglog ell) = log^c(ell), so the
     result is coeff * ell^a * log^b.  Returns None when not representable.
     """
-    a = expr.terms.get((Fraction(0), Fraction(1), Fraction(0)), Fraction(0))
-    b = expr.terms.get((Fraction(0), Fraction(0), Fraction(1)), Fraction(0))
+    a = expr.terms.get(_LOG_KEY, Fraction(0))
+    b = expr.terms.get(_LOGLOG_KEY, Fraction(0))
     c0 = expr.terms.get(_ZERO_KEY, Fraction(0))
     if set(expr.terms) - _EXPONENT_KEYS:
         return None
@@ -269,7 +260,7 @@ def _exp_base(expr: GrowthExpr, m: int):
     return GrowthExpr.monomial(a, b, 0, coeff)
 
 
-def spade_condition(k_fn: GrowthExpr, m: int, ell_grid: list) -> ConditionReport:
+def spade_condition(k_fn: GrowthExpr, ell_grid: list, m: int = 2) -> ConditionReport:
     """Does the block count b = (ell-2)/((2k+2)(2m-1)^(2k)) diverge?"""
     base = 2 * m - 1
     symbolic = None
@@ -279,14 +270,10 @@ def spade_condition(k_fn: GrowthExpr, m: int, ell_grid: list) -> ConditionReport
     growing = [(key, c) for key, c in two_k.terms.items() if key[0] > 0 and c > 0]
     expo = _exp_base(two_k, m)
     if expo is not None:
-        numer = GrowthExpr({(Fraction(1), Fraction(0), Fraction(0)): 1,
-                            _ZERO_KEY: -2})
-        denom = (two_k + GrowthExpr.constant(2)) * expo
-        nk, nc = numer.leading_term()
-        dk, dc = denom.leading_term()
-        ratio_key = tuple(x - y for x, y in zip(nk, dk))
-        ratio_coeff = nc / dc if isinstance(nc, Fraction) and isinstance(dc, Fraction) \
-            else float(nc) / float(dc)
+        # the numerator ell - 2 leads with ell^1
+        dk, dc = ((two_k + GrowthExpr.constant(2)) * expo).leading_term()
+        ratio_key = (1 - dk[0], -dk[1], -dk[2])
+        ratio_coeff = 1.0 / float(dc)
         symbolic = GrowthExpr.monomial(*ratio_key, ratio_coeff)
         if ratio_key > _ZERO_KEY:
             verdict = VERDICT_DIVERGES if ratio_coeff > 0 else VERDICT_TO_MINUS_INF
@@ -321,9 +308,7 @@ def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
         ((aK, bK, gK), cK), = K_fn.terms.items()
         if cK > 0 and gK == 0:
             log_c = 0 if cK == 1 else math.log(float(cK), base)
-            log_Kl = GrowthExpr({_ZERO_KEY: log_c,
-                                 (Fraction(0), Fraction(1), Fraction(0)): aK + 1,
-                                 (Fraction(0), Fraction(0), Fraction(1)): bK})
+            log_Kl = GrowthExpr({_ZERO_KEY: log_c, _LOG_KEY: aK + 1, _LOGLOG_KEY: bK})
             K2 = GrowthExpr.monomial(2 * aK, 2 * bK, 0, cK * cK)
             t1 = (K2 * log_Kl).scale(3000)
             inv_c = 1 / cK if isinstance(cK, Fraction) else 1.0 / cK
@@ -371,26 +356,18 @@ def classify_rate(f: GrowthExpr) -> PhaseVerdict:
         return PhaseVerdict(OUTCOME_TRIVIAL, "f = 0: classical model at density one-half")
     if f.leading_term()[0] >= _ZERO_KEY:
         raise ValueError(f"{f!r} is not o(1)")
-    diff_h = f - hyperbolic_threshold_f()
-    if not diff_h.terms:
-        return PhaseVerdict(OUTCOME_HYPERBOLIC, "f equals the hyperbolic threshold")
-    key, lead = diff_h.leading_term()
-    if lead > 0:
-        return PhaseVerdict(
-            OUTCOME_HYPERBOLIC,
-            f"f eventually >= 10^5 log^(1/3)/ell^(1/3): leading term ell^{key[0]} "
-            f"log^{key[1]} loglog^{key[2]} has coefficient {lead} > 0",
-        )
-    diff_t = trivial_threshold_f() - f
-    if not diff_t.terms:
-        return PhaseVerdict(OUTCOME_TRIVIAL, "f equals the trivial threshold")
-    key, lead = diff_t.leading_term()
-    if lead > 0:
-        return PhaseVerdict(
-            OUTCOME_TRIVIAL,
-            f"f eventually <= log/(4 ell) - loglog/ell: leading term ell^{key[0]} "
-            f"log^{key[1]} loglog^{key[2]} has coefficient {lead} > 0",
-        )
+    for outcome, diff, side in (
+            (OUTCOME_HYPERBOLIC, f - hyperbolic_threshold_f(), ">= 10^5 log^(1/3)/ell^(1/3)"),
+            (OUTCOME_TRIVIAL, trivial_threshold_f() - f, "<= log/(4 ell) - loglog/ell")):
+        if not diff.terms:
+            return PhaseVerdict(outcome, f"f equals the {outcome} threshold")
+        key, lead = diff.leading_term()
+        if lead > 0:
+            return PhaseVerdict(
+                outcome,
+                f"f eventually {side}: leading term ell^{key[0]} "
+                f"log^{key[1]} loglog^{key[2]} has coefficient {lead} > 0",
+            )
     return PhaseVerdict(OUTCOME_UNKNOWN, "between the two thresholds")
 
 

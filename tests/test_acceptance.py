@@ -239,7 +239,7 @@ def test_a09_threshold_reproduction():
             thresholds.hyperbolic_window_K(1), thresholds.family(F(1, 3), F(1, 3), 10**5), grid)
         assert ok.verdict == thresholds.VERDICT_TO_MINUS_INF
         rejected = thresholds.asterisk_condition(
-            thresholds.hyperbolic_window_K(1), thresholds.zero_rate(), grid)
+            thresholds.hyperbolic_window_K(1), thresholds.GrowthExpr(), grid)
         assert rejected.verdict == thresholds.VERDICT_DIVERGES
 
         assert thresholds.classify_rate(thresholds.hyperbolic_threshold_f()).outcome \

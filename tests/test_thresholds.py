@@ -44,7 +44,7 @@ class TestStarCondition:
         assert rep.symbolic == th.GrowthExpr({(F(0), F(0), F(1)): F(1)})
 
     def test_constant_k_zero_f_bounded(self):
-        rep = th.star_condition(th.constant_rate(3), th.zero_rate(), GRID)
+        rep = th.star_condition(th.GrowthExpr.constant(3), th.GrowthExpr(), GRID)
         assert rep.verdict == th.VERDICT_BOUNDED
         assert all(v == 3 for _, v in rep.trace)
 
@@ -63,40 +63,40 @@ class TestStarCondition:
 
 class TestSpadeCondition:
     def test_threshold_head_k_diverges_like_log(self):
-        rep = th.spade_condition(th.threshold_head_k(), 2, GRID)
+        rep = th.spade_condition(th.threshold_head_k(), GRID)
         assert rep.verdict == th.VERDICT_DIVERGES
         key, coeff = rep.symbolic.leading_term()
         assert key == (0, 1, 0) and coeff == 1  # b grows like log ell
 
     def test_linear_k_collapses(self):
-        rep = th.spade_condition(th.family(-1, 0, F(1, 4)), 2, GRID)
+        rep = th.spade_condition(th.family(-1, 0, F(1, 4)), GRID)
         assert rep.verdict == th.VERDICT_TO_ZERO
 
     def test_constant_k_diverges_linearly(self):
-        rep = th.spade_condition(th.constant_rate(1), 2, GRID)
+        rep = th.spade_condition(th.GrowthExpr.constant(1), GRID)
         assert rep.verdict == th.VERDICT_DIVERGES
         key, _ = rep.symbolic.leading_term()
         assert key == (1, 0, 0)
 
     def test_half_log_minus_half_loglog_is_bounded(self):
         k = th.GrowthExpr({(F(0), F(1), F(0)): F(1, 2), (F(0), F(0), F(1)): F(-1, 2)})
-        rep = th.spade_condition(k, 2, GRID)
+        rep = th.spade_condition(k, GRID)
         assert rep.verdict == th.VERDICT_BOUNDED
         assert rep.symbolic == th.GrowthExpr.constant(1.0)
         assert "heuristic" not in rep.detail
 
     def test_log_k_converges_to_zero(self):
-        rep = th.spade_condition(th.family(0, 1, 1), 2, GRID)
+        rep = th.spade_condition(th.family(0, 1, 1), GRID)
         assert rep.verdict == th.VERDICT_TO_ZERO
         assert rep.symbolic == th.GrowthExpr.monomial(-1, -1, 0, 0.5)
 
     def test_log_squared_k_is_indeterminate(self):
-        rep = th.spade_condition(th.family(0, 2, 1), 2, GRID)
+        rep = th.spade_condition(th.family(0, 2, 1), GRID)
         assert rep.verdict == th.VERDICT_INDETERMINATE and rep.symbolic is None
         assert rep.detail["heuristic"] == th.VERDICT_TO_ZERO
 
     def test_trace_positive_and_increasing_for_matched_k(self):
-        rep = th.spade_condition(th.threshold_head_k(), 2, GRID)
+        rep = th.spade_condition(th.threshold_head_k(), GRID)
         vals = [v for _, v in rep.trace]
         assert all(v > 0 for v in vals)
         assert all(a < b for a, b in zip(vals[3:], vals[4:]))
@@ -127,12 +127,12 @@ class TestAsteriskCondition:
 
     def test_non_monomial_K_falls_back_to_heuristic(self):
         # the CLI reaches this with --K-expr threshold-k
-        rep = th.asterisk_condition(th.threshold_head_k(), th.zero_rate(), GRID)
+        rep = th.asterisk_condition(th.threshold_head_k(), th.GrowthExpr(), GRID)
         assert rep.verdict == th.VERDICT_INDETERMINATE and rep.symbolic is None
         assert rep.detail["heuristic"] == th.heuristic_verdict(rep.trace)
 
     def test_zero_f_diverges_up(self):
-        rep = th.asterisk_condition(th.hyperbolic_window_K(1), th.zero_rate(), GRID)
+        rep = th.asterisk_condition(th.hyperbolic_window_K(1), th.GrowthExpr(), GRID)
         assert rep.verdict == th.VERDICT_DIVERGES
 
     def test_three_term_breakdown(self):
@@ -229,18 +229,18 @@ class TestHeuristicAgreement:
         ("star matched pair", lambda: th.star_condition(
             th.threshold_head_k(), th.trivial_threshold_f(), GRID), th.VERDICT_DIVERGES),
         ("star const", lambda: th.star_condition(
-            th.constant_rate(3), th.zero_rate(), GRID), th.VERDICT_BOUNDED),
+            th.GrowthExpr.constant(3), th.GrowthExpr(), GRID), th.VERDICT_BOUNDED),
         ("star down", lambda: th.star_condition(
             th.family(0, 1, 0.5), th.family(1, 1, 1), GRID), th.VERDICT_TO_MINUS_INF),
         ("spade matched k", lambda: th.spade_condition(
-            th.threshold_head_k(), 2, GRID), th.VERDICT_DIVERGES),
+            th.threshold_head_k(), GRID), th.VERDICT_DIVERGES),
         ("spade linear k", lambda: th.spade_condition(
-            th.family(-1, 0, F(1, 4)), 2, GRID), th.VERDICT_TO_ZERO),
+            th.family(-1, 0, F(1, 4)), GRID), th.VERDICT_TO_ZERO),
         ("asterisk matched pair", lambda: th.asterisk_condition(
             th.hyperbolic_window_K(1), th.family(F(1, 3), F(1, 3), 10**5), GRID),
          th.VERDICT_TO_MINUS_INF),
         ("asterisk zero f", lambda: th.asterisk_condition(
-            th.hyperbolic_window_K(1), th.zero_rate(), GRID), th.VERDICT_DIVERGES),
+            th.hyperbolic_window_K(1), th.GrowthExpr(), GRID), th.VERDICT_DIVERGES),
     ]
 
     @pytest.mark.parametrize("name,builder,expected", CASES)
@@ -261,7 +261,7 @@ class TestNamedTraceMonotone:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_spade_increases(self):
-        rep = th.spade_condition(th.threshold_head_k(), 2, self.FULL_GRID)
+        rep = th.spade_condition(th.threshold_head_k(), self.FULL_GRID)
         vals = [v for _, v in rep.trace]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 

@@ -2,9 +2,11 @@
 """Run hand-written mutants of halfdensity against the tests meant to catch them.
 
 Each mutant replaces one piece of source text, which must occur exactly once,
-in a temporary copy of src/ and tests/, then runs its test files there.  The
-mutant is killed when those tests fail, and survives when they pass.  This is
-run by hand, not in Tier-1: each mutant costs a run of its test files.
+in a temporary copy of src/ and tests/, then runs its test files there without
+their hypothesis searches (-m "not hypothesis"), so that only fixed cases can
+kill it.  The mutant is killed when those tests fail, and survives when they
+pass.  This is not part of Tier-1, since each mutant costs a run of its test
+files; CI runs it as a step of its own.
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py NAME ...   # the named ones
@@ -49,6 +51,36 @@ MUTANTS = [
     Mutant("oracle-outer-sign", "src/halfdensity/pigeonhole.py",
            "    g[odd] *= -1\n", "",
            ("tests/test_pigeonhole.py",)),
+    # the reduction stage excises each hit's left flank s along with d w d^-1
+    Mutant("excise-left-flank", "src/halfdensity/trivializer.py",
+           "    cut[at, si + 1] = 1\n", "    cut[at, si] = 1\n",
+           ("tests/test_trivializer.py",)),
+    # a first-time host's first reduction cites no step instead of its RelatorStep
+    Mutant("deferred-first-reduction-ref", "src/halfdensity/trivializer.py",
+           "ReductionStep(prior if h == 0 and prior >= 0 else t - 1,",
+           "ReductionStep(prior if h == 0 else t - 1,",
+           ("tests/test_trivializer.py",)),
+    # tail grouping splits sorted runs only where tails differ in every letter
+    Mutant("group-tails-run-split", "src/halfdensity/trivializer.py",
+           "(ordered[1:] != ordered[:-1]).any(axis=1)",
+           "(ordered[1:] != ordered[:-1]).all(axis=1)",
+           ("tests/test_trivializer.py",)),
+    # the guard's echelon basis keeps its old pivot row after a Euclid step
+    Mutant("add-rows-keeps-old-pivot", "src/halfdensity/trivializer.py",
+           "            basis[c] = b\n", "",
+           ("tests/test_trivializer.py",)),
+    # classify_rate reads the leading coefficient's magnitude, not its sign
+    Mutant("classify-lead-sign", "src/halfdensity/thresholds.py",
+           "        if lead > 0:\n", "        if lead != 0:\n",
+           ("tests/test_thresholds.py",)),
+    # a rate expression accepts any argument key, not just its own
+    Mutant("rate-key-check", "src/halfdensity/cli.py",
+           "            if key not in keys:\n", "            if False:\n",
+           ("tests/test_cli.py",)),
+    # conditions parses the flags a condition reads without checking they were given
+    Mutant("conditions-missing-expression", "src/halfdensity/cli.py",
+           "    if not all(recorded[flag] for flag in flags):\n", "    if False:\n",
+           ("tests/test_cli.py",)),
 ]
 
 
@@ -67,7 +99,7 @@ def tests_fail(mutant: Mutant) -> bool:
         target.write_text(text.replace(mutant.old, mutant.new))
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *mutant.tests],
+             "-m", "not hypothesis", *mutant.tests],
             cwd=tmp, env={**os.environ, "PYTHONPATH": str(tmp / "src")},
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )

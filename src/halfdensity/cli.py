@@ -299,15 +299,15 @@ def _exec_conditions(recorded, seed, out, digest) -> str:
     grid = parse_ell_grid(recorded["ell_grid"])
     which = recorded["which"]
     # --f-expr is parsed whenever given; the other flags once all those read are given
-    rates = {"f_expr": parse_rate_expr(recorded["f_expr"])} if recorded["f_expr"] else {}
+    f = parse_rate_expr(recorded["f_expr"]) if recorded["f_expr"] else None
     if which not in _CONDITIONS:
         raise CliError(f"unknown condition {which!r}")
     condition, flags = _CONDITIONS[which]
     if not all(recorded[flag] for flag in flags):
         raise CliError(f"{which} needs "
                        + " and ".join("--" + flag.replace("_", "-") for flag in flags))
-    rates.update((flag, parse_rate_expr(recorded[flag])) for flag in flags if flag not in rates)
-    report = condition(*(rates[flag] for flag in flags), grid, recorded["m"])
+    rates = [f if flag == "f_expr" else parse_rate_expr(recorded[flag]) for flag in flags]
+    report = condition(*rates, grid, recorded["m"])
     preamble = [f"condition={report.condition}", f"verdict={report.verdict}"]
     if report.symbolic is not None:
         preamble.append(f"symbolic={report.symbolic!r}")

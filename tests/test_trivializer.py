@@ -946,10 +946,6 @@ def b_sum_control(seed, m, keep):
     return Presentation(m, rows)
 
 
-#: Seeds per (m, k) of the seeded reduction sweep.
-SWEEP_SEEDS = 4
-
-
 def reduction_presentation(m, k, pick, between, gen):
     """A presentation on which the reduction stage fires at head length k.
 
@@ -1104,11 +1100,11 @@ class TestSoundnessSweep:
 
     @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
     def test_seeded_reduction_sweep(self, m, k):
-        # block sizes 36, 100, 486 and 3750; each seed's presentation runs at
-        # one to three rounds, and some runs must reduce, reach round 2 and
+        # block sizes 36, 100, 486 and 3750; each of four seeds' presentations
+        # runs at one to three rounds, and some runs must reduce, reach round 2 and
         # certify an equality that cites a reduction
         reduced = second_rounds = cited = 0
-        for seed in range(SWEEP_SEEDS):
+        for seed in range(4):
             gen = RandomSource(seed).child(m * 10 + k).generator()
             R, ws = reduction_presentation(
                 m, k, lambda xs: xs[int(gen.integers(len(xs)))],

@@ -162,6 +162,8 @@ def test_reduction_sweep_certificates_chain_reductions():
     (1, 2, 612, (0.95925, 0.0031260773143030212)),
     (2, 2, 622, (0.985, 0.0019219131093782577)),
     (1, 3, 613, (0.96375, 0.0029553315169368057)),
+    (3, 2, 632, (0.99525, 0.0010871335589521685)),
+    (2, 3, 623, (0.9925, 0.0013641618305758258)),
 ])
 def test_planted_rate_values(k, m, seed, expected):
     assert tz.planted_reduction_rate(k, m, 4000, RandomSource(seed)) == expected

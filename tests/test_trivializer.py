@@ -269,6 +269,108 @@ class TestWReduceOnce:
         assert is_reduced(scan(W("baabAb"), W("ab"))[-1])
 
 
+def first_pattern_reference(r, w, lo0, hi0):
+    """The flank columns (si, ti) of the leftmost valid pattern in columns lo0..hi0 of r, or None."""
+    text, pattern = np.array(r, dtype=np.int8).tobytes(), np.array(w, dtype=np.int8).tobytes()
+    i = text.find(pattern, lo0 + 1, hi0)  # occurrences lie within columns lo0+1..hi0-1
+    while i >= 0:
+        s, t = i - 1, i + len(w)
+        while s > lo0 and t < hi0 and r[s] == -r[t]:
+            s, t = s - 1, t + 1
+        if r[s] != -r[t]:
+            return s, t
+        i = text.find(pattern, i + 1, hi0)
+    return None
+
+
+def assert_first_patterns(mat, w, lo0, hi0):
+    """_first_patterns on the whole matrix equals the per-row reference; returns its result."""
+    rows, si, ti = tz._first_patterns(mat, w, lo0, hi0)
+    found = [(i, first_pattern_reference(r, w, lo0, hi0)) for i, r in enumerate(mat.tolist())]
+    expected = [(i, *p) for i, p in found if p is not None]
+    assert list(zip(rows.tolist(), si.tolist(), ti.tolist())) == expected
+    return rows.tolist(), si.tolist(), ti.tolist()
+
+
+class TestFirstPatterns:
+    # w = ab; rows of width 16, window columns 0..15
+    ROWS = [
+        (1, 1, 2, -1, 2, 1, 2, 2) + (2,) * 8,    # first occurrence cancels at the window start
+        (2,) * 16,                                 # no occurrence
+        (1, 1, 2, -1) + (2,) * 12,                 # its only occurrence is invalid
+        (2, 1, 2) + (2,) * 13,                     # valid first occurrence
+        # two occurrences grown to the window start, then a valid one
+        (1, 1, 2, -1, -2, 1, 2, 2, 1, -2, -1, -1, 2, 1, 2, 2),
+        (2,) * 12 + (1, 1, 2, -1),                 # grown to the window end, cancelling
+    ]
+
+    def test_first_occurrence_invalid_then_valid(self):
+        mat = np.array(self.ROWS, dtype=np.int8)
+        assert assert_first_patterns(mat, W("ab"), 0, 15) == ([0, 3, 4], [4, 0, 12], [7, 3, 15])
+
+    def test_window_right_of_column_zero(self):
+        # the prefix holds occurrences of w and letters that would extend the
+        # rows' conjugators past the window start; neither counts
+        prefix = np.array([[1, 2, -2]] * len(self.ROWS), dtype=np.int8)
+        mat = np.hstack([prefix, np.array(self.ROWS, dtype=np.int8)])
+        assert assert_first_patterns(mat, W("ab"), 3, 18) == ([0, 3, 4], [7, 3, 15], [10, 6, 18])
+
+    def test_window_of_many_candidate_columns(self):
+        # k=3, m=2: the planted-rate window, columns 1..5832 of 5833, with w =
+        # (ab)^3 starting at every column near each multiple of 64 candidates
+        w = (1, 2) * 3
+        size = tz.TrivializerConfig(m=2, ell=3, k=3).block_size
+        lo0, hi0 = 1, size
+        ncand = hi0 - len(w) - lo0
+        starts = sorted({c for e in range(0, ncand + 64, 64)
+                         for c in range(e - len(w) - 1, e + 2) if 0 <= c < ncand})
+        rows = []
+        for c in starts:
+            r = [2] * (size + 1)
+            r[lo0 + 1 + c : lo0 + 1 + c + len(w)] = w
+            rows.append(r)
+        # an invalid occurrence at the window start, then a valid one far right
+        r = [2] * (size + 1)
+        r[1], r[2:8], r[8] = 1, w, -1
+        r[4000:4006] = w
+        rows += [r, [2] * (size + 1)]
+        mat = np.array(rows, dtype=np.int8)
+        got_rows, si, ti = assert_first_patterns(mat, w, lo0, hi0)
+        assert got_rows == list(range(len(starts) + 1))
+        assert si == [lo0 + c for c in starts] + [3999]
+        assert ti == [lo0 + c + len(w) + 1 for c in starts] + [4006]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_row_reference(self, data):
+        # many rows, with copies of c d w d^-1 c^-1 planted near both window
+        # edges, so first occurrences are often invalid and later ones valid
+        m = data.draw(st.integers(2, 3))
+        letter = st.integers(-m, m).filter(bool)
+        w = free_reduce(data.draw(st.lists(letter, min_size=2, max_size=4)))
+        assume(len(w) >= 2)
+        width = data.draw(st.integers(len(w) + 2, 80))
+        lo0 = data.draw(st.integers(0, width - len(w) - 2))
+        hi0 = data.draw(st.integers(lo0 + len(w) + 1, width - 1))
+        n = data.draw(st.integers(1, 12))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        mat = words.sample_relator_matrix(m, width, n, RandomSource(seed))
+        for i in range(n):
+            for _ in range(data.draw(st.integers(0, 4))):
+                d = free_reduce(data.draw(st.lists(letter, max_size=3)))
+                plant = np.array(d + w + invert(d), dtype=np.int8)
+                if len(plant) > width:
+                    continue
+                at = data.draw(st.one_of(st.integers(lo0 - 2, lo0 + 2),
+                                         st.integers(0, width - 1),
+                                         st.integers(hi0 - len(plant) - 2, hi0)))
+                at = min(max(at, 0), width - len(plant))
+                if at >= 1 and data.draw(st.booleans()):
+                    mat[i, at - 1] = -mat[i, at + len(plant)] if at + len(plant) < width else 1
+                mat[i, at : at + len(plant)] = plant
+        assert_first_patterns(mat, w, lo0, hi0)
+
+
 class TestReduceRelator:
     def test_short_relator_untouched(self):
         cfg = tz.TrivializerConfig(m=2, ell=20, k=1)

@@ -48,6 +48,8 @@ from .words import (
 from .rng import RandomSource
 
 RESERVED_PREFIX = 2
+#: Candidate columns of the occurrence mask that _first_patterns builds at once.
+SCAN_CHUNK = 256
 #: Letters per block of rows the abelianization guard bins at once.
 EXPONENT_BLOCK_LETTERS = 1 << 18
 
@@ -409,28 +411,48 @@ def _first_patterns(mat: np.ndarray, w: Word, lo0: int, hi0: int):
     around it cancel and the window allows; the occurrence is valid when the
     flanks it stops at do not cancel.  Returns (rows, si, ti): the ascending
     rows holding a valid pattern and the columns of its flanks.
+
+    The candidate columns are scanned SCAN_CHUNK at a time, left to right, for
+    the rows with no valid pattern yet.  In a chunk each such row's first
+    occurrence is checked, and a row whose occurrence is invalid is checked
+    again at its next one, with that occurrence cleared.
     """
     W = len(w)
     ncand = max(0, hi0 - W - lo0)
-    occ = mat[:, lo0 + 1 : lo0 + 1 + ncand] == w[0]
-    for j in range(1, W):
-        occ &= mat[:, lo0 + 1 + j : lo0 + 1 + j + ncand] == w[j]
-    rows, si = np.nonzero(occ)
-    si += lo0
-    ti = si + W + 1
-    growing = np.arange(len(rows))
-    while growing.size:
-        s, t = si[growing], ti[growing]
-        growing = growing[(s > lo0) & (t < hi0)
-                          & (mat[rows[growing], s] == -mat[rows[growing], t])]
-        si[growing] -= 1
-        ti[growing] += 1
-    valid = mat[rows, si] != -mat[rows, ti]
-    rows, si, ti = rows[valid], si[valid], ti[valid]
-    # nonzero lists each row's occurrences left to right
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    return rows[first], si[first], ti[first]
+    flanks = np.full((2, len(mat)), -1, dtype=np.intp)
+    live = np.arange(len(mat))  # the rows with no valid pattern yet
+    for c0 in range(0, ncand, SCAN_CHUNK):
+        n = min(SCAN_CHUNK, ncand - c0)
+        a = lo0 + 1 + c0  # the chunk's first candidate column
+        # while every row is live, compare a view of the matrix, not a copy
+        cols = slice(a, a + n + W - 1)
+        letters = mat[:, cols] if len(live) == len(mat) else mat[live, cols]
+        occ = letters[:, :n] == w[0]
+        for j in range(1, W):
+            occ &= letters[:, j : j + n] == w[j]
+        first = occ.argmax(axis=1)
+        todo = np.flatnonzero(occ[np.arange(len(live)), first])
+        while todo.size:
+            rows, si = live[todo], a - 1 + first[todo]
+            ti = si + W + 1
+            growing = np.arange(len(rows))
+            while growing.size:
+                s, t = si[growing], ti[growing]
+                growing = growing[(s > lo0) & (t < hi0)
+                                  & (mat[rows[growing], s] == -mat[rows[growing], t])]
+                si[growing] -= 1
+                ti[growing] += 1
+            valid = mat[rows, si] != -mat[rows, ti]
+            flanks[:, rows[valid]] = si[valid], ti[valid]
+            todo = todo[~valid]
+            occ[todo, first[todo]] = False
+            first[todo] = occ[todo].argmax(axis=1)
+            todo = todo[occ[todo, first[todo]]]
+        live = live[flanks[0, live] < 0]
+        if not live.size:
+            break
+    rows = np.flatnonzero(flanks[0] >= 0)
+    return rows, flanks[0, rows], flanks[1, rows]
 
 
 def _hits(mat: np.ndarray, w: Word, cfg: TrivializerConfig):
@@ -443,7 +465,9 @@ def _hits(mat: np.ndarray, w: Word, cfg: TrivializerConfig):
     for j in range(cfg.block_count_for(mat.shape[1])):
         lo0 = RESERVED_PREFIX + j * size
         hosts = np.flatnonzero(mat[:, lo0 + size - 1])  # the rows holding block j
-        rows, si, ti = _first_patterns(mat[hosts], w, lo0, lo0 + size - 1)
+        # when every row holds the block, scan the matrix itself, not a copy
+        rows, si, ti = _first_patterns(mat if len(hosts) == len(mat) else mat[hosts],
+                                       w, lo0, lo0 + size - 1)
         found.append((hosts[rows], si, ti))
     rows, si, ti = map(np.concatenate, zip(*found))
     order = np.argsort(rows, kind="stable")  # blocks were scanned left to right
@@ -465,10 +489,12 @@ def _records(u: Word, si: list, ti: list, W: int) -> list:
 
 def _excise_rows(mat: np.ndarray, at: np.ndarray, si: np.ndarray, ti: np.ndarray):
     """Rows of mat less the letters between the flanks of each hit h, in row at[h]."""
-    cut = np.zeros(mat.shape, dtype=np.int8)
-    cut[at, si + 1] = 1
-    cut[at, ti] = -1
-    keep = np.cumsum(cut, axis=1, dtype=np.int8) == 0
+    span = ti - si - 1  # the letters of each hit's d w d^-1
+    keep = np.ones(mat.size, dtype=bool)
+    # the flat indices of those letters: each hit's span from the letter after its s
+    keep[np.repeat(at * mat.shape[1] + si + 1 - (np.cumsum(span) - span), span)
+         + np.arange(span.sum())] = False
+    keep = keep.reshape(mat.shape)
     out = np.zeros_like(mat)
     out[np.arange(mat.shape[1]) < keep.sum(axis=1)[:, None]] = mat[keep]  # in row order
     return out
@@ -595,9 +621,9 @@ class _DeferredRound:
     prior step.  Row p's slots are base[p]..ends[p]-1.
     """
 
-    def __init__(self, start, mat, rows, si, ti, cur_ref: dict, w_ref: int, w_len: int):
+    def __init__(self, start, mat, rows, si, ti, cur_ref: np.ndarray, w_ref: int, w_len: int):
         self.rows, self.first, counts = np.unique(rows, return_index=True, return_counts=True)
-        self.prior = np.array([cur_ref.get(i, -1) for i in self.rows.tolist()])
+        self.prior = cur_ref[self.rows]
         self.ends = start + np.cumsum(counts + (self.prior < 0))
         self.base = self.ends - counts - (self.prior < 0)
         self.words = mat[self.rows]  # the changed rows as the round found them
@@ -679,14 +705,14 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
 
     # a reduction-stage slot holds its round until a certificate needs the step
     deriv: list[Union[Step, _DeferredRound]] = []
-    # the step holding each relator's current word
-    cur_ref: dict[int, int] = {}
+    # the step holding each relator's current word, -1 before its first step
+    cur_ref = np.full(len(R), -1, dtype=np.int32)
 
     def ref_of(i: int) -> int:
-        if i not in cur_ref:
+        if cur_ref[i] < 0:
             deriv.append(RelatorStep(i, R.relator(i)))
             cur_ref[i] = len(deriv) - 1
-        return cur_ref[i]
+        return int(cur_ref[i])
 
     # each symbol's class label; a union relabels every member of one class
     label = {x: x for x in range(-m, m + 1) if x}
@@ -717,7 +743,7 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             if len(rows):
                 rd = _DeferredRound(len(deriv), cur, rows, si, ti, cur_ref, len(deriv) - 1, len(w))
                 deriv.extend([rd] * (int(rd.ends[-1]) - len(deriv)))
-                cur_ref.update(zip(rd.rows.tolist(), (rd.ends - 1).tolist()))
+                cur_ref[rd.rows] = rd.ends - 1
                 cur = cur.copy()
                 cur[rd.rows] = _excise_rows(rd.words, np.searchsorted(rd.rows, rows), si, ti)
                 groups.clear()

@@ -362,9 +362,11 @@ def _group_tails(mat: np.ndarray, start: int) -> list:
     mat is a zero-padded relator matrix and start >= 1; rows shorter than
     start letters take no part.  Each group is an ascending row list; groups
     are ordered by their first row.  Of the rows with a letter at position
-    start, those whose tail key repeats are sorted by tail, and runs of equal
+    start, those whose tail key repeats are sorted by key, and runs of equal
     adjacent sorted tails are the groups (zero-padded tails are equal only
-    when the words' tails are), so a key collision costs time, never a group.
+    when the words' tails are).  When a run of equal keys holds tails that
+    differ, they are sorted by tail instead, so a key collision costs time,
+    never a group.
     """
     if start > mat.shape[1]:
         return []
@@ -374,13 +376,20 @@ def _group_tails(mat: np.ndarray, start: int) -> list:
     keys = _tail_keys(tails)
     ordered = np.sort(keys)
     repeats = np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])
-    rows, tails = rows[repeats], tails[repeats]
+    rows, tails, keys = rows[repeats], tails[repeats], keys[repeats]
     n = len(rows)
-    # lexsort is stable, so each run lists its rows in ascending order
-    order = np.lexsort(tails.T[::-1]) if tails.shape[1] else np.arange(n)
-    ordered = tails[order]
+
+    def differ(order):  # where adjacent tails in this order differ
+        ordered = tails[order]
+        return (ordered[1:] != ordered[:-1]).any(axis=1)
+
+    # both sorts are stable, so each run lists its rows in ascending order
+    order = np.argsort(keys, kind="stable")
     new_run = np.ones(n + 1, dtype=bool)
-    new_run[1:n] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    new_run[1:n] = differ(order)
+    if (new_run[1:n] & (keys[order][1:] == keys[order][:-1])).any():
+        order = np.lexsort(tails.T[::-1])
+        new_run[1:n] = differ(order)
     bounds = np.flatnonzero(new_run)
     starts, ends = bounds[:-1], bounds[1:]
     big = ends - starts >= 2

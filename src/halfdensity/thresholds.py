@@ -266,6 +266,14 @@ def spade_condition(k_fn: GrowthExpr, ell_grid: list, m: int = 2) -> ConditionRe
     symbolic = None
     verdict = VERDICT_INDETERMINATE
     detail: dict = {}
+    trace = []
+    ln_base = math.log(base)
+    for ell in ell_grid:
+        k_val = k_fn.evaluate(ell, m)
+        if k_val <= -1:
+            raise ValueError(f"k({ell}) = {k_val} must be above -1")
+        log_b = math.log(max(ell - 2, 1)) - math.log(2 * k_val + 2) - 2 * k_val * ln_base
+        trace.append((ell, math.exp(log_b) if log_b < 700 else float("inf")))
     two_k = k_fn.scale(2)
     growing = [(key, c) for key, c in two_k.terms.items() if key[0] > 0 and c > 0]
     expo = _exp_base(two_k, m)
@@ -285,13 +293,6 @@ def spade_condition(k_fn: GrowthExpr, ell_grid: list, m: int = 2) -> ConditionRe
         # exponent has a positive power of ell: denominator outgrows
         # every polynomial, so the block count collapses to zero
         verdict = VERDICT_TO_ZERO
-
-    trace = []
-    ln_base = math.log(base)
-    for ell in ell_grid:
-        k_val = k_fn.evaluate(ell, m)
-        log_b = math.log(max(ell - 2, 1)) - math.log(2 * k_val + 2) - 2 * k_val * ln_base
-        trace.append((ell, math.exp(log_b) if log_b < 700 else float("inf")))
     if verdict == VERDICT_INDETERMINATE:
         detail["heuristic"] = heuristic_verdict(trace)
     return ConditionReport("spade", verdict, symbolic, trace, detail)

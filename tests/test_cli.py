@@ -293,6 +293,20 @@ class TestConditionsAndPhaseMap:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("k_expr, value", [
+        ("const:-2", "-2.0"),
+        ("const:-1", "-1.0"),  # 2k + 2 = 0: the block count has no symbolic form either
+        ("family:alpha=0,beta=1,c0=-1", "-6.309297535714574"),
+    ])
+    def test_spade_rejects_k_not_above_minus_one(self, k_expr, value, tmp_path, capsys,
+                                                 monkeypatch):
+        out = tmp_path / "x.csv"
+        argv = ["conditions", "--which", "spade", "--k-expr", k_expr, "--ell-grid", "1024",
+                "--out", str(out)]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == f"error: k(1024) = {value} must be above -1\n"
+        assert not out.exists()
+
     def test_expression_the_condition_does_not_read_stays_unparsed(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         run_ok(["conditions", "--which", "spade", "--k-expr", "threshold-k",

@@ -113,6 +113,11 @@ def parse_grid_range(spec: str) -> list:
         raise CliError(f"malformed grid range {spec!r}; expected start:stop:step") from None
 
 
+#: The params keys _model_recorded writes, under any of --density, --f-expr and --num.
+_MODEL_KEYS = frozenset({"m", "ell", "num", "density", "f", "num_spec", "density_arg",
+                         "f_expr", "f_value"})
+
+
 def _model_recorded(args) -> dict:
     """Materialize ModelParams from --density/--f-expr/--num into a recorded dict."""
     chosen = [n for n in ("density", "f_expr", "num") if getattr(args, n) is not None]
@@ -490,17 +495,43 @@ def _merge_dash_values(argv: list) -> list:
 _RUN_ONLY = ("subcommand", "seed", "out", "threads", "log")
 
 
+def _recorded_keys(parser: argparse.ArgumentParser, sub: str) -> set:
+    """Every params key run records for subcommand sub, whatever its options.
+
+    sample and trivialize record their materialized model; the others record
+    their parsed options (for diagrams, those of every diagram command) less
+    the run-only ones.
+    """
+    if sub in ("sample", "trivialize"):
+        return _MODEL_KEYS | {"max_letters"} | ({"k", "max_rounds"} if sub == "trivialize"
+                                                else set())
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    keys, todo = set(), [subcommands.choices[sub]]
+    while todo:
+        for action in todo.pop()._actions:
+            keys.add(action.dest)
+            if isinstance(action, argparse._SubParsersAction):
+                todo += action.choices.values()
+    return keys - set(_RUN_ONLY) - {"help"}
+
+
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_dash_values(list(argv)))
+    parser = build_parser()
+    args = parser.parse_args(_merge_dash_values(list(argv)))
     sub = args.subcommand
 
     if sub == "rerun":
         man = RunManifest.read(args.manifest)
         if man.subcommand not in _EXECUTORS:
             raise CliError(f"manifest has unknown subcommand {man.subcommand!r}")
+        if isinstance(man.params, dict):
+            unknown = sorted(set(man.params) - _recorded_keys(parser, man.subcommand))
+            if unknown:
+                raise CliError(f"manifest {args.manifest} has params that "
+                               f"{man.subcommand} never records: {', '.join(unknown)}")
         threads = man.threads if args.threads is None else args.threads
         try:
             return _run(man.subcommand, man.params, man.seed, args.out, threads=threads)

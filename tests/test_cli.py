@@ -152,6 +152,46 @@ class TestRerunRejectsMalformedManifest:
         assert err.startswith(f"error: manifest {path} has malformed params")
         assert not again.exists() and not (tmp_path / "again.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("extra", [{"bogus": "x"}, {"block_count": 99, "block_size": 36}],
+                             ids=["bogus", "block-geometry"])
+    def test_params_key_the_subcommand_never_records(self, extra, tmp_path, capsys,
+                                                     monkeypatch):
+        out = tmp_path / "v.json"
+        run_ok(["trivialize", "--m", "2", "--ell", "10", "--num", "5", "--seed", "1",
+                "--out", str(out)])
+        man = json.loads((tmp_path / "v.json.manifest.json").read_text())
+        man["params"].update(extra)
+        man["digest"] = manifest_digest(man["subcommand"], man["params"], man["seed"])
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(man))
+        capsys.readouterr()
+        again = tmp_path / "again.json"
+        argv = ["rerun", "--manifest", str(path), "--out", str(again)]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == (f"error: manifest {path} has params that trivialize "
+                                           f"never records: {', '.join(sorted(extra))}\n")
+        assert not again.exists() and not (tmp_path / "again.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--m", "2", "--ell", "10", "--num", "5", "--seed", "1"],
+        ["trivialize", "--m", "2", "--ell", "10", "--density", "0.5", "--seed", "1"],
+        ["trivialize", "--m", "2", "--ell", "16", "--f-expr", "zero", "--seed", "1"],
+        ["verify-dist", "--m", "2", "--n", "4", "--samples", "100", "--seed", "1"],
+        ["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "100", "--seed", "1"],
+        ["diagrams", "tutte", "--n", "2"],
+        ["diagrams", "fulfill", "--faces", "2", "--boundary", "4", "--ell", "8",
+         "--density", "0.3"],
+        ["conditions", "--which", "star", "--k-expr", "threshold-k", "--f-expr", "zero",
+         "--ell-grid", "1024"],
+        ["phase-map", "--alpha", "0:1:0.5", "--beta", "0:1:0.5"],
+    ], ids=["sample", "trivialize-density", "trivialize-f-expr", "verify-dist", "pigeonhole",
+            "diagrams-tutte", "diagrams-fulfill", "conditions", "phase-map"])
+    def test_every_recorded_key_reruns(self, argv, tmp_path, capsys):
+        out, again = tmp_path / "first.out", tmp_path / "again.out"
+        run_ok([*argv, "--out", str(out)])
+        run_ok(["rerun", "--manifest", f"{out}.manifest.json", "--out", str(again)])
+        assert again.read_bytes() == out.read_bytes()
+
 
 class TestTrivializeOutput:
     def test_verdict_schema(self, tmp_path, capsys):

@@ -4,16 +4,17 @@
 Each mutant replaces one piece of source text, which must occur exactly once,
 in a temporary copy of src/ and tests/, then runs its test files there without
 their hypothesis searches (-m "not hypothesis"), so that only fixed cases can
-kill it.  The mutant is killed when those tests fail, and survives when they
-pass.  This is not part of Tier-1, since each mutant costs a run of its test
-files; CI runs it as a step of its own.
+kill it.  The mutant is killed when those tests fail or run past TIMEOUT_S (a
+mutant can loop forever), and survives when they pass.  This is not part of
+Tier-1, since each mutant costs a run of its test files; CI runs it as a step
+of its own.
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py NAME ...   # the named ones
 
 The unmutated copy must pass the chosen mutants' test files first (else exit
-2).  Prints one line per mutant and a killed/survived count; exits 1 if any
-mutant survived.
+2).  Prints one line per mutant, "killed (timeout)" for one stopped at the
+timeout, and a killed/survived count; exits 1 if any mutant survived.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Seconds one run of a mutant's test files may take; unmutated, all of them run in
+#: about 12 s on a 2-core host.
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -51,9 +55,19 @@ MUTANTS = [
     Mutant("oracle-outer-sign", "src/halfdensity/pigeonhole.py",
            "    g[odd] *= -1\n", "",
            ("tests/test_pigeonhole.py",)),
-    # the reduction stage excises each hit's left flank s along with d w d^-1
-    Mutant("excise-left-flank", "src/halfdensity/trivializer.py",
-           "    cut[at, si + 1] = 1\n", "    cut[at, si] = 1\n",
+    # the reduction stage excises each hit's right flank t along with d w d^-1
+    Mutant("excise-right-flank", "src/halfdensity/trivializer.py",
+           "    span = ti - si - 1  #", "    span = ti - si  #",
+           ("tests/test_trivializer.py",)),
+    # the pattern scan drops a row whose first occurrence in a chunk is invalid
+    # instead of checking its next occurrence
+    Mutant("scan-drops-invalid-first", "src/halfdensity/trivializer.py",
+           "            todo = todo[~valid]\n", "            todo = todo[:0]\n",
+           ("tests/test_trivializer.py",)),
+    # each chunk of the pattern scan compares one candidate column too few
+    Mutant("scan-chunk-one-short", "src/halfdensity/trivializer.py",
+           "        n = min(SCAN_CHUNK, ncand - c0)\n",
+           "        n = min(SCAN_CHUNK, ncand - c0) - 1\n",
            ("tests/test_trivializer.py",)),
     # a first-time host's first reduction cites no step instead of its RelatorStep
     Mutant("deferred-first-reduction-ref", "src/halfdensity/trivializer.py",
@@ -64,6 +78,11 @@ MUTANTS = [
     Mutant("group-tails-run-split", "src/halfdensity/trivializer.py",
            "(ordered[1:] != ordered[:-1]).any(axis=1)",
            "(ordered[1:] != ordered[:-1]).all(axis=1)",
+           ("tests/test_trivializer.py",)),
+    # tail grouping trusts equal keys, never sorting colliding tails exactly
+    Mutant("group-tails-key-fallback", "src/halfdensity/trivializer.py",
+           "    if (new_run[1:n] & (keys[order][1:] == keys[order][:-1])).any():\n",
+           "    if False:\n",
            ("tests/test_trivializer.py",)),
     # the guard's echelon basis keeps its old pivot row after a Euclid step
     Mutant("add-rows-keeps-old-pivot", "src/halfdensity/trivializer.py",
@@ -84,8 +103,8 @@ MUTANTS = [
 ]
 
 
-def tests_fail(mutant: Mutant) -> bool:
-    """True when the mutant's tests fail on a copy with its one replacement made."""
+def run_tests(mutant: Mutant) -> str:
+    """"passed", "failed" or "timeout": the mutant's tests on a copy with its one replacement made."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
         for part in ("src", "tests", "pyproject.toml"):
@@ -97,13 +116,16 @@ def tests_fail(mutant: Mutant) -> bool:
             raise SystemExit(f"{mutant.name}: text to replace occurs "
                              f"{text.count(mutant.old)} times in {mutant.path}, not once")
         target.write_text(text.replace(mutant.old, mutant.new))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "-m", "not hypothesis", *mutant.tests],
-            cwd=tmp, env={**os.environ, "PYTHONPATH": str(tmp / "src")},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        return result.returncode != 0
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "-m", "not hypothesis", *mutant.tests],
+                cwd=tmp, env={**os.environ, "PYTHONPATH": str(tmp / "src")},
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "timeout"
+        return "failed" if result.returncode else "passed"
 
 
 def main() -> int:
@@ -116,14 +138,16 @@ def main() -> int:
         parser.error(f"unknown mutant(s) {unknown}; known: {sorted(known)}")
     chosen = [known[n] for n in args.names] or MUTANTS
     tests = tuple(sorted({t for m in chosen for t in m.tests}))
-    if tests_fail(Mutant("unmutated", chosen[0].path, chosen[0].old, chosen[0].old, tests)):
+    if run_tests(Mutant("unmutated", chosen[0].path, chosen[0].old, chosen[0].old,
+                        tests)) != "passed":
         print(f"the unmutated copy fails {' '.join(tests)}; no mutant can be judged")
         return 2
     killed = 0
+    label = {"passed": "SURVIVED", "failed": "killed  ", "timeout": "killed (timeout)"}
     for mutant in chosen:
-        dead = tests_fail(mutant)
-        killed += dead
-        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.name}", flush=True)
+        outcome = run_tests(mutant)
+        killed += outcome != "passed"
+        print(f"{label[outcome]} {mutant.name}", flush=True)
     print(f"{killed} killed, {len(chosen) - killed} survived")
     return 0 if killed == len(chosen) else 1
 

@@ -383,8 +383,9 @@ def _group_tails(mat: np.ndarray, start: int) -> list:
         ordered = tails[order]
         return (ordered[1:] != ordered[:-1]).any(axis=1)
 
-    # both sorts are stable, so each run lists its rows in ascending order
-    order = np.argsort(keys, kind="stable")
+    # lexsort is stable, so each run lists its rows in ascending order; it sorts
+    # by the keys' 8 bytes as int8 columns, the same kind of pass as by tails
+    order = np.lexsort(keys.view(np.int8).reshape(n, 8).T)
     new_run = np.ones(n + 1, dtype=bool)
     new_run[1:n] = differ(order)
     if (new_run[1:n] & (keys[order][1:] == keys[order][:-1])).any():
@@ -627,12 +628,13 @@ class _DeferredRound:
     The changed rows take derivation slots from start on, in ascending order:
     a RelatorStep first when the row has no step yet (prior -1), then one
     ReductionStep per hit of the row, the first of which cites the row's
-    prior step.  Row p's slots are base[p]..ends[p]-1.
+    prior step.  Row p's slots are base[p]..ends[p]-1.  cur_ref holds one more
+    than each relator's current step, 0 when it has none.
     """
 
     def __init__(self, start, mat, rows, si, ti, cur_ref: np.ndarray, w_ref: int, w_len: int):
         self.rows, self.first, counts = np.unique(rows, return_index=True, return_counts=True)
-        self.prior = cur_ref[self.rows]
+        self.prior = cur_ref[self.rows] - 1
         self.ends = start + np.cumsum(counts + (self.prior < 0))
         self.base = self.ends - counts - (self.prior < 0)
         self.words = mat[self.rows]  # the changed rows as the round found them
@@ -714,14 +716,15 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
 
     # a reduction-stage slot holds its round until a certificate needs the step
     deriv: list[Union[Step, _DeferredRound]] = []
-    # the step holding each relator's current word, -1 before its first step
-    cur_ref = np.full(len(R), -1, dtype=np.int32)
+    # one more than the step holding each relator's current word, 0 before its
+    # first step; zeros leave the pages of relators never cited unwritten
+    cur_ref = np.zeros(len(R), dtype=np.int32)
 
     def ref_of(i: int) -> int:
-        if cur_ref[i] < 0:
+        if not cur_ref[i]:
             deriv.append(RelatorStep(i, R.relator(i)))
-            cur_ref[i] = len(deriv) - 1
-        return int(cur_ref[i])
+            cur_ref[i] = len(deriv)
+        return int(cur_ref[i]) - 1
 
     # each symbol's class label; a union relabels every member of one class
     label = {x: x for x in range(-m, m + 1) if x}
@@ -752,7 +755,7 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             if len(rows):
                 rd = _DeferredRound(len(deriv), cur, rows, si, ti, cur_ref, len(deriv) - 1, len(w))
                 deriv.extend([rd] * (int(rd.ends[-1]) - len(deriv)))
-                cur_ref[rd.rows] = rd.ends - 1
+                cur_ref[rd.rows] = rd.ends
                 cur = cur.copy()
                 cur[rd.rows] = _excise_rows(rd.words, np.searchsorted(rd.rows, rows), si, ti)
                 groups.clear()

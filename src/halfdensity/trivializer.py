@@ -628,13 +628,12 @@ class _DeferredRound:
     The changed rows take derivation slots from start on, in ascending order:
     a RelatorStep first when the row has no step yet (prior -1), then one
     ReductionStep per hit of the row, the first of which cites the row's
-    prior step.  Row p's slots are base[p]..ends[p]-1.  cur_ref holds one more
-    than each relator's current step, 0 when it has none.
+    prior step.  Row p's slots are base[p]..ends[p]-1.
     """
 
-    def __init__(self, start, mat, rows, si, ti, cur_ref: np.ndarray, w_ref: int, w_len: int):
+    def __init__(self, start, mat, rows, si, ti, cur_ref: dict, w_ref: int, w_len: int):
         self.rows, self.first, counts = np.unique(rows, return_index=True, return_counts=True)
-        self.prior = cur_ref[self.rows] - 1
+        self.prior = np.array([cur_ref.get(i, -1) for i in self.rows.tolist()])
         self.ends = start + np.cumsum(counts + (self.prior < 0))
         self.base = self.ends - counts - (self.prior < 0)
         self.words = mat[self.rows]  # the changed rows as the round found them
@@ -716,15 +715,14 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
 
     # a reduction-stage slot holds its round until a certificate needs the step
     deriv: list[Union[Step, _DeferredRound]] = []
-    # one more than the step holding each relator's current word, 0 before its
-    # first step; zeros leave the pages of relators never cited unwritten
-    cur_ref = np.zeros(len(R), dtype=np.int32)
+    # the step holding each relator's current word
+    cur_ref: dict[int, int] = {}
 
     def ref_of(i: int) -> int:
-        if not cur_ref[i]:
+        if i not in cur_ref:
             deriv.append(RelatorStep(i, R.relator(i)))
-            cur_ref[i] = len(deriv)
-        return int(cur_ref[i]) - 1
+            cur_ref[i] = len(deriv) - 1
+        return cur_ref[i]
 
     # each symbol's class label; a union relabels every member of one class
     label = {x: x for x in range(-m, m + 1) if x}
@@ -755,7 +753,7 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             if len(rows):
                 rd = _DeferredRound(len(deriv), cur, rows, si, ti, cur_ref, len(deriv) - 1, len(w))
                 deriv.extend([rd] * (int(rd.ends[-1]) - len(deriv)))
-                cur_ref[rd.rows] = rd.ends
+                cur_ref.update(zip(rd.rows.tolist(), (rd.ends - 1).tolist()))
                 cur = cur.copy()
                 cur[rd.rows] = _excise_rows(rd.words, np.searchsorted(rd.rows, rows), si, ti)
                 groups.clear()

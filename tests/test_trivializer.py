@@ -371,6 +371,42 @@ class TestFirstPatterns:
         assert_first_patterns(mat, w, lo0, hi0)
 
 
+def hits_reference(mat, w, cfg):
+    """_hits as first_pattern_reference on each block that a row holds in full."""
+    found = []
+    for i, r in enumerate(mat.tolist()):
+        for j in range(cfg.block_count_for(np.count_nonzero(r))):
+            lo0 = tz.RESERVED_PREFIX + j * cfg.block_size
+            p = first_pattern_reference(r, w, lo0, lo0 + cfg.block_size - 1)
+            if p is not None:
+                found.append((i, *p))
+    return found
+
+
+class TestHits:
+    def test_matches_per_block_reference(self):
+        # m=2, k=1, blocks of 36: zero-padded rows holding 0..3 blocks, some
+        # ending part-way into a block, with d w d^-1 planted at shifts around
+        # every block edge that the row reaches
+        cfg = tz.TrivializerConfig(m=2, ell=120, k=1)
+        w, plant = W("ab"), W("aabA")
+        lengths = [20, 37, 38, 55, 73, 74, 90, 109, 110, 120]
+        shifts = [-len(plant) - 1, -len(plant), -2, -1, 0, 1, 2]
+        mat = np.zeros((len(lengths) * len(shifts), max(lengths)), dtype=np.int8)
+        for i, (length, shift) in enumerate(itertools.product(lengths, shifts)):
+            mat[i, :length] = words.sample_relator_matrix(2, length, 1, RandomSource(i))[0]
+            for j in range(4):
+                at = tz.RESERVED_PREFIX + j * cfg.block_size + shift
+                if 0 <= at <= length - len(plant):
+                    mat[i, at : at + len(plant)] = plant
+        rows, si, ti = tz._hits(mat, w, cfg)
+        expected = hits_reference(mat, w, cfg)
+        assert list(zip(rows.tolist(), si.tolist(), ti.tolist())) == expected
+        assert {(s - tz.RESERVED_PREFIX) // cfg.block_size for _, s, _ in expected} == {0, 1, 2}
+        # a matrix too narrow to hold a block has no hits
+        assert len(tz._hits(mat[:, :cfg.block_size + 1], w, cfg)[0]) == 0
+
+
 class TestReduceRelator:
     def test_short_relator_untouched(self):
         cfg = tz.TrivializerConfig(m=2, ell=20, k=1)

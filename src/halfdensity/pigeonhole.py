@@ -36,8 +36,10 @@ GUIDE_BUCKETS = 1 << 12
 #: Most uniform draws in one block of a chunk (and 8x as many box flags);
 #: this bounds a chunk's working memory.
 BLOCK_DRAWS = 1 << 17
-#: Most work of the exact oracle, past which it raises ResourceLimitError: its
-#: two transforms make (subset types) x n additions of about q z log2(D) bits.
+#: Most work of the exact oracle, past which it raises ResourceLimitError: per
+#: subset type, its two transforms make n additions of about N = q z log2(D)
+#: bits, and its powers count N (N / 2^11)^0.585 more, the growth of Karatsuba
+#: products (time ~ N^log2(3)) past CPython's cutoff of about 2^11 bits.
 EXACT_BUDGET = 1 << 32
 
 
@@ -137,9 +139,10 @@ def coincidence_exact(cfg: PigeonholeConfig) -> Fraction:
     D = math.lcm(*(Fraction(p).denominator for p in cfg.mu))
     classes = Counter(int(Fraction(p) * D) for p in cfg.mu)
     shape = tuple(c + 1 for c in classes.values())
-    work = math.prod(shape) * cfg.n * cfg.q * cfg.z * D.bit_length()
+    bits = cfg.q * cfg.z * D.bit_length()
+    work = math.prod(shape) * bits * (cfg.n + (bits / 2**11) ** 0.585)
     if work > EXACT_BUDGET:
-        raise ResourceLimitError(f"exact oracle needs {work} bit operations > {EXACT_BUDGET}")
+        raise ResourceLimitError(f"exact oracle needs {work:.3g} bit operations > {EXACT_BUDGET}")
     types = np.indices(shape, dtype=object)
     odd = types.sum(axis=0) % 2 == 1
     f = (D - sum(a * t for a, t in zip(classes, types))) ** cfg.z

@@ -118,6 +118,12 @@ class TestExact:
         with pytest.raises(ResourceLimitError):
             ph.coincidence_exact(ph.PigeonholeConfig.uniform(8000, 2, 5))
 
+    def test_budget_counts_large_powers(self):
+        # three subset types, but its powers multiply integers of 10^7 bits and more,
+        # which takes seconds: refused before any is made
+        with pytest.raises(ResourceLimitError):
+            ph.coincidence_exact(ph.PigeonholeConfig.uniform(2, 2, 10**7))
+
     @pytest.mark.parametrize("cfg", SMALL_CONFIGS)
     def test_matches_brute_force(self, cfg):
         assert ph.coincidence_exact(cfg) == brute_force_exact(cfg)

@@ -408,35 +408,34 @@ def _group_tails(mat: np.ndarray, start: int) -> list:
 # t_letter, result) of ReductionStep's fields after host and w_ref: the
 # segment d w d^-1 at one-based positions start..end of the host as it then
 # stands is excised between the non-cancelling flanks s and t, leaving result.
-# A pattern, flanks included, stays inside its block, so the patterns of all
-# blocks are found at once on the matrix rows, as 0-based flank columns (hits).
+# A pattern, flanks included, stays inside its block, so the blocks that the
+# rows hold are scanned at once as rows of their own (block rows); the hits
+# are the 0-based flank columns of the patterns found, mapped back to the rows.
 
 
-def _first_patterns(mat: np.ndarray, w: Word, lo0: int, hi0: int):
-    """The leftmost valid pattern s d w d^-1 t within columns lo0..hi0 of each row.
+def _first_patterns(mat: np.ndarray, w: Word):
+    """The leftmost valid pattern s d w d^-1 t in each row of mat.
 
-    Every row has letters in all of columns lo0..hi0; w is freely reduced of
-    length >= 2.  Occurrences of w start at columns lo0+1..hi0-|w|, so both
-    flanks have room.  The conjugator d is grown outward while the letters
-    around it cancel and the window allows; the occurrence is valid when the
-    flanks it stops at do not cancel.  Returns (rows, si, ti): the ascending
-    rows holding a valid pattern and the columns of its flanks.
+    Every row has letters in all columns; w is freely reduced of length >= 2.
+    Occurrences of w start at columns 1..width-|w|-1, so both flanks have
+    room.  The conjugator d is grown outward while the letters around it cancel
+    and the row allows; the occurrence is valid when the flanks it stops at do
+    not cancel.  Returns (rows, si, ti): the ascending rows holding a valid
+    pattern and the columns of its flanks.
 
     The candidate columns are scanned SCAN_CHUNK at a time, left to right, for
     the rows with no valid pattern yet.  In a chunk each such row's first
     occurrence is checked, and a row whose occurrence is invalid is checked
     again at its next one, with that occurrence cleared.
     """
-    W = len(w)
-    ncand = max(0, hi0 - W - lo0)
+    W, width = len(w), mat.shape[1]
+    ncand = max(0, width - W - 1)
     flanks = np.full((2, len(mat)), -1, dtype=np.intp)
     live = np.arange(len(mat))  # the rows with no valid pattern yet
     for c0 in range(0, ncand, SCAN_CHUNK):
         n = min(SCAN_CHUNK, ncand - c0)
-        a = lo0 + 1 + c0  # the chunk's first candidate column
-        # while every row is live, compare a view of the matrix, not a copy
-        cols = slice(a, a + n + W - 1)
-        letters = mat[:, cols] if len(live) == len(mat) else mat[live, cols]
+        a = 1 + c0  # the chunk's first candidate column
+        letters = mat[live, a : a + n + W - 1]
         occ = letters[:, :n] == w[0]
         for j in range(1, W):
             occ &= letters[:, j : j + n] == w[j]
@@ -448,7 +447,7 @@ def _first_patterns(mat: np.ndarray, w: Word, lo0: int, hi0: int):
             growing = np.arange(len(rows))
             while growing.size:
                 s, t = si[growing], ti[growing]
-                growing = growing[(s > lo0) & (t < hi0)
+                growing = growing[(s > 0) & (t < width - 1)
                                   & (mat[rows[growing], s] == -mat[rows[growing], t])]
                 si[growing] -= 1
                 ti[growing] += 1
@@ -466,22 +465,17 @@ def _first_patterns(mat: np.ndarray, w: Word, lo0: int, hi0: int):
 
 
 def _hits(mat: np.ndarray, w: Word, cfg: TrivializerConfig):
-    """The hits of one reduction pass over mat, found one block at a time on mat as given.
+    """The hits of one reduction pass over mat: one scan of the blocks its rows hold in full.
 
     Returns (rows, si, ti) sorted by row, then column: each hit's flank columns in mat.
     """
-    size = cfg.block_size
-    found = [(np.empty(0, dtype=np.intp),) * 3]
-    for j in range(cfg.block_count_for(mat.shape[1])):
-        lo0 = RESERVED_PREFIX + j * size
-        hosts = np.flatnonzero(mat[:, lo0 + size - 1])  # the rows holding block j
-        # when every row holds the block, scan the matrix itself, not a copy
-        rows, si, ti = _first_patterns(mat if len(hosts) == len(mat) else mat[hosts],
-                                       w, lo0, lo0 + size - 1)
-        found.append((hosts[rows], si, ti))
-    rows, si, ti = map(np.concatenate, zip(*found))
-    order = np.argsort(rows, kind="stable")  # blocks were scanned left to right
-    return rows[order], si[order], ti[order]
+    size, count = cfg.block_size, cfg.block_count_for(mat.shape[1])
+    blocks = mat[:, RESERVED_PREFIX : RESERVED_PREFIX + count * size].reshape(-1, size)
+    held = np.flatnonzero(blocks[:, -1])  # block row i is block i % count of row i // count
+    at, si, ti = _first_patterns(blocks[held], w)
+    rows, j = np.divmod(held[at], count)
+    offset = RESERVED_PREFIX + j * size
+    return rows, si + offset, ti + offset
 
 
 def _records(u: Word, si: list, ti: list, W: int) -> list:
@@ -628,11 +622,12 @@ class _DeferredRound:
     The changed rows take derivation slots from start on, in ascending order:
     a RelatorStep first when the row has no step yet (prior -1), then one
     ReductionStep per hit of the row, the first of which cites the row's
-    prior step.  Row p's slots are base[p]..ends[p]-1.
+    prior step.  Row p's slots are base[p]..ends[p]-1; hit h is in row at[h].
     """
 
     def __init__(self, start, mat, rows, si, ti, cur_ref: dict, w_ref: int, w_len: int):
-        self.rows, self.first, counts = np.unique(rows, return_index=True, return_counts=True)
+        self.rows, self.first, self.at, counts = np.unique(
+            rows, return_index=True, return_inverse=True, return_counts=True)
         self.prior = np.array([cur_ref.get(i, -1) for i in self.rows.tolist()])
         self.ends = start + np.cumsum(counts + (self.prior < 0))
         self.base = self.ends - counts - (self.prior < 0)
@@ -755,7 +750,7 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
                 deriv.extend([rd] * (int(rd.ends[-1]) - len(deriv)))
                 cur_ref.update(zip(rd.rows.tolist(), (rd.ends - 1).tolist()))
                 cur = cur.copy()
-                cur[rd.rows] = _excise_rows(rd.words, np.searchsorted(rd.rows, rows), si, ti)
+                cur[rd.rows] = _excise_rows(rd.words, rd.at, si, ti)
                 groups.clear()
             stats.letters_removed += int((ti - si - 1).sum())
             stats.reductions_applied += len(rows)
@@ -811,8 +806,7 @@ def planted_reduction_rate(k: int, m: int, blocks: int, rng: RandomSource) -> tu
     hits = 0
     for chunk_index, done in enumerate(range(0, blocks, 2048)):
         mat = sample_relator_matrix(m, size + 1, min(2048, blocks - done), rng.child(chunk_index))
-        # the block is columns 1..size; the pattern, flanks included, fits inside
-        hits += len(_first_patterns(mat, w, 1, size)[0])
+        hits += len(_first_patterns(mat[:, 1:], w)[0])  # the blocks, as block rows
     rate = hits / blocks
     stderr = math.sqrt(rate * (1.0 - rate) / blocks)
     return rate, stderr

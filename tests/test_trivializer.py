@@ -196,9 +196,10 @@ class TestGroupTails:
 
 def scan(r, w, search_from=1):
     """The reduction record of the leftmost pattern within positions search_from..|r|."""
-    rows, si, ti = tz._first_patterns(np.array([r], dtype=np.int8), w,
-                                      search_from - 1, len(r) - 1)
-    return tz._records(r, si.tolist(), ti.tolist(), len(w))[0] if len(rows) else None
+    lo0 = search_from - 1
+    rows, si, ti = tz._first_patterns(np.array([r[lo0:]], dtype=np.int8), w)
+    si, ti = (si + lo0).tolist(), (ti + lo0).tolist()
+    return tz._records(r, si, ti, len(w))[0] if len(rows) else None
 
 
 def reference_reduce(r, w, cfg):
@@ -284,8 +285,10 @@ def first_pattern_reference(r, w, lo0, hi0):
 
 
 def assert_first_patterns(mat, w, lo0, hi0):
-    """_first_patterns on the whole matrix equals the per-row reference; returns its result."""
-    rows, si, ti = tz._first_patterns(mat, w, lo0, hi0)
+    """_first_patterns on columns lo0..hi0 of the matrix equals the per-row reference; returns
+    its result, in the matrix's columns."""
+    rows, si, ti = tz._first_patterns(mat[:, lo0 : hi0 + 1], w)
+    si, ti = si + lo0, ti + lo0
     found = [(i, first_pattern_reference(r, w, lo0, hi0)) for i, r in enumerate(mat.tolist())]
     expected = [(i, *p) for i, p in found if p is not None]
     assert list(zip(rows.tolist(), si.tolist(), ti.tolist())) == expected

@@ -76,6 +76,8 @@ def choose_k(ell: int, m: int = 2) -> int:
     """Default head length: max(1, round((1/2) log ell - log log ell)), logs base 2m-1."""
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
     base = 2 * m - 1
     x = math.log(ell, base)
     return max(1, round(0.5 * x - math.log(x, base)))
@@ -705,6 +707,8 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     m = R.m
     if cfg is None:
         cfg = TrivializerConfig.for_params(m, max(R.max_length(), 2))
+    elif cfg.m != m:
+        raise ValueError(f"config is for m={cfg.m}, the presentation has m={m}")
     # the current words, zero-padded; a round that reduces a word works on a copy
     cur = R.matrix
 

@@ -59,6 +59,11 @@ class TestChooseK:
         with pytest.raises(ValueError):
             tz.choose_k(1, 2)
 
+    def test_requires_two_generators(self):
+        # log base 2m-1 = 1 would divide by zero
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            tz.choose_k(10, 1)
+
 
 class TestConfig:
     def test_block_geometry(self):
@@ -591,6 +596,15 @@ class TestTrivialize:
             assert (v.outcome == tz.OUTCOME_TRIVIAL) == joined, (ell, density, seed)
             outcomes.append(v.outcome)
         assert set(outcomes) == {tz.OUTCOME_TRIVIAL, tz.OUTCOME_UNKNOWN}
+
+    def test_rejects_config_for_other_m(self):
+        R = Presentation(3, [W("abc"), W("bca")])
+        with pytest.raises(ValueError, match="m=2.*m=3"):
+            tz.trivialize(R, tz.TrivializerConfig(m=2, ell=3, k=1))
+
+    def test_rejects_one_generator(self):
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            tz.trivialize(Presentation(1, [(1, 1, 1)]))
 
     def test_empty_presentation(self):
         v = tz.trivialize(Presentation(2, []), tz.TrivializerConfig(m=2, ell=4, k=1))

@@ -12,9 +12,11 @@ of its own.
     python tools/mutants.py            # every mutant
     python tools/mutants.py NAME ...   # the named ones
 
-The unmutated copy must pass the chosen mutants' test files first (else exit
-2).  Prints one line per mutant, "killed (timeout)" for one stopped at the
-timeout, and a killed/survived count; exits 1 if any mutant survived.
+Before anything runs, every chosen mutant's text to replace must occur exactly
+once (else exit 2, naming each that does not), and the unmutated copy must pass
+the chosen mutants' test files (else exit 2).  Prints one line per mutant,
+"killed (timeout)" for one stopped at the timeout, and a killed/survived count;
+exits 1 if any mutant survived.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ MUTANTS = [
     Mutant("scan-drops-invalid-first", "src/halfdensity/trivializer.py",
            "            todo = todo[~valid]\n", "            todo = todo[:0]\n",
            ("tests/test_trivializer.py",)),
+    # a reduction pass offsets each hit by its block row's index, not its block's
+    Mutant("hits-block-offset", "src/halfdensity/trivializer.py",
+           "    offset = RESERVED_PREFIX + j * size\n",
+           "    offset = RESERVED_PREFIX + held[at] * size\n",
+           ("tests/test_trivializer.py",)),
+    # a reduction pass also scans the blocks that a row holds only in part
+    Mutant("hits-partial-blocks", "src/halfdensity/trivializer.py",
+           "np.flatnonzero(blocks[:, -1])", "np.flatnonzero(blocks[:, 0])",
+           ("tests/test_trivializer.py",)),
     # each chunk of the pattern scan compares one candidate column too few
     Mutant("scan-chunk-one-short", "src/halfdensity/trivializer.py",
            "        n = min(SCAN_CHUNK, ncand - c0)\n",
@@ -111,11 +122,7 @@ def run_tests(mutant: Mutant) -> str:
             copy = shutil.copytree if (ROOT / part).is_dir() else shutil.copy
             copy(ROOT / part, tmp / part)
         target = tmp / mutant.path
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            raise SystemExit(f"{mutant.name}: text to replace occurs "
-                             f"{text.count(mutant.old)} times in {mutant.path}, not once")
-        target.write_text(text.replace(mutant.old, mutant.new))
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
         try:
             result = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -137,6 +144,11 @@ def main() -> int:
     if unknown:
         parser.error(f"unknown mutant(s) {unknown}; known: {sorted(known)}")
     chosen = [known[n] for n in args.names] or MUTANTS
+    stale = [f"{m.name}: text to replace occurs {n} times in {m.path}, not once"
+             for m in chosen if (n := (ROOT / m.path).read_text().count(m.old)) != 1]
+    if stale:
+        print("\n".join(stale))
+        return 2
     tests = tuple(sorted({t for m in chosen for t in m.tests}))
     if run_tests(Mutant("unmutated", chosen[0].path, chosen[0].old, chosen[0].old,
                         tests)) != "passed":

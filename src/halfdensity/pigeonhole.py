@@ -36,10 +36,9 @@ GUIDE_BUCKETS = 1 << 12
 #: Most uniform draws in one block of a chunk (and 8x as many box flags);
 #: this bounds a chunk's working memory.
 BLOCK_DRAWS = 1 << 17
-#: Most work of the exact oracle, past which it raises ResourceLimitError: per
-#: subset type, its two transforms make n additions of about N = q z log2(D)
-#: bits, and its powers count N (N / 2^11)^0.585 more, the growth of Karatsuba
-#: products (time ~ N^log2(3)) past CPython's cutoff of about 2^11 bits.
+#: Most work of the exact oracle, past which it raises ResourceLimitError: per subset
+#: type, n additions of N = q z log2(D) bits in its transforms, and N (N / 2^11)^0.585
+#: for its powers, as Karatsuba products (~N^log2 3) grow past CPython's 2^11-bit cutoff.
 EXACT_BUDGET = 1 << 32
 
 

@@ -431,20 +431,19 @@ def _first_patterns(mat: np.ndarray, w: Word):
     again at its next one, with that occurrence cleared.
     """
     W, width = len(w), mat.shape[1]
-    ncand = max(0, width - W - 1)
+    ncand = width - W - 1  # occurrences start at columns 1..ncand
     flanks = np.full((2, len(mat)), -1, dtype=np.intp)
     live = np.arange(len(mat))  # the rows with no valid pattern yet
     for c0 in range(0, ncand, SCAN_CHUNK):
         n = min(SCAN_CHUNK, ncand - c0)
-        a = 1 + c0  # the chunk's first candidate column
-        letters = mat[live, a : a + n + W - 1]
+        letters = mat[live, c0 + 1 : c0 + n + W]  # candidate columns c0+1..c0+n, and w's rest
         occ = letters[:, :n] == w[0]
         for j in range(1, W):
             occ &= letters[:, j : j + n] == w[j]
         first = occ.argmax(axis=1)
         todo = np.flatnonzero(occ[np.arange(len(live)), first])
         while todo.size:
-            rows, si = live[todo], a - 1 + first[todo]
+            rows, si = live[todo], c0 + first[todo]  # the column left of each occurrence
             ti = si + W + 1
             growing = np.arange(len(rows))
             while growing.size:

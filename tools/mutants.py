@@ -144,8 +144,9 @@ def main() -> int:
     if unknown:
         parser.error(f"unknown mutant(s) {unknown}; known: {sorted(known)}")
     chosen = [known[n] for n in args.names] or MUTANTS
+    counts = [(m, (ROOT / m.path).read_text().count(m.old)) for m in chosen]
     stale = [f"{m.name}: text to replace occurs {n} times in {m.path}, not once"
-             for m in chosen if (n := (ROOT / m.path).read_text().count(m.old)) != 1]
+             for m, n in counts if n != 1]
     if stale:
         print("\n".join(stale))
         return 2

@@ -41,6 +41,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ph.PigeonholeConfig(2, 2, 1, (F(1, 2), F(1, 3)))
 
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_sum_is_exact_far_below_float_resolution(self, at):
+        mu = list(ph.geometric_measure(256))
+        mu[at] += F(1, (2**256 - 1) ** 2)
+        with pytest.raises(ValueError, match="^mu must sum to exactly 1$"):
+            ph.PigeonholeConfig(256, 2, 1, tuple(mu))
+
+    def test_negative_entry_balanced_by_a_larger_one(self):
+        with pytest.raises(ValueError, match="^mu entries must be nonnegative$"):
+            ph.PigeonholeConfig(3, 2, 1, (F(1, 2), F(-1, 3), F(5, 6)))
+
+    def test_int_entries_mix_with_fractions(self):
+        cfg = ph.PigeonholeConfig(5, 2, 1, (0, F(1, 2), 0, F(1, 3), F(1, 6)))
+        assert cfg.mu[0] == 0
+        ph.PigeonholeConfig(2, 2, 1, (0, 1))
+
 
 class TestBound:
     def test_single_box(self):

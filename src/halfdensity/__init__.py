@@ -6,7 +6,8 @@ pipeline, planar-diagram counting bounds, and the phase classifier for
 vanishing rate functions.
 """
 
-from . import diagrams, distribution, pigeonhole, thresholds, trivializer, words
+import importlib
+
 from .rng import RandomSource
 
 __version__ = "0.1.0"
@@ -21,3 +22,10 @@ __all__ = [
     "RandomSource",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Load a submodule of __all__ on first use (PEP 562), so an import pays only for it."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -303,15 +303,13 @@ _CONDITIONS = {
 def _exec_conditions(recorded, seed, out, digest) -> str:
     grid = parse_ell_grid(recorded["ell_grid"])
     which = recorded["which"]
-    # --f-expr is parsed whenever given; the other flags once all those read are given
-    f = parse_rate_expr(recorded["f_expr"]) if recorded["f_expr"] else None
     if which not in _CONDITIONS:
         raise CliError(f"unknown condition {which!r}")
     condition, flags = _CONDITIONS[which]
     if not all(recorded[flag] for flag in flags):
         raise CliError(f"{which} needs "
                        + " and ".join("--" + flag.replace("_", "-") for flag in flags))
-    rates = [f if flag == "f_expr" else parse_rate_expr(recorded[flag]) for flag in flags]
+    rates = [parse_rate_expr(recorded[flag]) for flag in flags]
     report = condition(*rates, grid, recorded["m"])
     preamble = [f"condition={report.condition}", f"verdict={report.verdict}"]
     if report.symbolic is not None:

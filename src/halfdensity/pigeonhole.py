@@ -52,7 +52,7 @@ def default_bound_constant(q: int) -> Fraction:
 
 
 def uniform_measure(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, n) for _ in range(n))
+    return (Fraction(1, n),) * n
 
 
 def geometric_measure(n: int) -> tuple[Fraction, ...]:
@@ -80,9 +80,11 @@ class PigeonholeConfig:
             raise ValueError(f"z must be >= 1, got {self.z}")
         if len(self.mu) != self.n:
             raise ValueError(f"mu has length {len(self.mu)}, expected n={self.n}")
-        if any(p < 0 for p in self.mu):
+        if any(p.numerator < 0 for p in self.mu):
             raise ValueError("mu entries must be nonnegative")
-        if sum(self.mu) != 1:
+        # exactly, in integers: sum numerator * (D / denominator) = D, D the denominators' lcm
+        d = math.lcm(*(p.denominator for p in self.mu))
+        if sum(p.numerator * (d // p.denominator) for p in self.mu) != d:
             raise ValueError("mu must sum to exactly 1")
         if self.c is None:
             object.__setattr__(self, "c", default_bound_constant(self.q))

@@ -317,11 +317,10 @@ class TestConditionsAndPhaseMap:
         (["--which", "spade", "--f-expr", "zero"], "spade needs --k-expr"),
         (["--which", "asterisk", "--K-expr", "window-K"],
          "asterisk needs --K-expr and --f-expr"),
-        # --f-expr is parsed whenever it is given, before the needs check
-        (["--which", "star", "--f-expr", "bogus"], "unknown rate expression 'bogus'"),
-        (["--which", "spade", "--k-expr", "threshold-k", "--f-expr", "bogus"],
-         "unknown rate expression 'bogus'"),
         # the needs check runs before the condition's own expressions are parsed
+        (["--which", "star", "--f-expr", "bogus"], "star needs --k-expr and --f-expr"),
+        (["--which", "star", "--k-expr", "threshold-k", "--f-expr", "bogus"],
+         "unknown rate expression 'bogus'"),
         (["--which", "star", "--k-expr", "bogus"], "star needs --k-expr and --f-expr"),
         (["--which", "star", "--k-expr", "bogus", "--f-expr", "zero"],
          "unknown rate expression 'bogus'"),
@@ -351,6 +350,8 @@ class TestConditionsAndPhaseMap:
         out = tmp_path / "x.csv"
         run_ok(["conditions", "--which", "spade", "--k-expr", "threshold-k",
                 "--K-expr", "bogus", "--ell-grid", "1024", "--out", str(out)])
+        run_ok(["conditions", "--which", "spade", "--k-expr", "threshold-k",
+                "--f-expr", "bogus", "--ell-grid", "1024", "--out", str(out)])
         run_ok(["conditions", "--which", "star", "--k-expr", "threshold-k", "--f-expr", "zero",
                 "--K-expr", "bogus", "--ell-grid", "1024", "--out", str(out)])
         run_ok(["conditions", "--which", "asterisk", "--K-expr", "window-K", "--f-expr", "zero",

@@ -57,6 +57,11 @@ MUTANTS = [
     Mutant("oracle-outer-sign", "src/halfdensity/pigeonhole.py",
            "    g[odd] *= -1\n", "",
            ("tests/test_pigeonhole.py",)),
+    # the measure check adds numerators without scaling each to the common denominator
+    Mutant("measure-sum-scaling", "src/halfdensity/pigeonhole.py",
+           "sum(p.numerator * (d // p.denominator) for p in self.mu)",
+           "sum(p.numerator for p in self.mu)",
+           ("tests/test_pigeonhole.py",)),
     # the reduction stage excises each hit's right flank t along with d w d^-1
     Mutant("excise-right-flank", "src/halfdensity/trivializer.py",
            "    span = ti - si - 1  #", "    span = ti - si  #",

@@ -82,7 +82,7 @@ class PigeonholeConfig:
             raise ValueError(f"mu has length {len(self.mu)}, expected n={self.n}")
         if any(p.numerator < 0 for p in self.mu):
             raise ValueError("mu entries must be nonnegative")
-        # exactly, in integers: sum numerator * (D / denominator) = D, D the denominators' lcm
+        # in integers over the denominators' lcm d: no Fraction sum, with its gcd per entry
         d = math.lcm(*(p.denominator for p in self.mu))
         if sum(p.numerator * (d // p.denominator) for p in self.mu) != d:
             raise ValueError("mu must sum to exactly 1")

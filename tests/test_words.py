@@ -31,6 +31,15 @@ def W(s):
     return word_from_str(s)
 
 
+def padded_reference(relators):
+    """Each word as its own np.array(w, dtype=np.int8) row, zero-padded to the longest."""
+    width = max(map(len, relators), default=0)
+    matrix = np.zeros((len(relators), width), dtype=np.int8)
+    for i, r in enumerate(relators):
+        matrix[i, :len(r)] = np.array(r, dtype=np.int8)
+    return matrix
+
+
 class TestFreeReduce:
     def test_adjacent_cancellation(self):
         assert free_reduce([1, -1, 2]) == (2,)
@@ -362,6 +371,42 @@ class TestMatrixBackedPresentation:
         assert pres.relator(0) == W("ab") and pres.relator(2) == ()
         assert pres == Presentation(2, [W("ab"), W("bAB"), ()])
         assert pres != Presentation(2, [W("ab"), W("bA"), ()])
+
+    @pytest.mark.parametrize("m,relators", [
+        (2, [(), W("ab"), (), W("bAB"), ()]),
+        (2, [(), ()]),
+        (2, []),
+        (127, [(127, -127, 5), (-127,), (), (1, 127, -1, -127)]),
+        (200, [(127,), (-127, 126)]),
+        (3, [(np.int64(1), np.int8(-2)), (np.int32(3), np.intp(-3), np.uint8(2))]),
+        (2, [[1, 2], [-2], []]),
+        (2, [np.array([1, 2, -1], dtype=np.int64), (2,)]),
+    ])
+    def test_matrix_matches_per_row_reference(self, m, relators):
+        pres = Presentation(m, relators)
+        assert pres.matrix.dtype == np.int8 and not pres.matrix.flags.writeable
+        assert np.array_equal(pres.matrix, padded_reference(relators))
+        assert Presentation(m, pres.relators) == pres
+
+    @pytest.mark.parametrize("m,ell,num,seed", [(2, 9, 40, 0), (3, 30, 25, 1),
+                                                (127, 6, 50, 2), (2, 80, 200, 3)])
+    def test_sampled_ragged_shapes_match_reference(self, m, ell, num, seed):
+        full = sample_presentation(ModelParams(m, ell, num), RandomSource(seed).child(0))
+        cut = np.random.default_rng(seed).integers(0, ell + 1, size=num)
+        relators = [r[:n] for r, n in zip(full.relators, cut.tolist())]
+        pres = Presentation(m, relators)
+        assert np.array_equal(pres.matrix, padded_reference(relators))
+        assert pres.relators == relators
+        assert Presentation(m, pres.relators) == pres
+
+    @given(st.integers(min_value=1, max_value=127).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.lists(st.integers(-m, m).filter(bool), max_size=12),
+                             max_size=8))))
+    def test_matrix_matches_per_row_reference_property(self, m_relators):
+        m, relators = m_relators
+        pres = Presentation(m, relators)
+        assert np.array_equal(pres.matrix, padded_reference(relators))
+        assert Presentation(m, pres.relators) == pres
 
     @pytest.mark.parametrize("relators,ok", [
         ([W("ab"), W("a"), (), W("bAB")], True),

@@ -11,8 +11,8 @@ inverse as the corresponding uppercase letter ("aBa" = a b^-1 a).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -176,7 +176,7 @@ class Presentation:
     Letters are never 0, so a row's length is the position of its first 0.
     Presentation(m, relators) packs the words once; Presentation(m,
     matrix=...) takes a sampler's matrix as it is and makes it read-only.
-    Both raise ValueError unless every letter lies in +-m.
+    Both raise ValueError unless every letter is a nonzero integer in +-m.
     """
 
     def __init__(self, m: int, relators: Sequence | None = None, *,
@@ -242,14 +242,25 @@ def unpad(rows: np.ndarray) -> list:
     return [tuple(row[:n]) for row, n in zip(rows.tolist(), lengths)]
 
 
+# one entry per word length packed: n distinct lengths need n^2 / 2 letters
+@functools.lru_cache(maxsize=None)
+def _int8_packer(n: int):
+    """struct's packer of n int8 letters; it raises struct.error outside -128..127."""
+    return struct.Struct(f"{n}b").pack
+
+
 def _pack(relators: Sequence, bound: int) -> np.ndarray:
     """The zero-padded int8 matrix of a list of words with letters in +-bound."""
+    message = f"letters must be nonzero integers with |x| <= {bound}"
     lengths = np.fromiter(map(len, relators), dtype=np.intp, count=len(relators))
-    letters = np.fromiter(itertools.chain.from_iterable(relators), dtype=np.int64,
-                          count=int(lengths.sum()))
-    # a 0 would end its word early under zero padding
-    if not letters.all() or np.abs(letters).max(initial=0) > bound:
-        raise ValueError(f"letters must be nonzero with |x| <= {bound}")
+    try:
+        data = b"".join([_int8_packer(len(w))(*w) for w in relators])
+    except struct.error as exc:  # a letter that is not an integer or not an int8
+        raise ValueError(message) from exc
+    letters = np.frombuffer(data, dtype=np.int8)
+    # a 0 would end its word early under zero padding; np.abs(-128) is -128 in int8
+    if not letters.all() or letters.min(initial=0) < -bound or letters.max(initial=0) > bound:
+        raise ValueError(message)
     width = int(lengths.max(initial=0))
     matrix = np.zeros((len(relators), width), dtype=np.int8)
     matrix[np.arange(width) < lengths[:, None]] = letters

@@ -430,6 +430,12 @@ class TestMatrixBackedPresentation:
         with pytest.raises(ValueError):
             Presentation(2, relators)
 
+    @pytest.mark.parametrize("relators", [[(1.5, 2)], [(1.0,)], [(1, 2), "ab"],
+                                          [(1, 2**70)], [(-2**70,)]])
+    def test_rejects_letters_that_are_not_int8_integers(self, relators):
+        with pytest.raises(ValueError, match="letters must be nonzero integers"):
+            Presentation(2, relators)
+
     @pytest.mark.parametrize("m,relators", [(2, [W("ab"), W("a"), W("abc")]),
                                             (2, [(3,), (-3,)]), (1, [(1, 2)]),
                                             (0, [])])

@@ -116,6 +116,14 @@ MUTANTS = [
     Mutant("conditions-missing-expression", "src/halfdensity/cli.py",
            "    if not all(recorded[flag] for flag in flags):\n", "    if False:\n",
            ("tests/test_cli.py",)),
+    # Presentation(m, relators) packs a 0 letter, which ends its word early
+    Mutant("pack-zero-check", "src/halfdensity/words.py",
+           "not letters.all() or ", "",
+           ("tests/test_words.py",)),
+    # Presentation(m, relators) accepts letters below -m
+    Mutant("pack-lower-bound", "src/halfdensity/words.py",
+           "letters.min(initial=0) < -bound or ", "",
+           ("tests/test_words.py",)),
 ]
 
 

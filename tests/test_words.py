@@ -168,15 +168,80 @@ def reference_relator_matrix(m, ell, num, gen):
     return letters
 
 
-def assert_matches_reference(m, ell, num, seed):
+def assert_matches_reference(m, ell, num, seed, state=None):
     """Two calls in a row on one generator, as perfbench/planted.py shares one:
-    same bytes and same generator state as reference_relator_matrix."""
+    same bytes and same generator state as reference_relator_matrix.  A
+    bit-generator state, when given, replaces the seeded one."""
     got_gen, ref_gen = (RandomSource(seed).generator() for _ in range(2))
+    if state is not None:
+        got_gen.bit_generator.state = ref_gen.bit_generator.state = state
     for _ in range(2):
         got = sample_relator_matrix(m, ell, num, got_gen)
         ref = reference_relator_matrix(m, ell, num, ref_gen)
         assert got.dtype == np.int8 and got.tobytes() == ref.tobytes(), (m, ell, num)
         assert got_gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+#: PCG64's 128-bit LCG multiplier, and its inverse mod 2^128.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+PCG64_MULTIPLIER_INVERSE = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+
+
+def zero_output_state(k, has_uint32=0, uinteger=0, inc=0xDA3E39CB94B95BDB):
+    """A PCG64 state whose k-th next 64-bit output (k >= 1) is 0, so both its
+    32-bit halves are 0; has_uint32 and uinteger are the half it holds.
+
+    PCG64 steps its LCG state s -> s * multiplier + inc mod 2^128 (inc odd),
+    then outputs the xor of the new state's 64-bit halves rotated (XSL-RR), so
+    a state with equal halves outputs 0.  The start is k steps back from one.
+    """
+    state = 0x9E3779B97F4A7C15 * ((1 << 64) + 1)
+    for _ in range(k):
+        state = (state - inc) * PCG64_MULTIPLIER_INVERSE % (1 << 128)
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": has_uint32, "uinteger": uinteger}
+
+
+class TestForcedSkips:
+    """A 32-bit half of 0 gives u * b mod 2^32 = 0 < 2^32 mod b, so Lemire's rule
+    skips it for every bound b but a power of two: for 2m - 1 and for 2m at
+    m = 3, not for 2m = 4 at m = 2.  Zero outputs are placed in the first
+    column, across its end, in later columns, across the two matrices of
+    assert_matches_reference, and after a start that holds a half of 0."""
+
+    def test_zero_output_state(self):
+        for k in (1, 2, 17):
+            raw = np.random.Generator(np.random.PCG64()).bit_generator
+            raw.state = zero_output_state(k)
+            out = raw.random_raw(k + 1)
+            assert out[k - 1] == 0 and out[:k - 1].all() and out[k] != 0
+
+    # (m, ell, num, SAMPLE_BLOCK, the k to place a zero output at): num is odd,
+    # so a call's last output leaves its high half for the next call; the
+    # first column takes (num + 1) // 2 outputs and a matrix about num * ell / 2
+    @pytest.mark.parametrize("m,ell,num,block,ks", [
+        # block path: one block
+        (2, 40, 41, None, [*range(1, 4), *range(19, 25), 400, *range(816, 826), 1641]),
+        (3, 40, 41, None, [*range(1, 4), *range(19, 25), 400, *range(816, 826), 1641]),
+        # block path: blocks of 16 columns (m = 2) and 15 (m = 3), and a short last one
+        (2, 40, 41, 41 * 16, [*range(19, 25), *range(180, 190), *range(400, 420)]),
+        (3, 40, 41, 41 * 15, [*range(19, 25), *range(165, 175), *range(390, 420)]),
+        # column path, a column read in rounds of 16 draws where the sampler reads so
+        (2, 19, 41, 16, [*range(1, 60), *range(380, 400)]),
+        (3, 13, 41, 16, [*range(1, 60), *range(260, 275)]),
+        # column path at SAMPLE_BLOCK: the first matrices with one generator call a column
+        (2, 9, 8193, None, [1, 4096, 4097, 4098, 8193, 8194, 20000]),
+        (3, 7, 13109, None, [1, 6554, 6555, 6556, 13109, 13110, 30000]),
+    ], ids=["block-m2", "block-m3", "blocks-m2", "blocks-m3", "rounds-m2", "rounds-m3",
+            "columns-m2", "columns-m3"])
+    @pytest.mark.parametrize("held", [False, True], ids=["even", "held-zero"])
+    def test_matches_reference(self, m, ell, num, block, ks, held):
+        r = words._step_tables(m)[1]
+        with mock.patch.object(words, "SAMPLE_BLOCK", block or words.SAMPLE_BLOCK):
+            width = words.SAMPLE_BLOCK // num // r * r
+            assert (width > 1) == (block != 16 and num < 1000)
+            for k in ks:
+                assert_matches_reference(m, ell, num, 0, zero_output_state(k, held, 0))
 
 
 class TestSampling:

@@ -374,6 +374,79 @@ def _step_tables(m: int) -> tuple:
     return code_letter, r, steps, last
 
 
+class _Draws:
+    """Bounded int32 draws read straight from a PCG64 generator's raw output.
+
+    Generator.integers(0, b, dtype=np.int32) reads 32-bit halves of the 64-bit
+    PCG64 outputs, low half first, and a high half it has not used waits in the
+    bit generator's state (has_uint32, uinteger) for the next call.  A half u
+    gives u * b >> 32, and Lemire's rule skips it while u * b mod 2^32 < 2^32
+    mod b.  A _Draws reads that state on entry, gives the same values over its
+    calls, SAMPLE_BLOCK draws to a random_raw call, and writes the waiting half
+    back on exit, so that values and state are those of the same integers
+    calls.  Other bit generators raise ValueError: their halves differ.
+    """
+
+    def __init__(self, gen: np.random.Generator):
+        self._bit_gen = gen.bit_generator
+        if not isinstance(self._bit_gen, np.random.PCG64):
+            raise ValueError(f"the sampler reads PCG64 output, not "
+                             f"{type(self._bit_gen).__name__}")
+
+    def __enter__(self) -> "_Draws":
+        state = self._bit_gen.state
+        # uinteger is the high half of the last output read, used or not
+        self._high = state["uinteger"]
+        self._waiting = self._high if state["has_uint32"] else None
+        return self
+
+    def __exit__(self, *exc) -> None:
+        state = self._bit_gen.state
+        state["has_uint32"], state["uinteger"] = int(self._waiting is not None), self._high
+        self._bit_gen.state = state
+
+    def __call__(self, b: int, n: int) -> np.ndarray:
+        """n int32 draws uniform in 0..b-1.
+
+        When one read gives all n with no half waiting before them, the draws
+        are written over their own halves; else into a new array.
+        """
+        skip = (1 << 32) % b
+        out, done = None, 0
+        while done < n:
+            if self._waiting is not None:
+                u, self._waiting = self._waiting * b, None
+                if u & 0xFFFFFFFF >= skip:
+                    out = np.empty(n, dtype=np.int32) if out is None else out
+                    out[done] = u >> 32
+                    done += 1
+                continue
+            k = min(n - done, SAMPLE_BLOCK)
+            # '<u4' halves of '<u8' outputs are low half first on any host
+            halves = self._bit_gen.random_raw((k + 1) // 2).astype("<u8", copy=False).view("<u4")
+            self._high = int(halves[-1])
+            if halves.size > k:
+                self._waiting = self._high
+            halves = halves[:k]
+            # u * b mod 2^32 < skip; skip 1 needs b odd, and then it holds only at u = 0
+            products = halves * b if skip > 1 else halves
+            keep = products >= skip if skip and products.min() < skip else None
+            del products
+            # u * b < 2^40 and b / 2^32 are exact doubles, so the cast is u * b >> 32
+            if out is None and k == n:
+                np.multiply(halves, b * 2.0**-32, out=halves, casting="unsafe")
+                out = halves.view("<i4")
+            else:
+                out = np.empty(n, dtype=np.int32) if out is None else out
+                np.multiply(halves, b * 2.0**-32, out=out[done:done + k], casting="unsafe")
+            if keep is not None:
+                kept = out[done:done + k][keep]
+                out[done:done + kept.size] = kept
+                k = kept.size
+            done += k
+        return out
+
+
 def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     """num x ell int8 matrix of independent uniform freely reduced words (m <= 127).
 
@@ -385,62 +458,62 @@ def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     and of last that holds the next code, so a code advances r columns per
     lookup.  When a block of SAMPLE_BLOCK draws holds r columns and more than
     one, the later columns are drawn a block at a time: one int32 (cols, num)
-    array per generator call, cols a multiple of r (the row's last block may
-    be shorter), each freed before the next, and one gather writes the
-    block's letters.  Otherwise each column is one generator call, folded
-    into the key as it is drawn, and a group's r letters are stored as one
-    r-byte item per row.  A (cols, num) call yields the values, and leaves
-    the generator state, of cols calls of size num, and int32 draws those of
-    default int64 draws, so matrix and stream equal a column-at-a-time
-    sampler's.
+    array per draw call, cols a multiple of r (the row's last block may be
+    shorter), each freed before the next, and one gather writes the block's
+    letters.  Otherwise each column is one draw call, folded into the key as
+    it is drawn, and a group's r letters are stored as one r-byte item per
+    row.  The draws are _Draws calls: a (cols, num) call yields the values,
+    and leaves the generator state, of cols gen.integers calls of size num,
+    so matrix and stream equal a column-at-a-time sampler's.  The generator
+    must be over PCG64, else ValueError.
     """
     if m < 2 or ell < 1 or num < 1:
         raise ValueError("need m >= 2, ell >= 1, num >= 1")
     if m > 127:
         raise ValueError(f"int8 letters need m <= 127, got {m}")
-    gen = as_generator(rng)
     two_m, b = 2 * m, 2 * m - 1
     code_letter, r, steps, last = _step_tables(m)
     letters = np.empty((num, ell), dtype=np.int8)
-    codes = gen.integers(0, two_m, size=num, dtype=np.int32)
-    letters[:, 0] = code_letter[codes]
-    codes *= b**r
-    width = SAMPLE_BLOCK // num // r * r
-    if width <= 1:
-        items = steps.view(f"V{r}").reshape(-1)
-        for j in range(1, ell, r):
-            cols = min(r, ell - j)
-            key = gen.integers(0, b, size=num, dtype=np.int32)
-            for _ in range(cols - 1):
-                key *= b
-                key += gen.integers(0, b, size=num, dtype=np.int32)
-            if cols < r:
-                # the row's last group; the code it ends on is unused
-                key *= b ** (r - cols)
+    with _Draws(as_generator(rng)) as draw:
+        codes = draw(two_m, num)
+        letters[:, 0] = code_letter[codes]
+        codes *= b**r
+        width = SAMPLE_BLOCK // num // r * r
+        if width <= 1:
+            items = steps.view(f"V{r}").reshape(-1)
+            for j in range(1, ell, r):
+                cols = min(r, ell - j)
+                key = draw(b, num)
+                for _ in range(cols - 1):
+                    key *= b
+                    key += draw(b, num)
+                if cols < r:
+                    # the row's last group; the code it ends on is unused
+                    key *= b ** (r - cols)
+                    key += codes
+                    letters[:, j:] = steps.take(key, axis=0)[:, :cols]
+                    break
                 key += codes
-                letters[:, j:] = steps.take(key, axis=0)[:, :cols]
-                break
-            key += codes
-            last.take(key, out=codes)
-            letters[:, j:j + r].view(f"V{r}")[:, 0] = items.take(key)
-        return letters
-    powers = b ** np.arange(r - 1, -1, -1, dtype=np.int32)
-    for j in range(1, ell, width):
-        cols = min(width, ell - j)
-        full, rest = divmod(cols, r)
-        block = gen.integers(0, b, size=(cols, num), dtype=np.int32)
-        keys = np.empty((full + (rest > 0), num), dtype=np.int32)
-        np.einsum("i,gin->gn", powers, block[:full * r].reshape(full, r, num),
-                  out=keys[:full])
-        if rest:
-            # only the row's last block is short; its short group reads as
-            # padded with zero draws, and the code that group ends on is unused
-            np.einsum("i,in->n", powers[:rest], block[full * r:], out=keys[full])
-        del block
-        for key in keys:
-            key += codes
-            last.take(key, out=codes)
-        letters[:, j:j + cols] = steps.take(keys.T, axis=0).reshape(num, -1)[:, :cols]
+                last.take(key, out=codes)
+                letters[:, j:j + r].view(f"V{r}")[:, 0] = items.take(key)
+            return letters
+        powers = b ** np.arange(r - 1, -1, -1, dtype=np.int32)
+        for j in range(1, ell, width):
+            cols = min(width, ell - j)
+            full, rest = divmod(cols, r)
+            block = draw(b, cols * num).reshape(cols, num)
+            keys = np.empty((full + (rest > 0), num), dtype=np.int32)
+            np.einsum("i,gin->gn", powers, block[:full * r].reshape(full, r, num),
+                      out=keys[:full])
+            if rest:
+                # only the row's last block is short; its short group reads as
+                # padded with zero draws, and the code that group ends on is unused
+                np.einsum("i,in->n", powers[:rest], block[full * r:], out=keys[full])
+            del block
+            for key in keys:
+                key += codes
+                last.take(key, out=codes)
+            letters[:, j:j + cols] = steps.take(keys.T, axis=0).reshape(num, -1)[:, :cols]
     return letters
 
 

@@ -187,19 +187,32 @@ PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 PCG64_MULTIPLIER_INVERSE = pow(PCG64_MULTIPLIER, -1, 1 << 128)
 
 
-def zero_output_state(k, has_uint32=0, uinteger=0, inc=0xDA3E39CB94B95BDB):
-    """A PCG64 state whose k-th next 64-bit output (k >= 1) is 0, so both its
-    32-bit halves are 0; has_uint32 and uinteger are the half it holds.
+def forced_output_state(k, output=0, has_uint32=0, uinteger=0, inc=0xDA3E39CB94B95BDB):
+    """A PCG64 state whose k-th next 64-bit output (k >= 1) is output; has_uint32
+    and uinteger are the 32-bit half it holds.
 
     PCG64 steps its LCG state s -> s * multiplier + inc mod 2^128 (inc odd),
-    then outputs the xor of the new state's 64-bit halves rotated (XSL-RR), so
-    a state with equal halves outputs 0.  The start is k steps back from one.
+    then outputs the xor of the new state's 64-bit halves hi and lo rotated
+    right by hi >> 58 (XSL-RR): lo = hi ^ (output rotated left) gives output,
+    and equal halves give 0.  The start is k steps back from that state.
     """
-    state = 0x9E3779B97F4A7C15 * ((1 << 64) + 1)
+    hi, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    rot = hi >> 58
+    lo = hi ^ ((output << rot | output >> (64 - rot)) & mask)
+    state = hi << 64 | lo
     for _ in range(k):
         state = (state - inc) * PCG64_MULTIPLIER_INVERSE % (1 << 128)
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": has_uint32, "uinteger": uinteger}
+
+
+def half_with_remainder(b, rem):
+    """The least 32-bit half u with u * b mod 2^32 == rem, or None."""
+    for j in range(b):
+        u, r = divmod(j * 2**32 + rem, b)
+        if r == 0 and u < 2**32:
+            return u
+    return None
 
 
 class TestForcedSkips:
@@ -209,12 +222,13 @@ class TestForcedSkips:
     column, across its end, in later columns, across the two matrices of
     assert_matches_reference, and after a start that holds a half of 0."""
 
-    def test_zero_output_state(self):
+    @pytest.mark.parametrize("output", [0, 1, 2**32 - 1, 2**32, 0xDEADBEEF12345678, 2**64 - 1])
+    def test_forced_output_state(self, output):
         for k in (1, 2, 17):
-            raw = np.random.Generator(np.random.PCG64()).bit_generator
-            raw.state = zero_output_state(k)
+            raw = np.random.PCG64()
+            raw.state = forced_output_state(k, output)
             out = raw.random_raw(k + 1)
-            assert out[k - 1] == 0 and out[:k - 1].all() and out[k] != 0
+            assert out[k - 1] == output and out[:k - 1].all() and out[k] not in (0, output)
 
     # (m, ell, num, SAMPLE_BLOCK, the k to place a zero output at): num is odd,
     # so a call's last output leaves its high half for the next call; the
@@ -241,7 +255,76 @@ class TestForcedSkips:
             width = words.SAMPLE_BLOCK // num // r * r
             assert (width > 1) == (block != 16 and num < 1000)
             for k in ks:
-                assert_matches_reference(m, ell, num, 0, zero_output_state(k, held, 0))
+                assert_matches_reference(m, ell, num, 0, forced_output_state(k, 0, held, 0))
+
+
+class TestDraws:
+    """words._Draws against gen.integers(0, b, n, dtype=np.int32) on a twin generator:
+    the same values call by call, and the same state after the draws."""
+
+    SIZES = [1, 2, 7, 8, 1, 33, 64, 3, 1000, 1, 17, 16, 2]
+
+    @staticmethod
+    def twins(state):
+        got, ref = (np.random.Generator(np.random.PCG64(7)) for _ in range(2))
+        if state is not None:
+            got.bit_generator.state = ref.bit_generator.state = state
+        return got, ref
+
+    def assert_matches_integers(self, b, state, sizes=SIZES):
+        got, ref = self.twins(state)
+        with words._Draws(got) as draw:
+            for n in sizes:
+                values = draw(b, n)
+                assert values.dtype == np.int32 and values.shape == (n,)
+                assert np.array_equal(values, ref.integers(0, b, n, dtype=np.int32)), (b, n)
+        assert got.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("b", [3, 4, 5, 6, 253, 254])
+    @pytest.mark.parametrize("block", [None, 16, 5], ids=["block", "rounds-16", "rounds-5"])
+    def test_matches_integers(self, b, block):
+        # a half of the largest remainder u * b mod 2^32 that is skipped (below
+        # skip) and one of the least that is kept (skip), forced into outputs as
+        # low and high half, and whole-zero outputs, across calls and rounds
+        skip = 2**32 % b
+        kept = half_with_remainder(b, skip)
+        skipped = next((u for u in map(half_with_remainder, [b] * skip, range(skip - 1, -1, -1))
+                        if u is not None), kept)
+        forced = [(1, 0), (2, skipped | kept << 32), (5, kept | skipped << 32),
+                  (40, 0), (300, skipped | skipped << 32), (600, 0), (601, 0)]
+        with mock.patch.object(words, "SAMPLE_BLOCK", block or words.SAMPLE_BLOCK):
+            for held in (0, 1):
+                self.assert_matches_integers(b, None if not held else
+                                             {**self.twins(None)[0].bit_generator.state,
+                                              "has_uint32": 1, "uinteger": skipped})
+                for k, output in forced:
+                    self.assert_matches_integers(b, forced_output_state(k, output, held, 0))
+
+    def test_one_call_longer_than_a_read(self):
+        for b in (3, 6):
+            self.assert_matches_integers(b, None, [3 * words.SAMPLE_BLOCK + 1, 2, 70_001])
+            self.assert_matches_integers(b, forced_output_state(40_000, 0, 1, 0),
+                                         [words.SAMPLE_BLOCK + 1, words.SAMPLE_BLOCK])
+
+    def test_stale_half_is_kept(self):
+        # integers leaves uinteger as it was when it uses the waiting half
+        got, ref = self.twins({**self.twins(None)[0].bit_generator.state,
+                               "has_uint32": 1, "uinteger": 12345})
+        with words._Draws(got) as draw:
+            assert draw(5, 1).tolist() == ref.integers(0, 5, 1, dtype=np.int32).tolist()
+        assert got.bit_generator.state == ref.bit_generator.state
+        assert got.bit_generator.state["uinteger"] == 12345
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM,
+                                               np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators_raise(self, bit_generator):
+        gen, twin = (np.random.Generator(bit_generator(0)) for _ in range(2))
+        with pytest.raises(ValueError, match=bit_generator.__name__):
+            sample_relator_matrix(2, 4, 3, gen)
+        with pytest.raises(ValueError, match=bit_generator.__name__):
+            sample_presentation(ModelParams(2, 4, 3), gen)
+        # nothing was drawn
+        assert gen.integers(0, 2**62, 4).tolist() == twin.integers(0, 2**62, 4).tolist()
 
 
 class TestSampling:

@@ -124,6 +124,19 @@ MUTANTS = [
     Mutant("pack-lower-bound", "src/halfdensity/words.py",
            "letters.min(initial=0) < -bound or ", "",
            ("tests/test_words.py",)),
+    # the sampler's draws keep the halves that Lemire's rule skips
+    Mutant("draws-no-skip", "src/halfdensity/words.py",
+           "keep = products >= skip if skip and products.min() < skip else None",
+           "keep = None",
+           ("tests/test_words.py",)),
+    # the sampler's draws drop a call's odd last half instead of keeping it for the next
+    Mutant("draws-odd-half-dropped", "src/halfdensity/words.py",
+           "            if halves.size > k:\n                self._waiting = self._high\n", "",
+           ("tests/test_words.py",)),
+    # the sampler's draws read each PCG64 output's high half first
+    Mutant("draws-high-half-first", "src/halfdensity/words.py",
+           '.astype("<u8", copy=False).view("<u4")', '.astype(">u8", copy=False).view(">u4")',
+           ("tests/test_words.py",)),
 ]
 
 

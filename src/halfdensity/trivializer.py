@@ -435,6 +435,8 @@ def _first_patterns(mat: np.ndarray, w: Word):
     flanks = np.full((2, len(mat)), -1, dtype=np.intp)
     live = np.arange(len(mat))  # the rows with no valid pattern yet
     for c0 in range(0, ncand, SCAN_CHUNK):
+        if not live.size:
+            break
         n = min(SCAN_CHUNK, ncand - c0)
         letters = mat[live, c0 + 1 : c0 + n + W]  # candidate columns c0+1..c0+n, and w's rest
         occ = letters[:, :n] == w[0]
@@ -459,8 +461,6 @@ def _first_patterns(mat: np.ndarray, w: Word):
             first[todo] = occ[todo].argmax(axis=1)
             todo = todo[occ[todo, first[todo]]]
         live = live[flanks[0, live] < 0]
-        if not live.size:
-            break
     rows = np.flatnonzero(flanks[0] >= 0)
     return rows, flanks[0, rows], flanks[1, rows]
 
@@ -596,7 +596,7 @@ class TrivializeStats:
     equality_edges: int = 0
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -609,7 +609,7 @@ class Verdict:
     def to_json_dict(self) -> dict:
         return {
             "outcome": self.outcome,
-            "parameters": {**dataclasses.asdict(self.config),
+            "parameters": {**vars(self.config),
                            "block_size": self.config.block_size,
                            "block_count": self.config.block_count},
             "certificates": [c.to_json_dict() for c in self.certificates],

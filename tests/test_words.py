@@ -288,8 +288,8 @@ class TestDraws:
         # low and high half, and whole-zero outputs, across calls and rounds
         skip = 2**32 % b
         kept = half_with_remainder(b, skip)
-        skipped = next((u for u in map(half_with_remainder, [b] * skip, range(skip - 1, -1, -1))
-                        if u is not None), kept)
+        reached = [u for u in map(half_with_remainder, [b] * skip, range(skip)) if u is not None]
+        skipped = reached[-1] if reached else kept
         forced = [(1, 0), (2, skipped | kept << 32), (5, kept | skipped << 32),
                   (40, 0), (300, skipped | skipped << 32), (600, 0), (601, 0)]
         with mock.patch.object(words, "SAMPLE_BLOCK", block or words.SAMPLE_BLOCK):

@@ -382,9 +382,9 @@ class _Draws:
     bit generator's state (has_uint32, uinteger) for the next call.  A half u
     gives u * b >> 32, and Lemire's rule skips it while u * b mod 2^32 < 2^32
     mod b.  A _Draws reads that state on entry, gives the same values over its
-    calls, SAMPLE_BLOCK draws to a random_raw call, and writes the waiting half
-    back on exit, so that values and state are those of the same integers
-    calls.  Other bit generators raise ValueError: their halves differ.
+    calls (at most SAMPLE_BLOCK draws per random_raw call) and writes the
+    waiting half back on exit: values and state are those of the same
+    integers calls.  Other bit generators raise ValueError: their halves differ.
     """
 
     def __init__(self, gen: np.random.Generator):

@@ -242,15 +242,19 @@ def _criterion3_grid():
 #: Measures with one box, with boxes of zero mass, with a cumulative sum that
 #: reaches 1.0 before the last box (geometric, n=256), and with many short
 #: blocks per chunk, bounded by draws (z=200) or by hit flags (n=1000, z=5).
+#: z = 21 is one ball past z0 = ceil(2 * 100^(1/2)) = 20, and geometric(16, 2, 100)
+#: runs past z0 = 8 in five doublings, with 12 guide buckets that cum cuts.
 EDGE_CONFIGS = [
     ph.PigeonholeConfig.uniform(1, 2, 3),
     ph.PigeonholeConfig.uniform(3, 3, 50),
     ph.PigeonholeConfig.uniform(7, 2, 20),
     ph.PigeonholeConfig.uniform(100, 2, 40),
+    ph.PigeonholeConfig.uniform(100, 2, 21),
     ph.PigeonholeConfig.uniform(1000, 3, 200),
     ph.PigeonholeConfig.uniform(1000, 2, 5),
     ph.PigeonholeConfig(5, 2, 3, (0, F(1, 2), 0, F(1, 2), 0)),
     ph.PigeonholeConfig.geometric(256, 2, 40),
+    ph.PigeonholeConfig.geometric(16, 2, 100),
 ]
 
 
@@ -277,6 +281,19 @@ class TestKernelMatchesBinarySearch:
         # one Generator cannot be split into per-chunk streams
         with pytest.raises(TypeError):
             ph.coincidence_simulate(EDGE_CONFIGS[0], 10, np.random.default_rng(9))
+
+    def test_numpy_pcg64_double_is_raw_output_shifted_right_by_11(self):
+        # gen.random and bit_generator.random_raw read the same 64-bit outputs,
+        # and neither touches a buffered 32-bit half
+        state = RandomSource(9).generator().bit_generator.state
+        state.update(has_uint32=1, uinteger=0xDEADBEEF)
+        a, b = (np.random.Generator(np.random.PCG64()) for _ in range(2))
+        a.bit_generator.state = b.bit_generator.state = state
+        u, x = a.random(5000), b.bit_generator.random_raw(5000)
+        assert np.array_equal(u, (x >> 11) * 2.0**-53)
+        assert np.array_equal(np.floor(u * ph.GUIDE_BUCKETS), x >> 52)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.bit_generator.state["has_uint32"] == 1
 
     def test_geometric_cum_reaches_one_before_last_box(self):
         assert np.cumsum([float(p) for p in ph.geometric_measure(256)])[-2] == 1.0

@@ -8,11 +8,15 @@ default c = 2^-(q+2).  The bound holds for every mu.
 
 coincidence_exact is the exact oracle, by inclusion-exclusion over the types
 of box subsets within a work budget; coincidence_simulate is the Monte Carlo
-estimator with deterministic chunked streams.  It finds each ball's box
-through a guide table over the cumulative measure (Chen & Asau 1974), with a
-binary search only for the rare draws in a bucket that a box boundary cuts,
-and runs each chunk in blocks of whole trials that hold at most BLOCK_DRAWS
-draws, so a chunk's memory does not grow with its number of trials.
+estimator with deterministic chunked streams.  It finds each ball's box in a
+guide table over the cumulative measure (Chen & Asau 1974), indexed by the top
+12 bits of the raw PCG64 output behind numpy's double, and searches only the
+rare draws in a bucket that a box boundary cuts.  A chunk runs in blocks of at
+most BLOCK_DRAWS draws, and a block scatters the balls of columns up to
+z0 = ceil(2 n^(1-1/q)), 2 z0, 4 z0, ..., z only for its trials with no
+coincidence yet.  Every draw is still read, in the order of one (trials, q, z)
+draw, and a coincidence once found stays found, so neither a success count
+nor a generator state depends on the stages.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .words import ResourceLimitError
 
 #: Trials per simulation chunk; fixed so that results do not depend on threading.
 CHUNK_TRIALS = 1 << 13
-#: Buckets of the guide table over [0, 1); a power of two, so u * GUIDE_BUCKETS
-#: and j / GUIDE_BUCKETS are exact floats.
+#: Buckets of the guide table over [0, 1): bucket j of the double (x >> 11) * 2^-53
+#: of a PCG64 output x is x >> 52, and j / GUIDE_BUCKETS is an exact float.
 GUIDE_BUCKETS = 1 << 12
 #: Most uniform draws in one block of a chunk (and 8x as many box flags);
 #: this bounds a chunk's working memory.
@@ -174,50 +178,57 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
     return np.where(lo == hi, lo, -1)
 
 
-def _find_boxes(u: np.ndarray, cum: np.ndarray, guide: np.ndarray,
-                bucket: np.ndarray, box: np.ndarray) -> None:
-    """Write searchsorted(cum, u, side="right") into box, scaling u in place.
+def _boxes(x: np.ndarray, cum: np.ndarray, guide: np.ndarray, cuts: bool, box: np.ndarray) -> None:
+    """Write searchsorted(cum, u, side="right") into the intp array box, u the doubles of x.
 
-    u holds uniforms in [0, 1) and bucket is an intp array of u's shape.  A
-    draw whose guide bucket holds one box reads it from the table; only the
-    draws in a bucket that cum cuts are searched.
+    numpy's double of a PCG64 output x is u = (x >> 11) * 2^-53, so u's guide bucket
+    is x >> 52.  Only if cuts (guide has a cut bucket) are the draws in one searched.
     """
-    u *= GUIDE_BUCKETS  # exact: a power of two
-    np.copyto(bucket, u, casting="unsafe")  # floor, since u >= 0
-    np.take(guide, bucket, out=box, mode="wrap")  # unbuffered; no bucket wraps
-    cut = np.flatnonzero(box < 0)
-    if cut.size:
-        box.flat[cut] = np.searchsorted(cum, u.flat[cut] / GUIDE_BUCKETS, side="right")
+    np.right_shift(x, 52, out=box.view(np.uint64))
+    # in place and unbuffered: take reads the bucket at j before it writes box[j]
+    np.take(guide, box, out=box, mode="wrap")
+    if cuts:
+        cut = np.flatnonzero(box < 0)
+        box.flat[cut] = np.searchsorted(cum, (x.flat[cut] >> 11) * 2.0**-53, side="right")
 
 
 def _simulate_chunk(gen: np.random.Generator, cfg: PigeonholeConfig, count: int,
                     cum: np.ndarray, guide: np.ndarray) -> int:
-    """Successes among count trials, drawn in blocks of whole trials.
+    """Successes among count trials, drawn in blocks of whole trials and resolved in stages.
 
     A block holds at most BLOCK_DRAWS draws and 8 * BLOCK_DRAWS hit flags,
-    unless one trial alone has more.  The blocks read gen in C order, so
-    together they consume the stream exactly as one (count, q, z) draw would.
+    unless one trial alone has more.  A stage scatters the balls of columns
+    [a, b) of the trials still live, then drops each whose colors' flags share
+    a box, ANDed a uint64 word at a time.
     """
     q, z, n = cfg.q, cfg.z, cfg.n
-    block = max(1, BLOCK_DRAWS // (q * max(z, (n + 7) // 8)))
+    width = (n + 7) // 8  # uint64 words of 8 hit flags in a row, one color of one trial
+    block = max(1, BLOCK_DRAWS // (q * max(z, width)))
     rows = min(block, count) * q
-    u = np.empty((rows, z))
-    bucket = np.empty((rows, z), dtype=np.intp)
-    box = np.empty((rows, z), dtype=np.intp)
-    row_start = (np.arange(rows) * n)[:, None]
-    hit = np.empty(rows * n, dtype=bool)
+    z0 = math.ceil(2 * n ** (1 - 1 / q))
+    ends = [0] + [z0 << j for j in range(z.bit_length()) if z0 << j < z] + [z]
+    cuts = bool((guide < 0).any())
+    box = np.empty(rows * z, dtype=np.intp)
+    offset = (np.arange(rows) * 8 * width).reshape(-1, q, 1)
+    hit = np.empty(rows * 8 * width, dtype=bool)
+    words, ids = hit.view(np.uint64).reshape(-1, q, width), np.arange(rows // q)
     successes = 0
     for start in range(0, count, block):
         trials = min(block, count - start)
-        r = trials * q
-        ub, bb, hb = u[:r], box[:r], hit[:r * n]
-        gen.random(out=ub)
-        _find_boxes(ub, cum, guide, bucket[:r], bb)
-        # row i of the block is one color of one trial: n hit flags each
-        bb += row_start[:r]
-        hb.fill(False)
-        hb[bb] = True
-        successes += int(hb.reshape(trials, q, n).all(axis=1).any(axis=1).sum())
+        x = gen.bit_generator.random_raw(trials * q * z).reshape(trials, q, z)
+        hit[:trials * q * 8 * width] = False
+        live = slice(trials)
+        for a, b in zip(ends, ends[1:]):
+            xs = x[live, :, a:b]
+            bb = box[:xs.size].reshape(xs.shape)
+            _boxes(xs, cum, guide, cuts, bb)
+            bb += offset[live]  # row of its trial's color, by index within the block
+            hit[bb] = True
+            live = ids[live][~np.bitwise_and.reduce(words[live], axis=1).any(axis=1)]
+            if not live.size:
+                break
+        successes += trials - live.size
+        del x, xs  # before the next block draws
     return successes
 
 
@@ -230,10 +241,11 @@ def coincidence_simulate(cfg: PigeonholeConfig, trials: int, rng,
     depends only on (seed, trials), never on threading.  A chunk runs in
     blocks of whole trials that read its stream in the order of one
     (trials, q, z) draw, and finds boxes in a guide table, so every ball
-    lands where a binary search over cum puts it.
+    lands where a binary search over cum puts it; threads must be >= 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for name, value in (("trials", trials), ("threads", threads)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     cum = np.cumsum(np.array([float(p) for p in cfg.mu]))
     cum[-1] = 1.0
     guide = _guide_table(cum)
@@ -246,17 +258,14 @@ def coincidence_simulate(cfg: PigeonholeConfig, trials: int, rng,
                         f"not {type(rng).__name__}")
     gens = [rng.child(i).generator() for i in range(len(counts))]
 
+    args = (gens, [cfg] * len(counts), counts, [cum] * len(counts), [guide] * len(counts))
     if threads > 1 and len(counts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(_simulate_chunk, gens, [cfg] * len(counts),
-                                      counts, [cum] * len(counts), [guide] * len(counts)))
-        successes = sum(per_chunk)
+            successes = sum(pool.map(_simulate_chunk, *args))
     else:
-        successes = 0
-        for g, cnt in zip(gens, counts):
-            successes += _simulate_chunk(g, cfg, cnt, cum, guide)
+        successes = sum(map(_simulate_chunk, *args))
 
     est = successes / trials
     stderr = math.sqrt(est * (1.0 - est) / trials)

@@ -266,6 +266,26 @@ class TestPigeonholeOutput:
         assert d["exact"] is None
         assert d["estimate"] - 3 * d["stderr"] >= d["bound"]
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_rejects_fewer_than_one_thread(self, threads, tmp_path, capsys, monkeypatch):
+        argv = ["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "100",
+                "--seed", "1", "--threads", threads, "--out", str(tmp_path / "pg.json")]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_rejects_fewer_than_one_thread(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "pg.json"
+        run_ok(["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "100",
+                "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        again = tmp_path / "again.json"
+        argv = ["rerun", "--manifest", str(out) + ".manifest.json", "--threads", "0",
+                "--out", str(again)]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pg.json", "pg.json.manifest.json"]
+
 
 class TestVerifyDist:
     def test_csv_zscores_small(self, tmp_path, capsys):

@@ -200,6 +200,12 @@ class TestSimulate:
         c = ph.coincidence_simulate(cfg, 30_000, RandomSource(3), threads=4)
         assert a == b == c
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        cfg = ph.PigeonholeConfig.uniform(2, 2, 2)
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+            ph.coincidence_simulate(cfg, 10, RandomSource(1), threads=threads)
+
     def test_estimate_dominates_bound(self):
         cfg = ph.PigeonholeConfig.uniform(100, 2, 40)
         res = ph.coincidence_simulate(cfg, 50_000, RandomSource(4))
@@ -305,15 +311,20 @@ class TestKernelMatchesBinarySearch:
     ], ids=["uniform1", "uniform3", "uniform7", "uniform100", "uniform1000",
             "geometric256", "zero_mass", "cut_inside_bucket"])
     def test_lookup_at_every_boundary(self, mu):
+        # PCG64 outputs whose doubles k * 2^-53 are the draws gen.random can reach
+        # at or just below every cum value and bucket edge, one more on each side,
+        # with the 11 low bits that the double drops all 0 or all 1
         cum = np.cumsum(np.array([float(p) for p in mu]))
         cum[-1] = 1.0
         edges = np.arange(ph.GUIDE_BUCKETS + 1) / ph.GUIDE_BUCKETS
-        u = np.concatenate([cum, edges])
-        u = np.concatenate([u, np.nextafter(u, 0)])
-        u = u[(u >= 0) & (u < 1)]
-        want = np.searchsorted(cum, u, side="right")
-        box = np.empty(u.shape, dtype=np.intp)
-        ph._find_boxes(u.copy(), cum, ph._guide_table(cum), np.empty_like(box), box)
+        k = np.floor(np.concatenate([cum, edges]) * 2.0**53).astype(np.int64)
+        k = np.concatenate([k - 1, k, k + 1])
+        k = np.tile(k[(k >= 0) & (k < 1 << 53)].astype(np.uint64), 2)
+        x = k << 11 | np.repeat(np.uint64([0, 0x7FF]), len(k) // 2)
+        want = np.searchsorted(cum, k * 2.0**-53, side="right")
+        guide = ph._guide_table(cum)
+        box = np.empty(x.shape, dtype=np.intp)
+        ph._boxes(x, cum, guide, bool((guide < 0).any()), box)
         assert np.array_equal(box, want)
         assert box.max() < len(mu)
 

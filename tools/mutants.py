@@ -53,6 +53,23 @@ MUTANTS = [
     Mutant("trivialize-guard-call", "src/halfdensity/trivializer.py",
            "and abelianization_guard(R) == CERTAINLY_NONTRIVIAL:", "and False:",
            ("tests/test_trivializer.py", "tests/test_cli.py")),
+    # the coincidence kernel reads a guide bucket from the top 11 bits, not 12
+    Mutant("kernel-bucket-shift", "src/halfdensity/pigeonhole.py",
+           "np.right_shift(x, 52, out=", "np.right_shift(x, 53, out=",
+           ("tests/test_pigeonhole.py",)),
+    # the coincidence kernel's stages end at the last z0 * 2^j below z, not at z
+    Mutant("kernel-last-stage-end", "src/halfdensity/pigeonhole.py",
+           " if z0 << j < z] + [z]", " if z0 << j < z]",
+           ("tests/test_pigeonhole.py",)),
+    # a live trial's hit flags are offset by its place among the live trials,
+    # not by its trial index within the block
+    Mutant("kernel-live-offset", "src/halfdensity/pigeonhole.py",
+           "bb += offset[live]", "bb += offset[:len(bb)]",
+           ("tests/test_pigeonhole.py",)),
+    # the coincidence kernel leaves the draws in a cut guide bucket unsearched
+    Mutant("kernel-cut-fixup", "src/halfdensity/pigeonhole.py",
+           "    if cuts:\n", "    if False:\n",
+           ("tests/test_pigeonhole.py",)),
     # the exact oracle drops the sign of the outer inclusion-exclusion sum
     Mutant("oracle-outer-sign", "src/halfdensity/pigeonhole.py",
            "    g[odd] *= -1\n", "",

@@ -351,6 +351,8 @@ def _run(subcommand, recorded, seed, out, threads=1, log=None) -> int:
     threads reaches only the pigeonhole executor, the one subcommand that
     splits its work; log is trivialize's optional derivation log.
     """
+    if threads < 1:
+        raise CliError(f"threads must be >= 1, got {threads}")
     t0 = time.monotonic()
     digest = manifest_digest(subcommand, recorded, seed)
     extra = {"threads": threads} if subcommand == "pigeonhole" else {}

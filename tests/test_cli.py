@@ -192,6 +192,21 @@ class TestRerunRejectsMalformedManifest:
         run_ok(["rerun", "--manifest", f"{out}.manifest.json", "--out", str(again)])
         assert again.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "100", "--seed", "1"],
+        ["trivialize", "--m", "2", "--ell", "10", "--num", "5", "--seed", "1"],
+    ], ids=["pigeonhole", "trivialize"])
+    def test_rerun_rejects_fewer_than_one_thread(self, argv, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run.out"
+        run_ok([*argv, "--out", str(out)])
+        capsys.readouterr()
+        again = tmp_path / "again.out"
+        argv = ["rerun", "--manifest", str(out) + ".manifest.json", "--threads", "0",
+                "--out", str(again)]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.out", "run.out.manifest.json"]
+
 
 class TestTrivializeOutput:
     def test_verdict_schema(self, tmp_path, capsys):
@@ -273,18 +288,6 @@ class TestPigeonholeOutput:
         assert run_main(monkeypatch, argv) == 1
         assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
         assert list(tmp_path.iterdir()) == []
-
-    def test_rerun_rejects_fewer_than_one_thread(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "pg.json"
-        run_ok(["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "100",
-                "--seed", "1", "--out", str(out)])
-        capsys.readouterr()
-        again = tmp_path / "again.json"
-        argv = ["rerun", "--manifest", str(out) + ".manifest.json", "--threads", "0",
-                "--out", str(again)]
-        assert run_main(monkeypatch, argv) == 1
-        assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["pg.json", "pg.json.manifest.json"]
 
 
 class TestVerifyDist:

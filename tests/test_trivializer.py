@@ -146,6 +146,37 @@ class TestGroupTails:
             assert (start in lengths) == (start <= mat.shape[1])
             assert (max(lengths, default=0) > start) == (start < mat.shape[1])
 
+    @pytest.mark.parametrize("width", [*range(1, 10), 15, 16, 17])
+    def test_every_start_at_widths_around_a_word(self, width):
+        # rows copy one of a few bases and redraw a prefix of random length, so
+        # at every start equal tails sit behind differing heads, the letters
+        # before start in the last 8 columns included
+        rng = np.random.default_rng(width)
+        mat = rng.choice(np.array([1, -2], dtype=np.int8), size=(12, width))[
+            rng.integers(12, size=300)]
+        for row, cut in zip(mat, rng.integers(0, width + 1, size=300)):
+            row[:cut] = rng.choice(np.array([1, -2], dtype=np.int8), size=cut)
+        rows = [tuple(r) for r in mat.tolist()]
+        for start in range(1, width + 2):
+            assert tz._group_tails(mat, start) == tail_groups_reference(rows, start)
+
+    def test_short_rows_share_the_zero_tail_with_real_groups(self):
+        # empty and short rows have an all-zero tail, as do the rows that end
+        # exactly at start; only those may group on it
+        rng = np.random.default_rng(11)
+        bases = [tuple(rng.integers(1, 3, size=9).tolist()) for _ in range(5)]
+        rows = [()] * 80 + [(1,)] * 40 + [(2, 1)] * 20
+        rows += [bases[i][:n] for i, n in zip(rng.integers(5, size=200),
+                                               rng.integers(1, 10, size=200))]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        mat = Presentation(2, rows).matrix
+        for start in range(1, mat.shape[1] + 2):
+            groups = tz._group_tails(mat, start)
+            assert groups == tail_groups_reference(rows, start)
+            ended = [g for g in groups if len(rows[g[0]]) == start]
+            assert len(ended) == (start <= mat.shape[1])
+            assert any(len(u) < start for u in rows)
+
     def test_single_row_has_no_group(self):
         mat = np.array([[1, 2, 1]], dtype=np.int8)
         assert tz._group_tails(mat, 1) == []

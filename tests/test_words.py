@@ -357,6 +357,11 @@ class TestSampling:
         # a04's m=2, ell=22 matrix at density 1/2: one generator call a column
         assert_matches_reference(2, 22, 3**11, 22)
 
+    def test_matches_reference_at_an_m3_column_path_shape(self):
+        # a04's m=3, ell=17 matrix at density 0.45: one generator call a column
+        assert words.SAMPLE_BLOCK // 222393 < words._step_tables(3)[1]
+        assert_matches_reference(3, 17, 222393, 17)
+
     @settings(deadline=None)
     @given(st.integers(2, 5), st.integers(1, 40), st.integers(1, 40), st.integers(1, 64),
            st.integers(0, 2**32))

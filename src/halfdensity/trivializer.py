@@ -345,54 +345,58 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
 # collision search
 
 
-def _tail_keys(tails: np.ndarray) -> np.ndarray:
-    """One uint64 key per tail row: its zero-padded 8-letter chunks as the digits of
-    a polynomial with an odd base, mod 2**64; exact up to 8 letters, a hash beyond.
+def _tail_keys(mat: np.ndarray, start: int) -> np.ndarray:
+    """One uint64 key per row of mat for its letters from column start on: the
+    8-letter words over them, read in place at start, start + 8, ... and a last
+    one ending at the row end, as the digits of a polynomial with an odd base,
+    mod 2**64.  Rows with equal tails get equal keys.
     """
-    padded = np.zeros((len(tails), -(-tails.shape[1] // 8) * 8), dtype=np.int8)
-    padded[:, :tails.shape[1]] = tails
-    keys = np.zeros(len(tails), dtype=np.uint64)
-    for digit in padded.view(np.uint64).T:
+    if mat.shape[1] < 8:
+        mat = np.pad(mat, ((0, 0), (0, 8 - mat.shape[1])))
+    n, width = mat.shape
+    words = (np.ndarray((n,), "<u8", buffer=mat, offset=o, strides=(width,))
+             for o in [*range(start, width - 8, 8), width - 8])
+    # a first word that is also the last may begin before start: mask those bytes off
+    keys = next(words) & ~np.uint64((1 << 8 * max(start + 8 - width, 0)) - 1)
+    for word in words:
         keys *= np.uint64(0x9E3779B97F4A7C15)  # the odd base
-        keys += digit
+        keys += word
     return keys
 
 
 def _group_tails(mat: np.ndarray, start: int) -> list:
     """Groups of two or more rows of words that agree from position start+1 on.
 
-    mat is a zero-padded relator matrix and start >= 1; rows shorter than
-    start letters take no part.  Each group is an ascending row list; groups
-    are ordered by their first row.  Of the rows with a letter at position
-    start, those whose tail key repeats are sorted by key, and runs of equal
-    adjacent sorted tails are the groups (zero-padded tails are equal only
-    when the words' tails are).  When a run of equal keys holds tails that
-    differ, they are sorted by tail instead, so a key collision costs time,
-    never a group.
+    mat is a C-contiguous zero-padded relator matrix and start >= 1; rows
+    shorter than start letters take no part.  Each group is an ascending row
+    list; groups are ordered by their first row.  Each row's tail key keeps
+    its high bits above the row index, and one sort brings equal keys
+    together; the rows whose key repeats, less those with no letter at
+    position start (whose tails are all zero), are sorted by tail, and runs
+    of equal adjacent tails are the groups (zero-padded tails are equal only
+    when the words' tails are).  A key collision costs time, never a group.
     """
     if start > mat.shape[1]:
         return []
-    rows = np.flatnonzero(mat[:, start - 1])
-    # when every row qualifies, key a view of the matrix, not a copy
-    tails = mat[:, start:] if len(rows) == len(mat) else mat[rows, start:]
-    keys = _tail_keys(tails)
-    ordered = np.sort(keys)
-    repeats = np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])
-    rows, tails, keys = rows[repeats], tails[repeats], keys[repeats]
-    n = len(rows)
-
-    def differ(order):  # where adjacent tails in this order differ
-        ordered = tails[order]
-        return (ordered[1:] != ordered[:-1]).any(axis=1)
-
-    # lexsort is stable, so each run lists its rows in ascending order; it sorts
-    # by the keys' 8 bytes as int8 columns, the same kind of pass as by tails
-    order = np.lexsort(keys.view(np.int8).reshape(n, 8).T)
-    new_run = np.ones(n + 1, dtype=bool)
-    new_run[1:n] = differ(order)
-    if (new_run[1:n] & (keys[order][1:] == keys[order][:-1])).any():
-        order = np.lexsort(tails.T[::-1])
-        new_run[1:n] = differ(order)
+    n = len(mat)
+    index = np.uint64((1 << n.bit_length()) - 1)  # the bits of a row index
+    packed = _tail_keys(mat, start)
+    packed &= ~index
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    same = (packed[1:] ^ packed[:-1]) <= index
+    repeats = np.zeros(n, dtype=bool)
+    repeats[1:] = same
+    repeats[:-1] |= same
+    rows = (packed[repeats] & index).astype(np.intp)
+    rows = rows[mat[rows, start - 1] != 0]
+    tails = mat[rows, start:]
+    # lexsort is stable, and rows with equal tails, hence equal keys, come in
+    # ascending order, so each run lists its rows in ascending order
+    order = np.lexsort(tails.T[::-1]) if tails.shape[1] else np.arange(len(rows))
+    ordered = tails[order]
+    new_run = np.ones(len(rows) + 1, dtype=bool)
+    new_run[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
     bounds = np.flatnonzero(new_run)
     starts, ends = bounds[:-1], bounds[1:]
     big = ends - starts >= 2

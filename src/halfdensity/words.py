@@ -345,8 +345,10 @@ def _step_tables(m: int) -> tuple:
     """Read-only (code_letter, r, steps, last) for m generators.
 
     code_letter maps a code to its letter.  A row at code c that draws d in
-    0..2m-2 moves to the d-th code but c's inverse.  r is the largest r >= 1
-    with 2m (2m-1)^r rows at most STEP_TABLE_ROWS; row c (2m-1)^r + sum d_i
+    0..2m-2 moves to the d-th code but c's inverse.  r is the largest power of
+    two with 2m (2m-1)^r rows at most STEP_TABLE_ROWS, or 1 (8 at m = 2, 4 at
+    m = 3, 2 at m = 5 and 7), so that a group's r letters are an item of 1, 2,
+    4 or 8 bytes, which numpy copies whole; row c (2m-1)^r + sum d_i
     (2m-1)^(r-1-i) of the contiguous (rows, r) int8 steps holds the r letters
     that draws d_0..d_r-1 give after code c, and the int32 last holds the code
     they end on, times (2m-1)^r, so that adding the next r draws' key gives
@@ -359,8 +361,8 @@ def _step_tables(m: int) -> tuple:
     inverse = (np.arange(two_m)[:, None] + m) % two_m
     next_code = (draws + (draws >= inverse)).astype(np.int32)
     r = 1
-    while two_m * b ** (r + 1) <= STEP_TABLE_ROWS:
-        r += 1
+    while two_m * b ** (2 * r) <= STEP_TABLE_ROWS:
+        r *= 2
     # axis 0 is the start code and axis 1 + i the draw d_i; codes broadcasts
     # over the draws not yet taken
     steps = np.empty((two_m,) + (b,) * r + (r,), dtype=np.int8)

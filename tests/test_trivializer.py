@@ -201,7 +201,7 @@ class TestGroupTails:
         # tails past 8 letters get hashed keys; with every key equal, all rows
         # reach the exact check, so the groups cannot change
         if constant_keys:
-            monkeypatch.setattr(tz, "_tail_keys", lambda t: np.zeros(len(t), dtype=np.uint64))
+            monkeypatch.setattr(tz, "_tail_keys", lambda mat, start: np.zeros(len(mat), dtype=np.uint64))
         rows = self.long_ragged_rows(m, width, seed=m)
         mat = Presentation(m, rows).matrix
         assert mat.shape[1] == width + 1
@@ -212,7 +212,7 @@ class TestGroupTails:
         rng = np.random.default_rng(5)
         mat = rng.integers(1, 4, size=(400, 6)).astype(np.int8)
         rows = [tuple(r) for r in mat.tolist()]
-        monkeypatch.setattr(tz, "_tail_keys", lambda t: np.zeros(len(t), dtype=np.uint64))
+        monkeypatch.setattr(tz, "_tail_keys", lambda mat, start: np.zeros(len(mat), dtype=np.uint64))
         for start in range(1, mat.shape[1] + 2):
             assert tz._group_tails(mat, start) == tail_groups_reference(rows, start)
 

@@ -237,7 +237,7 @@ class TestForcedSkips:
         # block path: one block
         (2, 40, 41, None, [*range(1, 4), *range(19, 25), 400, *range(816, 826), 1641]),
         (3, 40, 41, None, [*range(1, 4), *range(19, 25), 400, *range(816, 826), 1641]),
-        # block path: blocks of 16 columns (m = 2) and 15 (m = 3), and a short last one
+        # block path: blocks of 16 columns (m = 2) and 12 (m = 3), and a short last one
         (2, 40, 41, 41 * 16, [*range(19, 25), *range(180, 190), *range(400, 420)]),
         (3, 40, 41, 41 * 15, [*range(19, 25), *range(165, 175), *range(390, 420)]),
         # column path, a column read in rounds of 16 draws where the sampler reads so
@@ -245,7 +245,7 @@ class TestForcedSkips:
         (3, 13, 41, 16, [*range(1, 60), *range(260, 275)]),
         # column path at SAMPLE_BLOCK: the first matrices with one generator call a column
         (2, 9, 8193, None, [1, 4096, 4097, 4098, 8193, 8194, 20000]),
-        (3, 7, 13109, None, [1, 6554, 6555, 6556, 13109, 13110, 30000]),
+        (3, 7, 16385, None, [1, 8192, 8193, 8194, 16385, 16386, 30000]),
     ], ids=["block-m2", "block-m3", "blocks-m2", "blocks-m3", "rounds-m2", "rounds-m3",
             "columns-m2", "columns-m3"])
     @pytest.mark.parametrize("held", [False, True], ids=["even", "held-zero"])
@@ -370,7 +370,7 @@ class TestSampling:
             assert_matches_reference(m, ell, num, seed)
 
     def test_step_tables_are_read_only_and_bounded(self):
-        assert [words._step_tables(m)[1] for m in (2, 3, 5, 127)] == [8, 5, 3, 1]
+        assert [words._step_tables(m)[1] for m in (2, 3, 5, 127)] == [8, 4, 2, 1]
         for m in range(2, 30):
             for table in words._step_tables(m):
                 assert not isinstance(table, np.ndarray) or not table.flags.writeable

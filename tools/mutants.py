@@ -112,10 +112,17 @@ MUTANTS = [
            "(ordered[1:] != ordered[:-1]).any(axis=1)",
            "(ordered[1:] != ordered[:-1]).all(axis=1)",
            ("tests/test_trivializer.py",)),
-    # tail grouping trusts equal keys, never sorting colliding tails exactly
-    Mutant("group-tails-key-fallback", "src/halfdensity/trivializer.py",
-           "    if (new_run[1:n] & (keys[order][1:] == keys[order][:-1])).any():\n",
-           "    if False:\n",
+    # a tail key keeps the letters before start that its one word reads
+    Mutant("tail-keys-head-mask", "src/halfdensity/trivializer.py",
+           "~np.uint64((1 << 8 * max(start + 8 - width, 0)) - 1)", "~np.uint64(0)",
+           ("tests/test_trivializer.py",)),
+    # of two sorted neighbours with equal keys, only the later one is a candidate
+    Mutant("group-tails-one-neighbour", "src/halfdensity/trivializer.py",
+           "    repeats[:-1] |= same\n", "",
+           ("tests/test_trivializer.py",)),
+    # rows with no letter at position start stay among the candidates
+    Mutant("group-tails-short-rows", "src/halfdensity/trivializer.py",
+           "    rows = rows[mat[rows, start - 1] != 0]\n", "",
            ("tests/test_trivializer.py",)),
     # the guard's echelon basis keeps its old pivot row after a Euclid step
     Mutant("add-rows-keeps-old-pivot", "src/halfdensity/trivializer.py",

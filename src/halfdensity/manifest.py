@@ -60,6 +60,9 @@ class RunManifest:
         for key in ("subcommand", "params", "seed"):
             if key not in d:
                 raise ValueError(f"manifest {path} has no {key!r} field")
+        threads = d.get("threads", 1)
+        if type(threads) is not int or threads < 1:
+            raise ValueError(f"manifest {path} 'threads' must be an int >= 1, got {threads!r}")
         man = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
         if d.get("digest") != man.digest:
             raise ValueError(f"manifest {path} 'digest' does not match its "

@@ -172,6 +172,30 @@ class TestRerunRejectsMalformedManifest:
                                            f"never records: {', '.join(sorted(extra))}\n")
         assert not again.exists() and not (tmp_path / "again.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("threads", [2.5, True, "2", 0, None],
+                             ids=["float", "bool", "text", "zero", "null"])
+    def test_threads_that_are_not_a_count(self, threads, tmp_path, capsys, monkeypatch):
+        # threads is not digested, so an edit to it leaves the digest valid
+        out = tmp_path / "pg.json"
+        run_ok(["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "100",
+                "--seed", "1", "--out", str(out)])
+        man = json.loads((tmp_path / "pg.json.manifest.json").read_text())
+        man["threads"] = threads
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(man))
+        capsys.readouterr()
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("a rejected manifest ran")
+
+        monkeypatch.setattr(cli.pigeonhole, "coincidence_simulate", simulate)
+        again = tmp_path / "again.json"
+        argv = ["rerun", "--manifest", str(path), "--out", str(again)]
+        assert run_main(monkeypatch, argv) == 1
+        assert capsys.readouterr().err == (f"error: manifest {path} 'threads' must be an int "
+                                           f">= 1, got {threads!r}\n")
+        assert not again.exists() and not (tmp_path / "again.json.manifest.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--m", "2", "--ell", "10", "--num", "5", "--seed", "1"],
         ["trivialize", "--m", "2", "--ell", "10", "--density", "0.5", "--seed", "1"],

@@ -347,10 +347,12 @@ def check_certificate(R: Presentation, cert: Certificate) -> bool:
 
 def _tail_keys(mat: np.ndarray, start: int) -> np.ndarray:
     """One uint64 key per row of mat for its letters from column start on: the
-    8-letter words over them, read in place at start, start + 8, ... and a last
-    one ending at the row end, as the digits of a polynomial with an odd base,
-    mod 2**64.  Rows with equal tails get equal keys.
+    8-letter words over them, read in place (from a C-order copy of a matrix
+    in another order) at start, start + 8, ... and a last one ending at the
+    row end, as the digits of a polynomial with an odd base, mod 2**64.  Rows
+    with equal tails get equal keys.
     """
+    mat = np.ascontiguousarray(mat)
     if mat.shape[1] < 8:
         mat = np.pad(mat, ((0, 0), (0, 8 - mat.shape[1])))
     n, width = mat.shape
@@ -367,14 +369,14 @@ def _tail_keys(mat: np.ndarray, start: int) -> np.ndarray:
 def _group_tails(mat: np.ndarray, start: int) -> list:
     """Groups of two or more rows of words that agree from position start+1 on.
 
-    mat is a C-contiguous zero-padded relator matrix and start >= 1; rows
-    shorter than start letters take no part.  Each group is an ascending row
-    list; groups are ordered by their first row.  Each row's tail key keeps
-    its high bits above the row index, and one sort brings equal keys
-    together; the rows whose key repeats, less those with no letter at
-    position start (whose tails are all zero), are sorted by tail, and runs
-    of equal adjacent tails are the groups (zero-padded tails are equal only
-    when the words' tails are).  A key collision costs time, never a group.
+    mat is a zero-padded relator matrix and start >= 1; rows shorter than
+    start letters take no part.  Each group is an ascending row list; groups
+    are ordered by their first row.  Each row's tail key keeps its high bits
+    above the row index, and one sort brings equal keys together; the rows
+    whose key repeats, less those with no letter at position start (whose
+    tails are all zero), are sorted by tail, and runs of equal adjacent tails
+    are the groups (zero-padded tails are equal only when the words' tails
+    are).  A key collision costs time, never a group.
     """
     if start > mat.shape[1]:
         return []

@@ -177,6 +177,15 @@ class TestGroupTails:
             assert len(ended) == (start <= mat.shape[1])
             assert any(len(u) < start for u in rows)
 
+    def test_matrices_not_in_c_order(self):
+        # a column slice and a Fortran-order copy, as Presentation(m, matrix=...) accepts
+        mat = np.random.default_rng(5).integers(1, 4, size=(400, 12)).astype(np.int8)
+        rows = [tuple(r) for r in mat[:, :10].tolist()]
+        for view in (mat[:, :10], np.asfortranarray(mat[:, :10])):
+            assert not view.flags.c_contiguous
+            for start in range(1, 12):
+                assert tz._group_tails(view, start) == tail_groups_reference(rows, start)
+
     def test_single_row_has_no_group(self):
         mat = np.array([[1, 2, 1]], dtype=np.int8)
         assert tz._group_tails(mat, 1) == []
@@ -201,7 +210,8 @@ class TestGroupTails:
         # tails past 8 letters get hashed keys; with every key equal, all rows
         # reach the exact check, so the groups cannot change
         if constant_keys:
-            monkeypatch.setattr(tz, "_tail_keys", lambda mat, start: np.zeros(len(mat), dtype=np.uint64))
+            monkeypatch.setattr(tz, "_tail_keys",
+                                lambda mat, start: np.zeros(len(mat), dtype=np.uint64))
         rows = self.long_ragged_rows(m, width, seed=m)
         mat = Presentation(m, rows).matrix
         assert mat.shape[1] == width + 1
@@ -212,7 +222,8 @@ class TestGroupTails:
         rng = np.random.default_rng(5)
         mat = rng.integers(1, 4, size=(400, 6)).astype(np.int8)
         rows = [tuple(r) for r in mat.tolist()]
-        monkeypatch.setattr(tz, "_tail_keys", lambda mat, start: np.zeros(len(mat), dtype=np.uint64))
+        monkeypatch.setattr(tz, "_tail_keys",
+                            lambda mat, start: np.zeros(len(mat), dtype=np.uint64))
         for start in range(1, mat.shape[1] + 2):
             assert tz._group_tails(mat, start) == tail_groups_reference(rows, start)
 

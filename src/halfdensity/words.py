@@ -175,7 +175,8 @@ class Presentation:
     relator i followed by zeros, and the width is the longest relator.
     Letters are never 0, so a row's length is the position of its first 0.
     Presentation(m, relators) packs the words once; Presentation(m,
-    matrix=...) takes a sampler's matrix as it is and makes it read-only.
+    matrix=...) makes an array that owns its data read-only and keeps it, and
+    copies a view, so that writes through its base cannot reach it.
     Both raise ValueError unless every letter is a nonzero integer in +-m.
     """
 
@@ -187,7 +188,8 @@ class Presentation:
             raise ValueError(f"m must be >= 1, got {m}")
         # int8 holds letters only up to +-127
         bound = min(m, 127)
-        matrix = _pack(relators, bound) if matrix is None else _check_padded(matrix, bound)
+        matrix = (_pack(relators, bound) if matrix is None else
+                  _check_padded(matrix if matrix.base is None else matrix.copy(), bound))
         matrix.flags.writeable = False
         self._m = m
         self._matrix = matrix
@@ -350,16 +352,17 @@ def _step_tables(m: int) -> tuple:
     m = 3, 2 at m = 5 and 7), so that a group's r letters are an item of 1, 2,
     4 or 8 bytes, which numpy copies whole; row c (2m-1)^r + sum d_i
     (2m-1)^(r-1-i) of the contiguous (rows, r) int8 steps holds the r letters
-    that draws d_0..d_r-1 give after code c, and the int32 last holds the code
+    that draws d_0..d_r-1 give after code c, and the uint16 last holds the code
     they end on, times (2m-1)^r, so that adding the next r draws' key gives
-    the next row.
+    the next row.  Rows are at most 2^15 when r >= 2 and 254 * 253 at m = 127,
+    so every row index fits last's uint16, the dtype the sampler's keys take.
     """
     two_m, b = 2 * m, 2 * m - 1
     gens = np.arange(1, m + 1, dtype=np.int8)
     code_letter = np.concatenate([gens, -gens])
     draws = np.arange(b)
     inverse = (np.arange(two_m)[:, None] + m) % two_m
-    next_code = (draws + (draws >= inverse)).astype(np.int32)
+    next_code = (draws + (draws >= inverse)).astype(np.uint16)
     r = 1
     while two_m * b ** (2 * r) <= STEP_TABLE_ROWS:
         r *= 2
@@ -377,7 +380,7 @@ def _step_tables(m: int) -> tuple:
 
 
 class _Draws:
-    """Bounded int32 draws read straight from a PCG64 generator's raw output.
+    """Bounded uint8 draws read straight from a PCG64 generator's raw output.
 
     Generator.integers(0, b, dtype=np.int32) reads 32-bit halves of the 64-bit
     PCG64 outputs, low half first, and a high half it has not used waits in the
@@ -408,18 +411,18 @@ class _Draws:
         self._bit_gen.state = state
 
     def __call__(self, b: int, n: int) -> np.ndarray:
-        """n int32 draws uniform in 0..b-1.
+        """A new array of n uint8 draws uniform in 0..b-1, for 2 <= b <= 256.
 
-        When one read gives all n with no half waiting before them, the draws
-        are written over their own halves; else into a new array.
+        For b <= 6 a draw is the number of thresholds ceil(i 2^32 / b), 0 < i
+        < b, that its half u reaches, since u * b >> 32 >= i exactly when u
+        does: b - 1 compares cost less than a float multiply there.
         """
         skip = (1 << 32) % b
-        out, done = None, 0
+        out, done = np.empty(n, dtype=np.uint8), 0
         while done < n:
             if self._waiting is not None:
                 u, self._waiting = self._waiting * b, None
                 if u & 0xFFFFFFFF >= skip:
-                    out = np.empty(n, dtype=np.int32) if out is None else out
                     out[done] = u >> 32
                     done += 1
                 continue
@@ -434,15 +437,17 @@ class _Draws:
             products = halves * b if skip > 1 else halves
             keep = products >= skip if skip and products.min() < skip else None
             del products
-            # u * b < 2^40 and b / 2^32 are exact doubles, so the cast is u * b >> 32
-            if out is None and k == n:
-                np.multiply(halves, b * 2.0**-32, out=halves, casting="unsafe")
-                out = halves.view("<i4")
+            drawn = out[done:done + k]
+            if b <= 6:
+                first, *rest = (((i << 32) + b - 1) // b for i in range(1, b))
+                np.greater_equal(halves, first, out=drawn.view(bool))
+                for threshold in rest:
+                    drawn += (halves >= threshold).view(np.uint8)
             else:
-                out = np.empty(n, dtype=np.int32) if out is None else out
-                np.multiply(halves, b * 2.0**-32, out=out[done:done + k], casting="unsafe")
+                # u * b < 2^40 and b / 2^32 are exact doubles, so the cast is u * b >> 32
+                np.multiply(halves, b * 2.0**-32, out=drawn, casting="unsafe")
             if keep is not None:
-                kept = out[done:done + k][keep]
+                kept = drawn[keep]
                 out[done:done + kept.size] = kept
                 k = kept.size
             done += k
@@ -452,22 +457,22 @@ class _Draws:
 def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     """num x ell int8 matrix of independent uniform freely reduced words (m <= 127).
 
-    Column 0 is one draw in 0..2m-1 per row, a code; every later column is
-    one draw in 0..2m-2 per row.  Each group of r later columns becomes one
-    int32 key per row, the draws as base-(2m-1) digits (a short last group
-    padded with zero digits); key plus the code, pre-multiplied by (2m-1)^r,
-    picks the row of _step_tables' steps that holds the group's r letters
-    and of last that holds the next code, so a code advances r columns per
-    lookup.  When a block of SAMPLE_BLOCK draws holds r columns and more than
-    one, the later columns are drawn a block at a time: one int32 (cols, num)
-    array per draw call, cols a multiple of r (the row's last block may be
-    shorter), each freed before the next, and one gather writes the block's
-    letters.  Otherwise each column is one draw call, folded into the key as
-    it is drawn, and a group's r letters are stored as one r-byte item per
-    row.  The draws are _Draws calls: a (cols, num) call yields the values,
-    and leaves the generator state, of cols gen.integers calls of size num,
-    so matrix and stream equal a column-at-a-time sampler's.  The generator
-    must be over PCG64, else ValueError.
+    Column 0 is one draw in 0..2m-1 per row, a code; every later column is one
+    draw in 0..2m-2 per row, both uint8.  Each group of r later columns becomes
+    one uint16 key per row, the draws as base-(2m-1) digits (a short last
+    group padded with zero digits); key plus the code, pre-multiplied by
+    (2m-1)^r, picks the row of _step_tables' steps that holds the group's r
+    letters and of last that holds the next code, so a code advances r columns
+    per lookup.  When a block of SAMPLE_BLOCK draws holds r columns and more
+    than one, the later columns are drawn a block at a time: one uint8 (cols,
+    num) array per draw call, cols a multiple of r (the row's last block may
+    be shorter), each freed before the next, and one gather writes the block's
+    letters.  Otherwise each column is one draw call, folded into the key as it
+    is drawn, and a group's r letters are stored as one r-byte item per
+    row.  The draws are _Draws calls: a (cols, num) call yields the values, and
+    leaves the generator state, of cols gen.integers calls of size num, so
+    matrix and stream equal a column-at-a-time sampler's.  The generator must
+    be over PCG64, else ValueError.
     """
     if m < 2 or ell < 1 or num < 1:
         raise ValueError("need m >= 2, ell >= 1, num >= 1")
@@ -479,13 +484,13 @@ def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
     with _Draws(as_generator(rng)) as draw:
         codes = draw(two_m, num)
         letters[:, 0] = code_letter[codes]
-        codes *= b**r
+        codes = np.multiply(codes, b**r, dtype=last.dtype)
         width = SAMPLE_BLOCK // num // r * r
         if width <= 1:
             items = steps.view(f"V{r}").reshape(-1)
             for j in range(1, ell, r):
                 cols = min(r, ell - j)
-                key = draw(b, num)
+                key = draw(b, num).astype(last.dtype)
                 for _ in range(cols - 1):
                     key *= b
                     key += draw(b, num)
@@ -499,12 +504,12 @@ def sample_relator_matrix(m: int, ell: int, num: int, rng) -> np.ndarray:
                 last.take(key, out=codes)
                 letters[:, j:j + r].view(f"V{r}")[:, 0] = items.take(key)
             return letters
-        powers = b ** np.arange(r - 1, -1, -1, dtype=np.int32)
+        powers = b ** np.arange(r - 1, -1, -1, dtype=last.dtype)
         for j in range(1, ell, width):
             cols = min(width, ell - j)
             full, rest = divmod(cols, r)
             block = draw(b, cols * num).reshape(cols, num)
-            keys = np.empty((full + (rest > 0), num), dtype=np.int32)
+            keys = np.empty((full + (rest > 0), num), dtype=last.dtype)
             np.einsum("i,gin->gn", powers, block[:full * r].reshape(full, r, num),
                       out=keys[:full])
             if rest:

@@ -260,7 +260,8 @@ class TestForcedSkips:
 
 class TestDraws:
     """words._Draws against gen.integers(0, b, n, dtype=np.int32) on a twin generator:
-    the same values call by call, and the same state after the draws."""
+    the same values call by call, and the same state after the draws.  Bounds up
+    to 6 map halves by threshold compares, larger ones by a float multiply."""
 
     SIZES = [1, 2, 7, 8, 1, 33, 64, 3, 1000, 1, 17, 16, 2]
 
@@ -276,11 +277,11 @@ class TestDraws:
         with words._Draws(got) as draw:
             for n in sizes:
                 values = draw(b, n)
-                assert values.dtype == np.int32 and values.shape == (n,)
+                assert values.dtype == np.uint8 and values.shape == (n,)
                 assert np.array_equal(values, ref.integers(0, b, n, dtype=np.int32)), (b, n)
         assert got.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("b", [3, 4, 5, 6, 253, 254])
+    @pytest.mark.parametrize("b", [3, 4, 5, 6, 7, 8, 9, 253, 254])
     @pytest.mark.parametrize("block", [None, 16, 5], ids=["block", "rounds-16", "rounds-5"])
     def test_matches_integers(self, b, block):
         # a half of the largest remainder u * b mod 2^32 that is skipped (below
@@ -292,6 +293,9 @@ class TestDraws:
         skipped = reached[-1] if reached else kept
         forced = [(1, 0), (2, skipped | kept << 32), (5, kept | skipped << 32),
                   (40, 0), (300, skipped | skipped << 32), (600, 0), (601, 0)]
+        # the halves just below and at ceil(i 2^32 / b), where draws step from i - 1 to i
+        edges = [((i << 32) + b - 1) // b for i in (1, b // 2, b - 1)]
+        forced += [(3 + j, t - 1 | t << 32) for j, t in enumerate(edges)]
         with mock.patch.object(words, "SAMPLE_BLOCK", block or words.SAMPLE_BLOCK):
             for held in (0, 1):
                 self.assert_matches_integers(b, None if not held else
@@ -371,6 +375,10 @@ class TestSampling:
 
     def test_step_tables_are_read_only_and_bounded(self):
         assert [words._step_tables(m)[1] for m in (2, 3, 5, 127)] == [8, 4, 2, 1]
+        # the sampler's uint16 keys index the 2m (2m-1)^r rows of every table
+        for m in range(2, 128):
+            code_letter, r, steps, last = words._step_tables(m)
+            assert len(steps) == 2 * m * (2 * m - 1) ** r <= 2**16 and last.dtype == np.uint16
         for m in range(2, 30):
             for table in words._step_tables(m):
                 assert not isinstance(table, np.ndarray) or not table.flags.writeable
@@ -387,7 +395,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the result, one block of int32 draws and its keys and letters; a
+        # the result, one block of uint8 draws and its keys and letters; a
         # full-size code or key matrix would take over 20 blocks' bytes
         assert peak < mat.nbytes + 3 * 4 * words.SAMPLE_BLOCK
 
@@ -402,7 +410,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one column of int32 draws, the int32 keys and codes and a group's
+        # one column of uint8 draws, the uint16 keys and codes and a group's
         # r letters; a full int64 code matrix would take 8 * 22 bytes a row
         assert peak < mat.nbytes + 32 * num
 
@@ -597,6 +605,14 @@ class TestMatrixBackedPresentation:
             Presentation(m, relators)
         with pytest.raises(ValueError):
             Presentation(m, matrix=Presentation(3, relators).matrix)
+
+    def test_matrix_view_is_copied(self):
+        base = np.array([[1, 1, 1, 2], [2, 2, 2, 1]], dtype=np.int8)
+        pres = Presentation(2, matrix=base[:, :3])
+        base[0, 0] = 2
+        assert pres.relator(0) == (1, 1, 1) and base.flags.writeable
+        owned = np.array([[1, 2]], dtype=np.int8)
+        assert Presentation(2, matrix=owned).matrix is owned
 
     @pytest.mark.parametrize("rows", [[[1, 0, 2]], [[1, 2, 0], [2, 1, 0]], [[-128, 1]]])
     def test_rejects_malformed_matrix(self, rows):

@@ -161,6 +161,16 @@ MUTANTS = [
     Mutant("draws-high-half-first", "src/halfdensity/words.py",
            '.astype("<u8", copy=False).view("<u4")', '.astype(">u8", copy=False).view(">u4")',
            ("tests/test_words.py",)),
+    # the sampler's draws step at floor(i 2^32 / b), not ceil: at a half just below
+    # a threshold that b does not divide, the draw is one too large
+    Mutant("draws-threshold-floor", "src/halfdensity/words.py",
+           "((i << 32) + b - 1) // b", "(i << 32) // b",
+           ("tests/test_words.py",)),
+    # the sampler's step keys are int16, which wraps above 2^15 rows (m >= 91)
+    Mutant("step-keys-int16", "src/halfdensity/words.py",
+           "(draws + (draws >= inverse)).astype(np.uint16)",
+           "(draws + (draws >= inverse)).astype(np.int16)",
+           ("tests/test_words.py",)),
 ]
 
 

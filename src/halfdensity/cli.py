@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import secrets
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__, diagrams, distribution, pigeonhole, thresholds, trivializer, words
@@ -157,16 +157,12 @@ def _json_out(path: str, payload: dict) -> None:
 
 
 def _csv_out(path: str, digest: str, header: list, rows: list, preamble=()) -> None:
-    buf = io.StringIO()
-    buf.write("# format_version=1\n")
-    buf.write(f"# manifest_digest={digest}\n")
-    for line in preamble:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        for line in ["format_version=1", f"manifest_digest={digest}", *preamble]:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +170,27 @@ def _csv_out(path: str, digest: str, header: list, rows: list, preamble=()) -> N
 # manifest digest of (subcommand, recorded, seed) that every output embeds
 
 
-def _exec_sample(recorded, seed, out, digest) -> str:
+def _sample(recorded, seed) -> words.Presentation:
+    """The presentation of the recorded model that sample and trivialize draw from seed."""
     params = words.ModelParams(recorded["m"], recorded["ell"], recorded["num"])
-    pres = words.sample_presentation(params, RandomSource(seed).child(0),
+    return words.sample_presentation(params, RandomSource(seed).child(0),
                                      max_letters=recorded["max_letters"])
-    text = words.presentation_to_text(pres)
+
+
+def _exec_sample(recorded, seed, out, digest) -> str:
+    text = words.presentation_to_text(_sample(recorded, seed))
     lines = text.split("\n")
     lines.insert(1, f"# manifest_digest={digest}")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines))
-    return f"sample: wrote {params.num} relators to {out}"
+    return f"sample: wrote {recorded['num']} relators to {out}"
 
 
 def _exec_trivialize(recorded, seed, out, digest, log=None) -> str:
-    params = words.ModelParams(recorded["m"], recorded["ell"], recorded["num"])
     cfg = trivializer.TrivializerConfig(
-        m=params.m, ell=params.ell, k=recorded["k"], max_rounds=recorded["max_rounds"]
+        m=recorded["m"], ell=recorded["ell"], k=recorded["k"], max_rounds=recorded["max_rounds"]
     )
-    pres = words.sample_presentation(params, RandomSource(seed).child(0),
-                                     max_letters=recorded["max_letters"])
-    verdict = trivializer.trivialize(pres, cfg)
+    verdict = trivializer.trivialize(_sample(recorded, seed), cfg)
     payload = {
         "format_version": 1,
         "manifest_digest": digest,
@@ -314,8 +311,8 @@ def _exec_conditions(recorded, seed, out, digest) -> str:
     preamble = [f"condition={report.condition}", f"verdict={report.verdict}"]
     if report.symbolic is not None:
         preamble.append(f"symbolic={report.symbolic!r}")
-    if "heuristic" in report.detail:  # the label of an indeterminate verdict
-        preamble.append(f"heuristic={report.detail['heuristic']}")
+    if report.heuristic:  # the label of an indeterminate verdict
+        preamble.append(f"heuristic={report.heuristic}")
     rows = [[ell, f"{val:.12g}"] for ell, val in report.trace]
     _csv_out(out, digest, ["ell", "value"], rows, preamble)
     return f"conditions: {report.condition} verdict={report.verdict} -> {out}"
@@ -328,10 +325,7 @@ def _exec_phase_map(recorded, seed, out, digest) -> str:
     rows = [[f"{float(c.alpha):.6g}", f"{float(c.beta):.6g}", c.outcome, c.clause]
             for c in cells]
     _csv_out(out, digest, ["alpha", "beta", "verdict", "clause"], rows)
-    counts: dict = {}
-    for c in cells:
-        counts[c.outcome] = counts.get(c.outcome, 0) + 1
-    return f"phase-map: {counts} -> {out}"
+    return f"phase-map: {dict(Counter(c.outcome for c in cells))} -> {out}"
 
 
 _EXECUTORS = {

@@ -79,13 +79,9 @@ def letter_law_oracle(m: int, n: int) -> dict[str, Fraction]:
 
 
 def decay_bounds(m: int, n: int) -> tuple[Fraction, Fraction]:
-    """Closed interval [lower, upper] containing Pr(x_n = x | x_0 = y) for all x, y."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    mf = Fraction(1, 2 * m - 1)
-    a = mf * partial_sum(m, n - 1)
-    b = mf * partial_sum(m, n)
-    return (a, b) if a <= b else (b, a)
+    """Closed interval [lower, upper] containing Pr(x_n = x | x_0 = y) for all
+    x, y: the laws of x_0 and x_0^-1, sorted (every other letter shares one)."""
+    return tuple(sorted(letter_law(m, n, rel) for rel in ("same", "inverse")))
 
 
 # ---------------------------------------------------------------------------

@@ -55,16 +55,14 @@ class GrowthExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                k = tuple(_fr(v) for v in key)
-                self.terms[k] = self.terms.get(k, 0) + coeff
-                if self.terms[k] == 0:
-                    del self.terms[k]
+    def __init__(self, terms=None):
+        """terms: a dict or (key, coeff) pairs; coefficients of equal keys are
+        summed, and zero sums dropped."""
+        summed: dict = {}
+        for key, coeff in terms.items() if isinstance(terms, dict) else terms or ():
+            key = tuple(_fr(v) for v in key)
+            summed[key] = summed.get(key, 0) + coeff
+        self.terms = {k: c for k, c in summed.items() if c != 0}
 
     @classmethod
     def constant(cls, c) -> "GrowthExpr":
@@ -72,7 +70,7 @@ class GrowthExpr:
 
     @classmethod
     def monomial(cls, a, b, g, coeff) -> "GrowthExpr":
-        return cls({(_fr(a), _fr(b), _fr(g)): coeff})
+        return cls({(a, b, g): coeff})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GrowthExpr) and self.terms == other.terms
@@ -93,29 +91,22 @@ class GrowthExpr:
         return "GrowthExpr(" + " + ".join(parts) + ")"
 
     def __add__(self, other: "GrowthExpr") -> "GrowthExpr":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return GrowthExpr(out)
+        return GrowthExpr([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "GrowthExpr") -> "GrowthExpr":
         return self + other.scale(-1)
 
     def scale(self, c) -> "GrowthExpr":
-        return GrowthExpr({k: c * v for k, v in self.terms.items()})
+        return GrowthExpr.constant(c) * self
 
     def __mul__(self, other: "GrowthExpr") -> "GrowthExpr":
-        out: dict = {}
-        for (a1, b1, g1), c1 in self.terms.items():
-            for (a2, b2, g2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2, g1 + g2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return GrowthExpr(out)
+        return GrowthExpr(((a1 + a2, b1 + b2, g1 + g2), c1 * c2)
+                          for (a1, b1, g1), c1 in self.terms.items()
+                          for (a2, b2, g2), c2 in other.terms.items())
 
     def shift_ell(self, power) -> "GrowthExpr":
         """Multiply by ell^power."""
-        p = _fr(power)
-        return GrowthExpr({(a + p, b, g): c for (a, b, g), c in self.terms.items()})
+        return self * GrowthExpr.monomial(power, 0, 0, 1)
 
     def leading_term(self):
         if not self.terms:
@@ -201,7 +192,12 @@ class ConditionReport:
     verdict: str
     symbolic: Optional[GrowthExpr]
     trace: list
-    detail: dict = field(default_factory=dict)
+    #: heuristic_verdict(trace) when the verdict is indeterminate, else None
+    heuristic: Optional[str] = field(init=False)
+
+    def __post_init__(self):
+        self.heuristic = (heuristic_verdict(self.trace)
+                          if self.verdict == VERDICT_INDETERMINATE else None)
 
 
 def heuristic_verdict(trace: list) -> str:
@@ -265,7 +261,6 @@ def spade_condition(k_fn: GrowthExpr, ell_grid: list, m: int = 2) -> ConditionRe
     base = 2 * m - 1
     symbolic = None
     verdict = VERDICT_INDETERMINATE
-    detail: dict = {}
     trace = []
     ln_base = math.log(base)
     for ell in ell_grid:
@@ -275,27 +270,18 @@ def spade_condition(k_fn: GrowthExpr, ell_grid: list, m: int = 2) -> ConditionRe
         log_b = math.log(max(ell - 2, 1)) - math.log(2 * k_val + 2) - 2 * k_val * ln_base
         trace.append((ell, math.exp(log_b) if log_b < 700 else float("inf")))
     two_k = k_fn.scale(2)
-    growing = [(key, c) for key, c in two_k.terms.items() if key[0] > 0 and c > 0]
     expo = _exp_base(two_k, m)
     if expo is not None:
         # the numerator ell - 2 leads with ell^1
         dk, dc = ((two_k + GrowthExpr.constant(2)) * expo).leading_term()
         ratio_key = (1 - dk[0], -dk[1], -dk[2])
-        ratio_coeff = 1.0 / float(dc)
-        symbolic = GrowthExpr.monomial(*ratio_key, ratio_coeff)
-        if ratio_key > _ZERO_KEY:
-            verdict = VERDICT_DIVERGES if ratio_coeff > 0 else VERDICT_TO_MINUS_INF
-        elif ratio_key == _ZERO_KEY:
-            verdict = VERDICT_BOUNDED
-        else:
-            verdict = VERDICT_TO_ZERO
-    elif growing:
+        symbolic = GrowthExpr.monomial(*ratio_key, 1.0 / float(dc))
+        verdict = VERDICT_TO_ZERO if ratio_key < _ZERO_KEY else symbolic.limit_verdict()
+    elif any(key[0] > 0 and c > 0 for key, c in two_k.terms.items()):
         # exponent has a positive power of ell: denominator outgrows
         # every polynomial, so the block count collapses to zero
         verdict = VERDICT_TO_ZERO
-    if verdict == VERDICT_INDETERMINATE:
-        detail["heuristic"] = heuristic_verdict(trace)
-    return ConditionReport("spade", verdict, symbolic, trace, detail)
+    return ConditionReport("spade", verdict, symbolic, trace)
 
 
 def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
@@ -304,7 +290,6 @@ def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
     base = 2 * m - 1
     symbolic = None
     verdict = VERDICT_INDETERMINATE
-    detail: dict = {}
     if K_fn.is_monomial():
         ((aK, bK, gK), cK), = K_fn.terms.items()
         if cK > 0 and gK == 0:
@@ -317,7 +302,6 @@ def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
             t3 = f.shift_ell(1)
             symbolic = t1 + t2 - t3
             verdict = symbolic.limit_verdict()
-            detail["terms"] = {"diagram_count": t1, "window_loss": t2, "decay": t3}
 
     trace = []
     for ell in ell_grid:
@@ -327,9 +311,7 @@ def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
         val = (3000 * K_val**2 * math.log(K_val * ell, base)
                + 10**4 * ell / K_val - ell * f.evaluate(ell, m))
         trace.append((ell, val))
-    if verdict == VERDICT_INDETERMINATE:
-        detail["heuristic"] = heuristic_verdict(trace)
-    return ConditionReport("asterisk", verdict, symbolic, trace, detail)
+    return ConditionReport("asterisk", verdict, symbolic, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,6 @@ class TrivializerConfig:
     def block_size(self) -> int:
         return (2 * self.k + 2) * (2 * self.m - 1) ** (2 * self.k)
 
-    @property
-    def block_count(self) -> int:
-        return self.block_count_for(self.ell)
-
     def block_count_for(self, length: int) -> int:
         """Full blocks available in a relator of the given length."""
         return max(0, (length - 2) // self.block_size)
@@ -134,11 +130,10 @@ class TrivializerConfig:
 
 @dataclass(frozen=True, eq=False)
 class _Codec:
-    """How one kind of step field is written to JSON, read back, and logged."""
+    """How one kind of step field is written to JSON (and to the log) and read back."""
 
     dump: Callable
     load: Callable
-    show: Callable
 
 
 def _load_int(value) -> int:
@@ -148,10 +143,10 @@ def _load_int(value) -> int:
     return value
 
 
-_INT = _Codec(int, _load_int, str)
-_REF = _Codec(int, _load_int, str)  # an index of an earlier step
-_WORD = _Codec(word_to_str, word_from_str, lambda w: word_to_str(w) or "(empty)")
-_LETTER = _Codec(letter_to_char, char_to_letter, letter_to_char)
+_INT = _Codec(int, _load_int)
+_REF = _Codec(int, _load_int)  # an index of an earlier step
+_WORD = _Codec(word_to_str, word_from_str)
+_LETTER = _Codec(letter_to_char, char_to_letter)
 
 
 def _field(codec: _Codec):
@@ -258,7 +253,7 @@ class Certificate:
         """Human-readable derivation log."""
         lines = [f"claim: {letter_to_char(self.x)} = {letter_to_char(self.y)} in G"]
         for i, s in enumerate(self.steps):
-            shown = {n: c.show(getattr(s, n)) for n, c in _STEP_FIELDS[type(s)]}
+            shown = {n: str(c.dump(getattr(s, n))) or "(empty)" for n, c in _STEP_FIELDS[type(s)]}
             lines.append(f"[{i}] " + s.text.format(step=s, **shown))
         return "\n".join(lines)
 
@@ -393,9 +388,8 @@ def _group_tails(mat: np.ndarray, start: int) -> list:
     rows = (packed[repeats] & index).astype(np.intp)
     rows = rows[mat[rows, start - 1] != 0]
     tails = mat[rows, start:]
-    # lexsort is stable, and rows with equal tails, hence equal keys, come in
-    # ascending order, so each run lists its rows in ascending order
-    order = np.lexsort(tails.T[::-1]) if tails.shape[1] else np.arange(len(rows))
+    # the rows are the last tiebreak, so each run lists its rows in ascending order
+    order = np.lexsort([rows, *tails.T[::-1]])
     ordered = tails[order]
     new_run = np.ones(len(rows) + 1, dtype=bool)
     new_run[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -453,13 +447,13 @@ def _first_patterns(mat: np.ndarray, w: Word):
         while todo.size:
             rows, si = live[todo], c0 + first[todo]  # the column left of each occurrence
             ti = si + W + 1
-            growing = np.arange(len(rows))
-            while growing.size:
-                s, t = si[growing], ti[growing]
-                growing = growing[(s > 0) & (t < width - 1)
-                                  & (mat[rows[growing], s] == -mat[rows[growing], t])]
-                si[growing] -= 1
-                ti[growing] += 1
+            grow = np.arange(len(rows))
+            while grow.size:
+                s, t = si[grow], ti[grow]
+                grow = grow[(s > 0) & (t < width - 1)
+                            & (mat[rows[grow], s] == -mat[rows[grow], t])]
+                si[grow] -= 1
+                ti[grow] += 1
             valid = mat[rows, si] != -mat[rows, ti]
             flanks[:, rows[valid]] = si[valid], ti[valid]
             todo = todo[~valid]
@@ -617,7 +611,7 @@ class Verdict:
             "outcome": self.outcome,
             "parameters": {**vars(self.config),
                            "block_size": self.config.block_size,
-                           "block_count": self.config.block_count},
+                           "block_count": self.config.block_count_for(self.config.ell)},
             "certificates": [c.to_json_dict() for c in self.certificates],
             "statistics": self.stats.to_json_dict(),
         }
@@ -693,8 +687,8 @@ def _best_collision(mat: np.ndarray, groups: list, k: int, used_ws: set):
             count += 1
             if best is not None and (i1, i2) >= best[:2]:
                 continue
-            w = concat_reduce(invert(u), v)
-            if len(w) != 2 * k or w in used_ws:
+            w = invert(u) + tuple(v)  # nothing cancels where they meet, as u[0] != v[0]
+            if w in used_ws:
                 continue
             best = (i1, i2, w)
     return best, count

@@ -83,7 +83,7 @@ class TestSpadeCondition:
         rep = th.spade_condition(k, GRID)
         assert rep.verdict == th.VERDICT_BOUNDED
         assert rep.symbolic == th.GrowthExpr.constant(1.0)
-        assert "heuristic" not in rep.detail
+        assert rep.heuristic is None
 
     def test_log_k_converges_to_zero(self):
         rep = th.spade_condition(th.family(0, 1, 1), GRID)
@@ -93,7 +93,7 @@ class TestSpadeCondition:
     def test_log_squared_k_is_indeterminate(self):
         rep = th.spade_condition(th.family(0, 2, 1), GRID)
         assert rep.verdict == th.VERDICT_INDETERMINATE and rep.symbolic is None
-        assert rep.detail["heuristic"] == th.VERDICT_TO_ZERO
+        assert rep.heuristic == th.VERDICT_TO_ZERO
 
     def test_trace_positive_and_increasing_for_matched_k(self):
         rep = th.spade_condition(th.threshold_head_k(), GRID)
@@ -129,18 +129,19 @@ class TestAsteriskCondition:
         # the CLI reaches this with --K-expr threshold-k
         rep = th.asterisk_condition(th.threshold_head_k(), th.GrowthExpr(), GRID)
         assert rep.verdict == th.VERDICT_INDETERMINATE and rep.symbolic is None
-        assert rep.detail["heuristic"] == th.heuristic_verdict(rep.trace)
+        assert rep.heuristic == th.heuristic_verdict(rep.trace)
 
     def test_zero_f_diverges_up(self):
         rep = th.asterisk_condition(th.hyperbolic_window_K(1), th.GrowthExpr(), GRID)
         assert rep.verdict == th.VERDICT_DIVERGES
 
     def test_three_term_breakdown(self):
+        # at ell^(2/3) log^(1/3): 3000 K^2 log(K ell) with log(K ell) = (4/3) log
+        # - (1/3) loglog, the window loss 10^4 ell/K, and the decay ell f
         rep = th.asterisk_condition(th.hyperbolic_window_K(1),
                                     th.family(F(1, 3), F(1, 3), 10**5), GRID)
-        terms = rep.detail["terms"]
-        assert set(terms) == {"diagram_count", "window_loss", "decay"}
-        assert terms["window_loss"] == th.GrowthExpr.monomial(F(2, 3), F(1, 3), 0, 10**4)
+        assert rep.heuristic is None
+        assert rep.symbolic.terms[(F(2, 3), F(1, 3), 0)] == 3000 * F(4, 3) + 10**4 - 10**5
 
 
 class TestClassifyPhase:

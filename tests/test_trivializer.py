@@ -69,12 +69,12 @@ class TestConfig:
     def test_block_geometry(self):
         cfg = tz.TrivializerConfig(m=2, ell=110, k=1)
         assert cfg.block_size == 4 * 9 == 36
-        assert cfg.block_count == 3
+        assert cfg.block_count_for(cfg.ell) == 3
         assert cfg.block_count_for(37) == 0
         assert cfg.block_count_for(38) == 1
 
     def test_block_count_never_negative(self):
-        assert tz.TrivializerConfig(m=2, ell=1, k=1).block_count == 0
+        assert tz.TrivializerConfig(m=2, ell=1, k=1).block_count_for(1) == 0
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -474,7 +474,7 @@ class TestReduceRelator:
 
     def test_three_blocks_three_events(self):
         cfg = tz.TrivializerConfig(m=2, ell=110, k=1)
-        assert cfg.block_count == 3
+        assert cfg.block_count_for(cfg.ell) == 3
 
         def filler(n):
             return tuple([2, 1][i % 2] for i in range(n))

@@ -919,6 +919,41 @@ class TestCheckCertificate:
                 tz.Certificate.from_json_dict(bad)
 
 
+def replay_edited(cert, relators, claim=None, **edits):
+    """check_certificate of cert on the presentation of relators, each relator
+    step citing its relator there, the fields of its one collision, reduction
+    or conclusion step replaced by edits[kind], and claim (x, y) if given."""
+    steps = [dataclasses.replace(s, word=relators[s.index]) if isinstance(s, tz.RelatorStep)
+             else dataclasses.replace(s, **edits.get(s.kind, {})) for s in cert.steps]
+    x, y = claim or (cert.x, cert.y)
+    return tz.check_certificate(Presentation(2, relators), tz.Certificate(x, y, steps))
+
+
+class TestCheckerEdges:
+    """Certificates at the edges of each checker test, edited from the fixture's.
+
+    The chain certificate reads: relators r0 = ab T and r1 = bb T collide at
+    k = 1 with w = Ab; the host's w at 11..12, between the flanks b and a, is
+    excised; the partner agrees with the result from position 2, so a = A.
+    """
+
+    @pytest.fixture()
+    def run(self):
+        pres = build_reduction_fixture()
+        v = tz.trivialize(pres, tz.TrivializerConfig(m=2, ell=40, k=1))
+        first, chain = v.certificates
+        assert replay_edited(chain, pres.relators) and replay_edited(first, pres.relators)
+        return pres.relators, chain, first
+
+    def test_reduction_whose_flanks_cancel_fails(self, run):
+        (r0, r1, host, _), chain, _ = run
+        # flanks B and b around w = Ab: the host stays freely reduced, the result does not
+        host = host[:9] + (-2, -1, 2, 2) + host[13:]
+        result = host[:10] + host[12:]
+        assert replay_edited(chain, [r0, r1, host, (-1,) + result[1:]],
+                             reduction={"s_letter": -2, "t_letter": 2, "result": result}) is False
+
+
 def _perturbations(value):
     """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""
     if isinstance(value, tuple):

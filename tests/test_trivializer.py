@@ -953,6 +953,11 @@ class TestCheckerEdges:
         assert replay_edited(chain, [r0, r1, host, (-1,) + result[1:]],
                              reduction={"s_letter": -2, "t_letter": 2, "result": result}) is False
 
+    def test_collision_of_whole_words_replays(self, run):
+        (r0, r1, host, partner), chain, _ = run
+        # the relators a and b collide at k = 1 = len(u) = len(v), with empty tails
+        assert replay_edited(chain, [r0[:1], r1[:1], host, partner]) is True
+
 
 def _perturbations(value):
     """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""

@@ -958,6 +958,15 @@ class TestCheckerEdges:
         # the relators a and b collide at k = 1 = len(u) = len(v), with empty tails
         assert replay_edited(chain, [r0[:1], r1[:1], host, partner]) is True
 
+    def test_reduction_at_start_two_replays(self, run):
+        (r0, r1, host, _), chain, _ = run
+        # the host from its flank b on, so w = Ab is at 2..3; a partner B... gives b = B
+        host = host[9:]
+        result = host[:1] + host[3:]
+        assert replay_edited(chain, [r0, r1, host, (-2,) + result[1:]], claim=(2, -2),
+                             reduction={"start": 2, "end": 3, "result": result},
+                             conclusion={"x": 2, "y": -2}) is True
+
 
 def _perturbations(value):
     """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""

@@ -967,6 +967,14 @@ class TestCheckerEdges:
                              reduction={"start": 2, "end": 3, "result": result},
                              conclusion={"x": 2, "y": -2}) is True
 
+    def test_reduction_ending_before_the_last_letter_replays(self, run):
+        (r0, r1, host, _), chain, _ = run
+        # the host up to its flank a: end = 12 = len(host) - 1
+        host = host[:13]
+        result = host[:10] + host[12:]
+        assert replay_edited(chain, [r0, r1, host, (-1,) + result[1:]],
+                             reduction={"result": result}) is True
+
 
 def _perturbations(value):
     """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""

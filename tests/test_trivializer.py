@@ -975,6 +975,13 @@ class TestCheckerEdges:
         assert replay_edited(chain, [r0, r1, host, (-1,) + result[1:]],
                              reduction={"result": result}) is True
 
+    def test_reduction_with_no_right_flank_fails(self, run):
+        (r0, r1, host, partner), chain, _ = run
+        # the host ends with w: end = 12 = len(host), and there is no letter t
+        host = host[:12]
+        assert replay_edited(chain, [r0, r1, host, partner],
+                             reduction={"result": host[:10]}) is False
+
 
 def _perturbations(value):
     """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""

@@ -982,6 +982,12 @@ class TestCheckerEdges:
         assert replay_edited(chain, [r0, r1, host, partner],
                              reduction={"result": host[:10]}) is False
 
+    def test_collision_past_the_shorter_word_fails(self, run):
+        (r0, r1, host, partner), chain, _ = run
+        # u = ab and v = b at k = 2: k <= len(u) but k > len(v)
+        assert replay_edited(chain, [r0[:2], r1[:1], host, partner],
+                             collision={"k": 2, "w": (-2, -1, 2)}) is False
+
 
 def _perturbations(value):
     """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""

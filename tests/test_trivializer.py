@@ -988,6 +988,11 @@ class TestCheckerEdges:
         assert replay_edited(chain, [r0[:2], r1[:1], host, partner],
                              collision={"k": 2, "w": (-2, -1, 2)}) is False
 
+    def test_conclusion_on_one_letter_words_replays(self, run):
+        (r0, r1, _, _), _, first = run
+        # the fixture's a = b certificate, its relators cut to a and b
+        assert replay_edited(first, [r0[:1], r1[:1]]) is True
+
 
 def _perturbations(value):
     """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""

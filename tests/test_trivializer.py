@@ -993,6 +993,19 @@ class TestCheckerEdges:
         # the fixture's a = b certificate, its relators cut to a and b
         assert replay_edited(first, [r0[:1], r1[:1]]) is True
 
+    def test_collision_whose_kth_letters_agree_fails(self, run):
+        (r0, r1, host, _), chain, _ = run
+        # ab T and bb T at k = 2: first letters differ, second letters agree.
+        # Every later step is consistent with w = BAbb, so only the collision's
+        # form refutes the certificate.
+        w = invert(r0[:2]) + r1[:2]
+        host = host[:9] + (1,) + w + (1,) + host[13:]
+        result = host[:10] + host[14:]
+        assert replay_edited(chain, [r0, r1, host, (-1,) + result[1:]],
+                             collision={"k": 2, "w": w},
+                             reduction={"end": 14, "s_letter": 1, "t_letter": 1,
+                                        "result": result}) is False
+
 
 def _perturbations(value):
     """Single-field edits: +-1 and negation for ints, drop/extend/invert for words."""

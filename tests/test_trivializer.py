@@ -389,6 +389,16 @@ class TestFirstPatterns:
         assert si == [lo0 + c for c in starts] + [3999]
         assert ti == [lo0 + c + len(w) + 1 for c in starts] + [4006]
 
+    def test_pattern_at_column_zero_before_a_later_chunk(self):
+        # a valid pattern with its left flank at column 0, and another in the
+        # second chunk of candidate columns: the scan keeps the first
+        w = (1, 2)
+        r = [2] * (tz.SCAN_CHUNK + len(w) + 64)
+        r[1:3] = w
+        r[tz.SCAN_CHUNK + 40 : tz.SCAN_CHUNK + 42] = w
+        mat = np.array([r, [2] * len(r)], dtype=np.int8)
+        assert assert_first_patterns(mat, w, 0, len(r) - 1) == ([0], [0], [3])
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_per_row_reference(self, data):

@@ -143,9 +143,15 @@ def _load_int(value) -> int:
     return value
 
 
+def _load_word(value) -> Word:
+    if not isinstance(value, str):  # word_from_str would read any iterable of letters
+        raise CertificateError(f"expected a word string, got {value!r}")
+    return word_from_str(value)
+
+
 _INT = _Codec(int, _load_int)
 _REF = _Codec(int, _load_int)  # an index of an earlier step
-_WORD = _Codec(word_to_str, word_from_str)
+_WORD = _Codec(word_to_str, _load_word)
 _LETTER = _Codec(letter_to_char, char_to_letter)
 
 

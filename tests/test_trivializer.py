@@ -913,6 +913,19 @@ class TestCheckCertificate:
         with pytest.raises(tz.CertificateError):
             tz.Certificate.from_json_dict(bad)
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("collision", "w", ["A", "b"]),
+        ("relator", "word", {"a": 1}),
+        ("reduction", "conjugator", {}),
+    ])
+    def test_word_field_that_is_no_string_rejected(self, fixture_run, kind, key, value):
+        # each would read as a word of its characters: Ab, a and the empty word
+        _, cert = fixture_run
+        bad = cert.to_json_dict()
+        next(st for st in bad["steps"] if st["kind"] == kind)[key] = value
+        with pytest.raises(tz.CertificateError, match="expected a word string"):
+            tz.Certificate.from_json_dict(bad)
+
     def test_multi_letter_string_in_letter_field_rejected(self, fixture_run):
         _, cert = fixture_run
         good = cert.to_json_dict()

@@ -53,6 +53,37 @@ MUTANTS = [
     Mutant("trivialize-guard-call", "src/halfdensity/trivializer.py",
            "and abelianization_guard(R) == CERTAINLY_NONTRIVIAL:", "and False:",
            ("tests/test_trivializer.py", "tests/test_cli.py")),
+    # the checker accepts a reduction step whose flanks s and t cancel
+    Mutant("reduction-cancelling-flanks", "src/halfdensity/trivializer.py",
+           "            if s.s_letter == -s.t_letter:\n                return False\n",
+           "            if s.s_letter == -s.t_letter:\n                return True\n",
+           ("tests/test_trivializer.py",)),
+    # the checker accepts a k >= 2 collision whose k-th letters agree
+    Mutant("collision-kth-letters", "src/halfdensity/trivializer.py",
+           "            if u[0] == v[0] or u[k - 1] == v[k - 1]:\n                return False\n",
+           "            if u[0] == v[0] and u[k - 1] == v[k - 1]:\n                return False\n",
+           ("tests/test_trivializer.py",)),
+    # the checker reads a right flank past the host's last letter
+    Mutant("reduction-end-range", "src/halfdensity/trivializer.py",
+           "end <= len(host) - 1", "end <= len(host)",
+           ("tests/test_trivializer.py",)),
+    # the checker rejects a collision with k = len(v)
+    Mutant("collision-k-range", "src/halfdensity/trivializer.py",
+           "k <= len(v)", "k < len(v)",
+           ("tests/test_trivializer.py",)),
+    # the checker rejects a conclusion on one-letter words
+    Mutant("conclusion-one-letter", "src/halfdensity/trivializer.py",
+           "len(u) < 1", "len(u) < 2",
+           ("tests/test_trivializer.py",)),
+    # the pattern scan keeps a row whose pattern has its left flank at column 0
+    # live, and a later chunk overwrites that pattern
+    Mutant("scan-column-zero-live", "src/halfdensity/trivializer.py",
+           "flanks[0, live] < 0", "flanks[0, live] <= 0",
+           ("tests/test_trivializer.py",)),
+    # the word codec reads any iterable of characters as a word
+    Mutant("word-codec-str-check", "src/halfdensity/trivializer.py",
+           "    if not isinstance(value, str):", "    if False:",
+           ("tests/test_trivializer.py",)),
     # the coincidence kernel reads a guide bucket from the top 11 bits, not 12
     Mutant("kernel-bucket-shift", "src/halfdensity/pigeonhole.py",
            "np.right_shift(x, 52, out=", "np.right_shift(x, 53, out=",

@@ -16,7 +16,7 @@ from halfdensity import cli
 from halfdensity import trivializer as tz
 from halfdensity import words
 from halfdensity.rng import RandomSource
-from test_trivializer import build_reduction_fixture
+from test_trivializer import build_reduction_fixture, reduction_presentation
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -156,6 +156,32 @@ def test_reduction_sweep_certificates_chain_reductions():
              for c in v.certificates for s in c.steps for n in tz._STEP_REFS[type(s)]}
     assert {("collision", "r1", "reduction"), ("collision", "r2", "reduction")} & cites
     assert ("reduction", "host", "reduction") in cites
+
+
+# reduction_presentation's random hosts at one to three rounds.  In each
+# run a certificate holds a reduction whose host step a collision step also
+# cites: the row was first cited in the round that reduces it, so that round's
+# first reduction of the row cites the collision's RelatorStep.
+@pytest.mark.parametrize("m, seed, rounds, outcome, expected", [
+    (2, 5, 1, "unknown", "ede77bee148e2b2bd8e4e1731fc5cbad206f4fa6d90a7b63fbdf01e8f3b8953a"),
+    (2, 5, 2, "trivial", "c5cd1d89c1fb035d1c35081bf1c5cb48d9308931f4a4cf269788e9cf3a84d402"),
+    (2, 5, 3, "trivial", "f269b712b72e8929ee2d7b3d9e93948e01d6fd5dd504ec9dfd376893c031324d"),
+    (3, 2, 1, "unknown", "9b4fd012abb641eddec1880b9a33b9bdb4a0222059b20f1a4ec371e5db98786c"),
+    (3, 2, 2, "unknown", "0406a6697deab75b6b7662edb51145b5a1fd396fb34f9ef4a9c535f67afc5caf"),
+    (3, 2, 3, "unknown", "08b6f7e77317eb27d7d041c3c2abfc8b30dc1e26de7ba38049df1ff97456cd03"),
+])
+def test_reduction_presentation_verdict(m, seed, rounds, outcome, expected):
+    gen = RandomSource(seed).child(m * 10 + 1).generator()
+    R, _ = reduction_presentation(m, 1, lambda xs: xs[int(gen.integers(len(xs)))],
+                                  lambda lo, hi: int(gen.integers(lo, hi + 1)), gen)
+    v = tz.trivialize(R, tz.TrivializerConfig(m=m, ell=R.max_length(), k=1, max_rounds=rounds))
+    assert v.outcome == outcome
+    assert any(isinstance(s, tz.ReductionStep) and s.host in
+               {getattr(c, n) for c in cert.steps if isinstance(c, tz.CollisionStep)
+                for n in ("r1", "r2")}
+               for cert in v.certificates for s in cert.steps)
+    text = json.dumps(v.to_json_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("k, m, seed, expected", [

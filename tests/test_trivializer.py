@@ -466,6 +466,68 @@ class TestHits:
         assert len(tz._hits(mat[:, :cfg.block_size + 1], w, cfg)[0]) == 0
 
 
+    def test_hits_ascend_by_row_then_column(self):
+        # the reduction stage reads run bounds off neighbouring rows, so the
+        # hits must come sorted; at m=2, k=1 most blocks of random rows hit
+        cfg = tz.TrivializerConfig(m=2, ell=110, k=1)
+        mat = words.sample_relator_matrix(2, 110, 60, RandomSource(5))
+        mat[::3, 80:] = 0  # rows that hold fewer blocks
+        rows, si, ti = tz._hits(mat, W("Ab"), cfg)
+        pairs = list(zip(rows.tolist(), si.tolist()))
+        assert pairs == sorted(pairs) and len(set(rows.tolist())) == len(mat)
+        assert np.bincount(rows).max() == 3 and (ti > si).all()
+
+
+def excise_reference(mat, at, si, ti, w_len=2):
+    """_excise_rows as each row's last _records result, re-padded to mat's width."""
+    out = np.zeros_like(mat)
+    for p, u in enumerate(words.unpad(mat)):
+        mine = at == p
+        records = tz._records(u, si[mine].tolist(), ti[mine].tolist(), w_len)
+        word = records[-1][-1] if records else u
+        out[p, :len(word)] = word
+    return out
+
+
+def planned_hits(lengths, count, gen):
+    """(at, si, ti) of 1..count disjoint hits per row of the given length, each
+    excising an even span of at least 2 letters; odd rows end on a hit's t."""
+    at, si, ti = [], [], []
+    for p, length in enumerate(lengths):
+        n = 1 + p % count
+        room = (length - 1) // n  # each hit's s, span and t fit in its own stretch
+        for h in range(n):
+            span = 2 + 2 * int(gen.integers(0, (room - 2) // 2))
+            lo = h * room
+            s = lo + int(gen.integers(0, room - span - 1))
+            if p % 2 and h == n - 1:
+                s = length - 2 - span  # t is the row's last letter
+            at.append(p), si.append(s), ti.append(s + span + 1)
+    return np.array(at), np.array(si), np.array(ti)
+
+
+class TestExciseRows:
+    @pytest.mark.parametrize("width,count", [(40, 3), (110, 3), (300, 5)])
+    def test_matches_records_reference(self, width, count):
+        # ragged rows of 1..count hits; past width 255 the padding mask compares in uint16
+        gen = np.random.default_rng(width)
+        lengths = [width - (p % 3) * (p % 5) for p in range(12)]
+        mat = np.zeros((len(lengths), width), dtype=np.int8)
+        for p, length in enumerate(lengths):
+            mat[p, :length] = words.sample_relator_matrix(2, length, 1, RandomSource(p))[0]
+        at, si, ti = planned_hits(lengths, count, gen)
+        assert (ti == np.array(lengths)[at] - 1).any() and min(lengths) < width
+        assert np.array_equal(tz._excise_rows(mat, at, si, ti), excise_reference(mat, at, si, ti))
+
+    def test_matches_reference_on_found_hits(self):
+        cfg = tz.TrivializerConfig(m=2, ell=110, k=1)
+        mat = words.sample_relator_matrix(2, 110, 40, RandomSource(6))
+        mat[::4, 60:] = 0
+        rows, si, ti = tz._hits(mat, W("Ab"), cfg)
+        assert np.array_equal(tz._excise_rows(mat, rows, si, ti),
+                              excise_reference(mat, rows, si, ti))
+
+
 class TestReduceRelator:
     def test_short_relator_untouched(self):
         cfg = tz.TrivializerConfig(m=2, ell=20, k=1)

@@ -119,6 +119,34 @@ class TestSubword:
         assert is_reduced(u[i - 1 : j])
 
 
+def is_reduced_reference(seq):
+    """is_reduced as first written: no 0, and no letter followed by its inverse."""
+    if any(x == 0 for x in seq):
+        return False
+    return all(seq[i] != -seq[i + 1] for i in range(len(seq) - 1))
+
+
+class TestIsReduced:
+    @pytest.mark.parametrize("seq", [
+        (), (1,), (-2,), (0,), (0, 1, 2), (1, 0, 2), (1, 2, 0), (1, -1, 2), (1, 2, -2),
+        (1, 2, 1), W("abAB"), [1, 2, -1], np.array([1, 2, -1], dtype=np.int8),
+        np.array([2, 1, -1], dtype=np.int8), np.array([1, 0], dtype=np.int8),
+    ])
+    def test_matches_reference(self, seq):
+        assert is_reduced(seq) == is_reduced_reference(seq)
+
+    def test_fixed_verdicts(self):
+        # first and last pairs cancel, and a 0 is no letter wherever it stands
+        assert is_reduced(()) and is_reduced((1,)) and is_reduced(W("abAB"))
+        assert not any(map(is_reduced, [(1, -1, 2), (1, 2, -2), (0, 1), (1, 0, 2), (1, 2, 0)]))
+        assert not is_reduced(np.array([2, 1, -1], dtype=np.int8))
+
+    @given(st.lists(st.integers(-3, 3), max_size=12))
+    def test_matches_reference_property(self, seq):
+        assert is_reduced(seq) == is_reduced_reference(seq)
+        assert is_reduced(np.array(seq, dtype=np.int8)) == is_reduced_reference(seq)
+
+
 class TestLetters:
     def test_roundtrip(self):
         for x in (1, -1, 3, -26, 26):
@@ -559,6 +587,16 @@ class TestMatrixBackedPresentation:
         assert np.array_equal(pres.matrix, padded_reference(relators))
         assert pres.relators == relators
         assert Presentation(m, pres.relators) == pres
+
+    @pytest.mark.parametrize("width", [255, 256, 257, 65536])
+    def test_wide_ragged_rows_match_reference(self, width):
+        # the padding mask compares in the narrowest unsigned type that holds
+        # the width: uint8 up to 255, uint16 up to 65,535, then uint32
+        lengths = [width, width - 1, 1, 0, width] + [n for n in (255, 256) if n < width]
+        relators = [tuple(W("ab")[i % 2] for i in range(n)) for n in lengths]
+        pres = Presentation(2, relators)
+        assert pres.max_length() == width
+        assert np.array_equal(pres.matrix, padded_reference(relators))
 
     @given(st.integers(min_value=1, max_value=127).flatmap(lambda m: st.tuples(
         st.just(m), st.lists(st.lists(st.integers(-m, m).filter(bool), max_size=12),

@@ -35,6 +35,7 @@ import numpy as np
 from .words import (
     Presentation,
     Word,
+    _padding_mask,
     char_to_letter,
     concat_reduce,
     invert,
@@ -505,9 +506,9 @@ def _excise_rows(mat: np.ndarray, at: np.ndarray, si: np.ndarray, ti: np.ndarray
     # the flat indices of those letters: each hit's span from the letter after its s
     keep[np.repeat(at * mat.shape[1] + si + 1 - (np.cumsum(span) - span), span)
          + np.arange(span.sum())] = False
-    keep = keep.reshape(mat.shape)
+    lengths = mat.shape[1] - np.bincount(at, weights=span, minlength=len(mat))
     out = np.zeros_like(mat)
-    out[np.arange(mat.shape[1]) < keep.sum(axis=1)[:, None]] = mat[keep]  # in row order
+    out[_padding_mask(lengths, mat.shape[1])] = mat[keep.reshape(mat.shape)]  # in row order
     return out
 
 
@@ -630,12 +631,18 @@ class _DeferredRound:
     a RelatorStep first when the row has no step yet (prior -1), then one
     ReductionStep per hit of the row, the first of which cites the row's
     prior step.  Row p's slots are base[p]..ends[p]-1; hit h is in row at[h].
+    The hits come sorted by row, so each row's hits are one run of them.
+    cur_ref holds 1 + the step of each relator's current word, 0 for none.
     """
 
-    def __init__(self, start, mat, rows, si, ti, cur_ref: dict, w_ref: int, w_len: int):
-        self.rows, self.first, self.at, counts = np.unique(
-            rows, return_index=True, return_inverse=True, return_counts=True)
-        self.prior = np.array([cur_ref.get(i, -1) for i in self.rows.tolist()])
+    def __init__(self, start, mat, rows, si, ti, cur_ref: np.ndarray, w_ref: int, w_len: int):
+        new_run = np.empty(len(rows), dtype=bool)
+        new_run[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=new_run[1:])
+        self.first = np.flatnonzero(new_run)
+        self.rows, self.at = rows[self.first], np.cumsum(new_run) - 1
+        counts = np.diff(self.first, append=len(rows))
+        self.prior = cur_ref[self.rows] - 1
         self.ends = start + np.cumsum(counts + (self.prior < 0))
         self.base = self.ends - counts - (self.prior < 0)
         self.words = mat[self.rows]  # the changed rows as the round found them
@@ -719,14 +726,11 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
 
     # a reduction-stage slot holds its round until a certificate needs the step
     deriv: list[Union[Step, _DeferredRound]] = []
-    # the step holding each relator's current word
-    cur_ref: dict[int, int] = {}
-
     def ref_of(i: int) -> int:
-        if i not in cur_ref:
+        if not cur_ref[i]:
             deriv.append(RelatorStep(i, R.relator(i)))
-            cur_ref[i] = len(deriv) - 1
-        return cur_ref[i]
+            cur_ref[i] = len(deriv)
+        return int(cur_ref[i]) - 1
 
     # each symbol's class label; a union relabels every member of one class
     label = {x: x for x in range(-m, m + 1) if x}
@@ -734,7 +738,10 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     stats = TrivializeStats()
     used_ws: set[Word] = set()
     # cur's tail groups by start position; a round that excises letters empties it
-    groups: dict[int, list] = {}
+    groups = {cfg.k: _group_tails(cur, cfg.k)}
+    # 1 + the step holding each relator's current word, 0 while it has none;
+    # made after the first grouping, whose peak memory it would raise
+    cur_ref = np.zeros(len(R), dtype=np.intp)
 
     def groups_at(start: int) -> list:
         if start not in groups:
@@ -757,7 +764,7 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
             if len(rows):
                 rd = _DeferredRound(len(deriv), cur, rows, si, ti, cur_ref, len(deriv) - 1, len(w))
                 deriv.extend([rd] * (int(rd.ends[-1]) - len(deriv)))
-                cur_ref.update(zip(rd.rows.tolist(), (rd.ends - 1).tolist()))
+                cur_ref[rd.rows] = rd.ends
                 cur = cur.copy()
                 cur[rd.rows] = _excise_rows(rd.words, rd.at, si, ti)
                 groups.clear()

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,9 +77,7 @@ def word_from_str(s: str, m: int | None = None) -> Word:
 
 
 def is_reduced(seq: Sequence[Letter]) -> bool:
-    if any(x == 0 for x in seq):
-        return False
-    return all(seq[i] != -seq[i + 1] for i in range(len(seq) - 1))
+    return 0 not in seq and all(map(operator.ne, seq, map(operator.neg, islice(seq, 1, None))))
 
 
 def free_reduce(raw: Iterable[Letter]) -> Word:
@@ -265,8 +265,15 @@ def _pack(relators: Sequence, bound: int) -> np.ndarray:
         raise ValueError(message)
     width = int(lengths.max(initial=0))
     matrix = np.zeros((len(relators), width), dtype=np.int8)
-    matrix[np.arange(width) < lengths[:, None]] = letters
+    matrix[_padding_mask(lengths, width)] = letters
     return matrix
+
+
+def _padding_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """The (rows, width) mask of the first lengths[i] columns of each row i, for
+    lengths in 0..width; it compares in the narrowest unsigned type holding width."""
+    dtype = np.min_scalar_type(width)
+    return np.arange(width, dtype=dtype) < lengths.astype(dtype)[:, None]
 
 
 def _check_padded(matrix: np.ndarray, bound: int) -> np.ndarray:

@@ -159,6 +159,20 @@ MUTANTS = [
     Mutant("add-rows-keeps-old-pivot", "src/halfdensity/trivializer.py",
            "            basis[c] = b\n", "",
            ("tests/test_trivializer.py",)),
+    # the step index stores each reduced row's last step, not 1 + it, so a later
+    # citation of the row names the step before its current word
+    Mutant("step-index-off-by-one", "src/halfdensity/trivializer.py",
+           "cur_ref[rd.rows] = rd.ends\n", "cur_ref[rd.rows] = rd.ends - 1\n",
+           ("tests/test_trivializer.py", "tests/test_golden.py")),
+    # a round's first hit does not start a run, so its row joins no run
+    Mutant("deferred-first-run-flag", "src/halfdensity/trivializer.py",
+           "new_run[0] = True\n", "new_run[0] = False\n",
+           ("tests/test_trivializer.py",)),
+    # an excised row loses one letter per hit, not its hit's whole d w d^-1
+    Mutant("excise-lengths-unweighted", "src/halfdensity/trivializer.py",
+           "np.bincount(at, weights=span, minlength=len(mat))",
+           "np.bincount(at, minlength=len(mat))",
+           ("tests/test_trivializer.py",)),
     # classify_rate reads the leading coefficient's magnitude, not its sign
     Mutant("classify-lead-sign", "src/halfdensity/thresholds.py",
            "        if lead > 0:\n", "        if lead != 0:\n",
@@ -178,6 +192,14 @@ MUTANTS = [
     # Presentation(m, relators) accepts letters below -m
     Mutant("pack-lower-bound", "src/halfdensity/words.py",
            "letters.min(initial=0) < -bound or ", "",
+           ("tests/test_words.py",)),
+    # is_reduced compares each letter with the inverse of the letter two on
+    Mutant("is-reduced-stride", "src/halfdensity/words.py",
+           "islice(seq, 1, None)", "islice(seq, 2, None)",
+           ("tests/test_words.py",)),
+    # the padding mask compares in uint8 at any width, which wraps past 255
+    Mutant("padding-mask-uint8", "src/halfdensity/words.py",
+           "dtype = np.min_scalar_type(width)", "dtype = np.uint8",
            ("tests/test_words.py",)),
     # the sampler's draws keep the halves that Lemire's rule skips
     Mutant("draws-no-skip", "src/halfdensity/words.py",

@@ -631,8 +631,7 @@ class _DeferredRound:
     a RelatorStep first when the row has no step yet (prior -1), then one
     ReductionStep per hit of the row, the first of which cites the row's
     prior step.  Row p's slots are base[p]..ends[p]-1; hit h is in row at[h].
-    The hits come sorted by row, so each row's hits are one run of them.
-    cur_ref holds 1 + the step of each relator's current word, 0 for none.
+    The hits come sorted by row; cur_ref[i] is 1 + relator i's current step, or 0.
     """
 
     def __init__(self, start, mat, rows, si, ti, cur_ref: np.ndarray, w_ref: int, w_len: int):
@@ -726,6 +725,12 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
 
     # a reduction-stage slot holds its round until a certificate needs the step
     deriv: list[Union[Step, _DeferredRound]] = []
+    # cur's tail groups by start position; a round that excises letters empties it
+    groups = {cfg.k: _group_tails(cur, cfg.k)}
+    # 1 + the step holding each relator's current word, 0 while it has none;
+    # made after the first grouping, whose peak memory it would raise
+    cur_ref = np.zeros(len(R), dtype=np.intp)
+
     def ref_of(i: int) -> int:
         if not cur_ref[i]:
             deriv.append(RelatorStep(i, R.relator(i)))
@@ -737,11 +742,6 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
     certs: dict[tuple, Certificate] = {}
     stats = TrivializeStats()
     used_ws: set[Word] = set()
-    # cur's tail groups by start position; a round that excises letters empties it
-    groups = {cfg.k: _group_tails(cur, cfg.k)}
-    # 1 + the step holding each relator's current word, 0 while it has none;
-    # made after the first grouping, whose peak memory it would raise
-    cur_ref = np.zeros(len(R), dtype=np.intp)
 
     def groups_at(start: int) -> list:
         if start not in groups:

@@ -465,7 +465,6 @@ class TestHits:
         # a matrix too narrow to hold a block has no hits
         assert len(tz._hits(mat[:, :cfg.block_size + 1], w, cfg)[0]) == 0
 
-
     def test_hits_ascend_by_row_then_column(self):
         # the reduction stage reads run bounds off neighbouring rows, so the
         # hits must come sorted; at m=2, k=1 most blocks of random rows hit

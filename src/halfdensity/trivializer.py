@@ -630,33 +630,32 @@ class _DeferredRound:
     The changed rows take derivation slots from start on, in ascending order:
     a RelatorStep first when the row has no step yet (prior -1), then one
     ReductionStep per hit of the row, the first of which cites the row's
-    prior step.  Row p's slots are base[p]..ends[p]-1; hit h is in row at[h].
+    prior step and each later one the step before it.  Row p's hits are
+    bounds[p]:bounds[p+1] and its slots end before ends[p]; hit h is in row at[h].
     The hits come sorted by row; cur_ref[i] is 1 + relator i's current step, or 0.
     """
 
     def __init__(self, start, mat, rows, si, ti, cur_ref: np.ndarray, w_ref: int, w_len: int):
-        new_run = np.empty(len(rows), dtype=bool)
-        new_run[0] = True
-        np.not_equal(rows[1:], rows[:-1], out=new_run[1:])
-        self.first = np.flatnonzero(new_run)
-        self.rows, self.at = rows[self.first], np.cumsum(new_run) - 1
-        counts = np.diff(self.first, append=len(rows))
+        new_run = np.ones(len(rows) + 1, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=new_run[1:-1])
+        self.bounds = np.flatnonzero(new_run)
+        self.rows, self.at = rows[self.bounds[:-1]], np.cumsum(new_run[:-1]) - 1
         self.prior = cur_ref[self.rows] - 1
-        self.ends = start + np.cumsum(counts + (self.prior < 0))
-        self.base = self.ends - counts - (self.prior < 0)
+        self.ends = start + np.cumsum(np.diff(self.bounds) + (self.prior < 0))
         self.words = mat[self.rows]  # the changed rows as the round found them
         self.si, self.ti, self.w_ref, self.w_len = si, ti, w_ref, w_len
 
-    def step(self, t: int) -> Step:
-        """The step in derivation slot t, replayed from the row's hits."""
-        p = int(np.searchsorted(self.base, t, side="right")) - 1
-        h, prior, u = t - int(self.base[p]), int(self.prior[p]), unpad(self.words[p:p + 1])[0]
-        if prior < 0 and h == 0:
-            return RelatorStep(int(self.rows[p]), u)
-        h -= prior < 0  # the row's RelatorStep slot
-        hits = slice(int(self.first[p]), int(self.first[p]) + h + 1)  # the row's hits to t
-        rec = _records(u, self.si[hits].tolist(), self.ti[hits].tolist(), self.w_len)[-1]
-        return ReductionStep(prior if h == 0 and prior >= 0 else t - 1, self.w_ref, *rec)
+    def fill(self, deriv: list, t: int) -> None:
+        """Write every step of the row holding slot t into deriv, from one replay of its hits."""
+        p = int(np.searchsorted(self.ends, t, side="right"))
+        (a, b), end, prior = self.bounds[p:p + 2].tolist(), int(self.ends[p]), int(self.prior[p])
+        first, u = end - (b - a), unpad(self.words[p:p + 1])[0]  # first: the first reduction's slot
+        if prior < 0:
+            deriv[first - 1] = RelatorStep(int(self.rows[p]), u)
+            prior = first - 1
+        records = _records(u, self.si[a:b].tolist(), self.ti[a:b].tolist(), self.w_len)
+        deriv[first:end] = [ReductionStep(ref, self.w_ref, *rec)
+                            for ref, rec in zip([prior, *range(first, end - 1)], records)]
 
 
 def _certificate_steps(deriv: list, last: int) -> list:
@@ -669,7 +668,7 @@ def _certificate_steps(deriv: list, last: int) -> list:
             continue
         needed.add(t)
         if isinstance(deriv[t], _DeferredRound):
-            deriv[t] = deriv[t].step(t)
+            deriv[t].fill(deriv, t)
         s = deriv[t]
         stack.extend(getattr(s, n) for n in _STEP_REFS[type(s)])
     order = sorted(needed)

@@ -1484,3 +1484,101 @@ class TestSoundnessSweep:
                 cited += any(isinstance(s, tz.ReductionStep)
                              for cert in v.certificates for s in cert.steps)
         assert reduced and second_rounds and cited
+
+
+def build_three_hit_fixture():
+    """build_reduction_fixture with a host of three blocks, each planted once.
+
+    Round 1's collision (r1, r2) gives w = Ab, which cuts one plant from each
+    block of r3; r4 matches the reduced r3 from position 2, so the conclusion
+    a = A cites all three of r3's reductions.
+    """
+    T = tuple([1, 2, 2, 1] * 10)
+    F1 = (1, 1, 2, 1, 2, 2, 1)
+    F2 = tuple([2, 1] * 12) + (2,)
+    r3 = (1, 2) + (F1 + (2, -1, 2, 1) + F2) * 3  # s=b, w=Ab, t=a in each block of 36
+    r4 = (-1, 2) + (F1 + (2, 1) + F2) * 3
+    pres = Presentation(2, [(1, 2) + T, (2, 2) + T, r3, r4])
+    pres.validate()
+    return pres
+
+
+def deferred_slots(rd, t):
+    """The row p of a deferred round that holds slot t, and the range of p's slots."""
+    base = rd.ends - np.diff(rd.bounds) - (rd.prior < 0)  # each row's first slot
+    p = int(np.searchsorted(base, t, side="right")) - 1
+    return p, range(int(base[p]), int(rd.ends[p]))
+
+
+def deferred_step_reference(rd, t):
+    """Slot t of a deferred round built alone: the row's hits up to t replayed,
+    of which the last record is kept."""
+    p, slots = deferred_slots(rd, t)
+    h, prior, u = t - slots.start, int(rd.prior[p]), words.unpad(rd.words[p:p + 1])[0]
+    if prior < 0 and h == 0:
+        return tz.RelatorStep(int(rd.rows[p]), u)
+    h -= prior < 0  # the row's RelatorStep slot
+    hits = slice(int(rd.bounds[p]), int(rd.bounds[p]) + h + 1)  # the row's hits to t
+    rec = tz._records(u, rd.si[hits].tolist(), rd.ti[hits].tolist(), rd.w_len)[-1]
+    return tz.ReductionStep(prior if h == 0 and prior >= 0 else t - 1, rd.w_ref, *rec)
+
+
+class TestDeferredRound:
+    @staticmethod
+    def checked_fills(monkeypatch):
+        """Check each slot that _DeferredRound.fill writes against the per-slot build.
+
+        Returns a list that gains, for each row filled, its number of hits and
+        whether it was a first-time host.
+        """
+        filled = []
+        fill = tz._DeferredRound.fill
+
+        def checking(rd, deriv, t):
+            before = list(deriv)
+            fill(rd, deriv, t)
+            p, slots = deferred_slots(rd, t)
+            written = [i for i, (a, b) in enumerate(zip(before, deriv)) if a is not b]
+            assert written == list(slots) and all(before[i] is rd for i in slots)
+            assert [deriv[i] for i in slots] == [deferred_step_reference(rd, i) for i in slots]
+            filled.append((len(slots) - int(rd.prior[p] < 0), bool(rd.prior[p] < 0)))
+
+        monkeypatch.setattr(tz._DeferredRound, "fill", checking)
+        return filled
+
+    def test_fill_matches_the_per_slot_build(self, monkeypatch):
+        filled = self.checked_fills(monkeypatch)
+        runs = [(build_reduction_fixture(), 1), (build_three_hit_fixture(), 1)]
+        for m, k in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+            for seed in range(4):
+                gen = RandomSource(seed).child(m * 10 + k).generator()
+                R, _ = reduction_presentation(
+                    m, k, lambda xs: xs[int(gen.integers(len(xs)))],
+                    lambda lo, hi: int(gen.integers(lo, hi + 1)), gen)
+                runs += [(R, k)]
+        for R, k in runs:
+            for max_rounds in (1, 2, 3):
+                v = tz.trivialize(R, tz.TrivializerConfig(m=R.m, ell=R.max_length(), k=k,
+                                                          max_rounds=max_rounds))
+                assert all(tz.check_certificate(R, cert) for cert in v.certificates)
+        # cited rows of one, two and three hits; first-time hosts and rows
+        # that hold a step from an earlier round
+        assert {h for h, _ in filled} == {1, 2, 3}
+        assert {first for _, first in filled} == {True, False}
+
+    def test_replays_a_cited_row_once(self, monkeypatch):
+        pres = build_three_hit_fixture()
+        replays = []
+        records = tz._records
+
+        def counting(u, si, ti, w_len):
+            replays.append(len(si))
+            return records(u, si, ti, w_len)
+
+        monkeypatch.setattr(tz, "_records", counting)
+        v = tz.trivialize(pres, tz.TrivializerConfig(m=2, ell=110, k=1))
+        assert v.outcome == tz.OUTCOME_TRIVIAL and v.stats.reductions_applied == 3
+        cited = [s for c in v.certificates for s in c.steps if isinstance(s, tz.ReductionStep)]
+        assert len(cited) == 3
+        assert all(tz.check_certificate(pres, cert) for cert in v.certificates)
+        assert replays == [3]

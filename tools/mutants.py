@@ -133,11 +133,15 @@ MUTANTS = [
            "        n = min(SCAN_CHUNK, ncand - c0)\n",
            "        n = min(SCAN_CHUNK, ncand - c0) - 1\n",
            ("tests/test_trivializer.py",)),
-    # a first-time host's first reduction cites no step instead of its RelatorStep
+    # a row's first reduction cites the slot before it, not the row's prior step
     Mutant("deferred-first-reduction-ref", "src/halfdensity/trivializer.py",
-           "ReductionStep(prior if h == 0 and prior >= 0 else t - 1,",
-           "ReductionStep(prior if h == 0 else t - 1,",
-           ("tests/test_trivializer.py",)),
+           "zip([prior, *range(first, end - 1)], records)",
+           "zip([first - 1, *range(first, end - 1)], records)",
+           ("tests/test_trivializer.py", "tests/test_golden.py")),
+    # each later reduction of a row cites its own slot, not the step before it
+    Mutant("deferred-row-chain", "src/halfdensity/trivializer.py",
+           "*range(first, end - 1)]", "*range(first + 1, end)]",
+           ("tests/test_trivializer.py", "tests/test_golden.py")),
     # tail grouping splits sorted runs only where tails differ in every letter
     Mutant("group-tails-run-split", "src/halfdensity/trivializer.py",
            "(ordered[1:] != ordered[:-1]).any(axis=1)",
@@ -164,10 +168,10 @@ MUTANTS = [
     Mutant("step-index-off-by-one", "src/halfdensity/trivializer.py",
            "cur_ref[rd.rows] = rd.ends\n", "cur_ref[rd.rows] = rd.ends - 1\n",
            ("tests/test_trivializer.py", "tests/test_golden.py")),
-    # a round's first hit does not start a run, so its row joins no run
+    # the run flags shift one hit left, so each row's hits start one hit early
     Mutant("deferred-first-run-flag", "src/halfdensity/trivializer.py",
-           "new_run[0] = True\n", "new_run[0] = False\n",
-           ("tests/test_trivializer.py",)),
+           "out=new_run[1:-1])", "out=new_run[:-2])",
+           ("tests/test_trivializer.py", "tests/test_golden.py")),
     # an excised row loses one letter per hit, not its hit's whole d w d^-1
     Mutant("excise-lengths-unweighted", "src/halfdensity/trivializer.py",
            "np.bincount(at, weights=span, minlength=len(mat))",

@@ -229,7 +229,10 @@ def _exec_verify_dist(recorded, seed, out, digest) -> str:
 
 
 def _exec_pigeonhole(recorded, seed, out, digest, threads=1) -> str:
-    c = Fraction(recorded["c"]) if recorded["c"] else None
+    try:
+        c = Fraction(recorded["c"]) if recorded["c"] else None
+    except ZeroDivisionError:
+        raise CliError(f"--c {recorded['c']} has a zero denominator") from None
     maker = (pigeonhole.PigeonholeConfig.uniform if recorded["mu"] == "uniform"
              else pigeonhole.PigeonholeConfig.geometric)
     cfg = maker(recorded["n"], recorded["q"], recorded["z"], c)

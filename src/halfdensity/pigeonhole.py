@@ -56,7 +56,7 @@ def default_bound_constant(q: int) -> Fraction:
 
 
 def uniform_measure(n: int) -> tuple[Fraction, ...]:
-    return (Fraction(1, n),) * n
+    return (Fraction(1, n),) * n if n else ()
 
 
 def geometric_measure(n: int) -> tuple[Fraction, ...]:

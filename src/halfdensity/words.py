@@ -117,6 +117,8 @@ def _materialize_num(m: int, ell: int, density: float) -> int:
     powers so that e.g. density 0.55 at ell=20 yields exactly 3^11.
     """
     e = float(density) * ell
+    if not math.isfinite(e) or e * math.log2(2 * m - 1) >= 1024:
+        raise ValueError(f"relator count {2 * m - 1}^{e:g} must be finite and below 2^1024")
     n0 = round(e)
     if abs(e - n0) < 1e-9:
         if n0 < 0:

@@ -540,6 +540,23 @@ class TestErrors:
         assert run_main(monkeypatch, argv) == 1
         assert capsys.readouterr().err == "error: m must be >= 2, got 1\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--m", "2", "--ell", "1000", "--density", "0.6543", "--seed", "1"],
+         "relator count 3^654.3 must be finite and below 2^1024"),
+        (["trivialize", "--m", "2", "--ell", "10", "--density", "inf", "--seed", "1"],
+         "relator count 3^inf must be finite and below 2^1024"),
+        (["pigeonhole", "--n", "0", "--q", "2", "--z", "4", "--trials", "10"],
+         "n must be >= 1, got 0"),
+        (["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "10", "--c", "1/0"],
+         "--c 1/0 has a zero denominator"),
+    ], ids=["count-past-float-range", "infinite-density", "no-boxes", "c-zero-denominator"])
+    def test_arithmetic_domain_errors_exit_one(self, argv, message, tmp_path, capsys,
+                                               monkeypatch):
+        out = tmp_path / "x"
+        assert run_main(monkeypatch, [*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_main_maps_soundness_error_to_exit_three(self, tmp_path, capsys, monkeypatch):
         def contradicted(*args, **kwargs):
             raise trivializer.SoundnessError("derived 'trivial' for an infinite group")

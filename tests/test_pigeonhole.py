@@ -33,6 +33,9 @@ class TestConfig:
         assert sum(geo) == 1
         assert geo[0] == F(16, 31)  # proportional to 2^-i
 
+    def test_measures_of_no_boxes_are_empty(self):
+        assert ph.uniform_measure(0) == ph.geometric_measure(0) == ()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ph.PigeonholeConfig(0, 2, 1, ())

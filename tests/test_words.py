@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -165,6 +166,18 @@ class TestModelParams:
     def test_non_integer_exponent_rounds(self):
         p = ModelParams.from_density(2, 8, 0.45)
         assert p.num == round(3**3.6)
+
+    @pytest.mark.parametrize("m, ell, density", [
+        (2, 10, math.inf), (2, 10, -math.inf), (2, 10, math.nan),
+        (2, 1000, 0.6543),  # a float power past the float range
+        (2, 2000, 0.5),  # an exact power of 1,585 bits
+    ])
+    def test_count_past_two_to_the_1024_rejected(self, m, ell, density):
+        with pytest.raises(ValueError, match="below 2\\^1024"):
+            ModelParams.from_density(m, ell, density)
+
+    def test_exact_count_below_two_to_the_1024(self):
+        assert ModelParams.from_density(2, 1000, 0.6).num == 3**600
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__, diagrams, distribution, pigeonhole, thresholds, trivializer, words
-from .manifest import RunManifest, manifest_digest, now_utc
+from .manifest import RunManifest, manifest_digest, now_utc, write_json
 from .rng import RandomSource
 
 
@@ -150,12 +150,6 @@ def _resolve_seed(args) -> int | None:
 # output helpers
 
 
-def _json_out(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _csv_out(path: str, digest: str, header: list, rows: list, preamble=()) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in ["format_version=1", f"manifest_digest={digest}", *preamble]:
@@ -198,7 +192,7 @@ def _exec_trivialize(recorded, seed, out, digest, log=None) -> str:
         "model": {k: recorded[k] for k in ("m", "ell", "num", "density", "f")},
         **verdict.to_json_dict(),
     }
-    _json_out(out, payload)
+    write_json(out, payload)
     if log:
         with open(log, "w", encoding="utf-8") as fh:
             fh.write(f"# manifest_digest={digest}\n")
@@ -255,7 +249,7 @@ def _exec_pigeonhole(recorded, seed, out, digest, threads=1) -> str:
         "bound": bound,
         "exact": exact_str,
     }
-    _json_out(out, payload)
+    write_json(out, payload)
     return f"pigeonhole: estimate={result.estimate:.6f} bound={bound} -> {out}"
 
 
@@ -287,7 +281,7 @@ def _exec_diagrams(recorded, seed, out, digest) -> str:
         raise CliError(f"unknown diagrams subcommand {sub!r}")
     payload = {"format_version": 1, "manifest_digest": digest, **payload}
     if out:
-        _json_out(out, payload)
+        write_json(out, payload)
         return f"diagrams {sub}: -> {out}"
     return json.dumps(payload, sort_keys=True, indent=2)
 

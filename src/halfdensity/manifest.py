@@ -21,6 +21,13 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_json(path, payload) -> None:
+    """Write payload to path as UTF-8 JSON: sorted keys, indent 2, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def manifest_digest(subcommand: str, params: dict, seed: int | None) -> str:
     payload = canonical_json({"subcommand": subcommand, "params": params, "seed": seed})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -46,9 +53,7 @@ class RunManifest:
         return {**asdict(self), "format_version": FORMAT_VERSION, "digest": self.digest}
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def read(cls, path) -> "RunManifest":

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import RandomSource
+from .rng import as_source
 from .words import ResourceLimitError
 
 #: Trials per simulation chunk; fixed so that results do not depend on threading.
@@ -251,11 +251,7 @@ def coincidence_simulate(cfg: PigeonholeConfig, trials: int, rng,
     guide = _guide_table(cum)
 
     counts = [min(CHUNK_TRIALS, trials - s) for s in range(0, trials, CHUNK_TRIALS)]
-    if isinstance(rng, (int, np.integer)):
-        rng = RandomSource(int(rng))
-    elif not isinstance(rng, RandomSource):
-        raise TypeError(f"chunk streams need a RandomSource or int seed, "
-                        f"not {type(rng).__name__}")
+    rng = as_source(rng)
     gens = [rng.child(i).generator() for i in range(len(counts))]
 
     args = (gens, [cfg] * len(counts), counts, [cum] * len(counts), [guide] * len(counts))

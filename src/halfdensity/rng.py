@@ -43,12 +43,15 @@ class RandomSource:
         return RandomSource(_ss=ss)
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Coerce an int seed, RandomSource, or Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
+def as_source(rng) -> RandomSource:
+    """An int seed as its RandomSource, or a RandomSource as is; else TypeError."""
     if isinstance(rng, RandomSource):
-        return rng.generator()
+        return rng
     if isinstance(rng, (int, np.integer)):
-        return RandomSource(int(rng)).generator()
+        return RandomSource(int(rng))
     raise TypeError(f"cannot interpret {type(rng).__name__} as a random source")
+
+
+def as_generator(rng) -> np.random.Generator:
+    """A Generator as is, else the generator of as_source(rng)."""
+    return rng if isinstance(rng, np.random.Generator) else as_source(rng).generator()

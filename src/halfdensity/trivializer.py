@@ -35,7 +35,7 @@ import numpy as np
 from .words import (
     Presentation,
     Word,
-    _padding_mask,
+    _padded,
     char_to_letter,
     concat_reduce,
     invert,
@@ -46,7 +46,7 @@ from .words import (
     word_from_str,
     word_to_str,
 )
-from .rng import RandomSource
+from .rng import as_source
 
 RESERVED_PREFIX = 2
 #: Candidate columns of the occurrence mask that _first_patterns builds at once.
@@ -502,14 +502,11 @@ def _records(u: Word, si: list, ti: list, W: int) -> list:
 def _excise_rows(mat: np.ndarray, at: np.ndarray, si: np.ndarray, ti: np.ndarray):
     """Rows of mat less the letters between the flanks of each hit h, in row at[h]."""
     span = ti - si - 1  # the letters of each hit's d w d^-1
-    keep = np.ones(mat.size, dtype=bool)
     # the flat indices of those letters: each hit's span from the letter after its s
-    keep[np.repeat(at * mat.shape[1] + si + 1 - (np.cumsum(span) - span), span)
-         + np.arange(span.sum())] = False
+    flat = (np.repeat(at * mat.shape[1] + si + 1 - (np.cumsum(span) - span), span)
+            + np.arange(span.sum()))
     lengths = mat.shape[1] - np.bincount(at, weights=span, minlength=len(mat))
-    out = np.zeros_like(mat)
-    out[_padding_mask(lengths, mat.shape[1])] = mat[keep.reshape(mat.shape)]  # in row order
-    return out
+    return _padded(np.delete(mat, flat), lengths, mat.shape[1])  # in row order
 
 
 def reduce_relator(r: Word, w: Word, cfg: TrivializerConfig):
@@ -804,20 +801,20 @@ def trivialize(R: Presentation, cfg: TrivializerConfig | None = None) -> Verdict
 # empirical per-block reduction rate
 
 
-def planted_reduction_rate(k: int, m: int, blocks: int, rng: RandomSource) -> tuple:
+def planted_reduction_rate(k: int, m: int, blocks: int, rng) -> tuple:
     """Fraction of random blocks admitting a w-reduction, for w = (ab)^k.
 
-    Each trial samples a uniform reduced word of length block_size + 1, in chunks
-    of 2048 words, and looks for the pattern, flanks included, in its columns
-    1..block_size; column 0 is drawn and never read, kept only so seeded rates do
-    not move.  Returns (rate, stderr).
+    Each trial samples a uniform reduced word of length block_size + 1 from rng,
+    an int seed or a RandomSource, in chunks of 2048 words, and looks for the
+    pattern, flanks included, in its columns 1..block_size; column 0 is drawn and
+    never read, kept only so seeded rates do not move.  Returns (rate, stderr).
     Per-block this rate exceeds 1/4 once k is large enough for the wrong-form
     occurrences (the block starting or ending with d w d^-1) to be negligible.
     """
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
     size = TrivializerConfig(m=m, ell=k, k=k).block_size
-    w = (1, 2) * k
+    w, rng = (1, 2) * k, as_source(rng)
     hits = 0
     for chunk_index, done in enumerate(range(0, blocks, 2048)):
         mat = sample_relator_matrix(m, size + 1, min(2048, blocks - done), rng.child(chunk_index))

@@ -265,17 +265,16 @@ def _pack(relators: Sequence, bound: int) -> np.ndarray:
     # a 0 would end its word early under zero padding; np.abs(-128) is -128 in int8
     if not letters.all() or letters.min(initial=0) < -bound or letters.max(initial=0) > bound:
         raise ValueError(message)
-    width = int(lengths.max(initial=0))
-    matrix = np.zeros((len(relators), width), dtype=np.int8)
-    matrix[_padding_mask(lengths, width)] = letters
-    return matrix
+    return _padded(letters, lengths, int(lengths.max(initial=0)))
 
 
-def _padding_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-    """The (rows, width) mask of the first lengths[i] columns of each row i, for
-    lengths in 0..width; it compares in the narrowest unsigned type holding width."""
+def _padded(letters: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """The zero-padded int8 matrix of width columns whose row i holds the next lengths[i]
+    letters; its mask compares in the narrowest unsigned type holding width."""
     dtype = np.min_scalar_type(width)
-    return np.arange(width, dtype=dtype) < lengths.astype(dtype)[:, None]
+    matrix = np.zeros((len(lengths), width), dtype=np.int8)
+    matrix[np.arange(width, dtype=dtype) < lengths.astype(dtype)[:, None]] = letters
+    return matrix
 
 
 def _check_padded(matrix: np.ndarray, bound: int) -> np.ndarray:

@@ -137,12 +137,12 @@ class DiagramStats:
     ell: int
 
     def __post_init__(self):
-        if self.faces < 1:
-            raise ValueError(f"faces must be >= 1, got {self.faces}")
+        if not 1 <= self.faces < 2**1000:
+            raise ValueError(f"faces must be >= 1 and below 2^1000, got {self.faces}")
         if self.boundary_length < 0:
             raise ValueError(f"boundary length must be >= 0, got {self.boundary_length}")
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
+        if not 1 <= self.ell < 2**1000:
+            raise ValueError(f"ell must be >= 1 and below 2^1000, got {self.ell}")
         # Boundary cannot exceed the total face perimeter.  (It can exceed the
         # number of distinct boundary edges, because of filaments.)
         if self.boundary_length > self.ell * self.faces:
@@ -160,8 +160,8 @@ class DiagramBound(NamedTuple):
 def log_diagram_bound(F: int, ell: int, m: int = 2) -> DiagramBound:
     """log base 2m-1 of (2 ell)^F F^F ell^(5F) 3^(25F), plus the headline
     asymptotic 6 F log(ell) + 2 F log(F)."""
-    if F < 1 or ell < 1:
-        raise ValueError("need F >= 1 and ell >= 1")
+    if not (1 <= F < 2**1000 and 1 <= ell < 2**1000):
+        raise ValueError("need F and ell >= 1 and below 2^1000")
     ln_base = math.log(2 * m - 1)
     log_bound = (
         F * math.log(2 * ell) + F * math.log(F) + 5 * F * math.log(ell)

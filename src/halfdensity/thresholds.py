@@ -129,8 +129,8 @@ class GrowthExpr:
 
     def evaluate(self, ell: int, m: int = 2) -> float:
         base = 2 * m - 1
-        if ell < 2:
-            raise ValueError("evaluation needs ell >= 2")
+        if not 2 <= ell < 2**1000:
+            raise ValueError(f"evaluation needs ell >= 2 and below 2^1000, got {ell}")
         L = math.log(ell, base)
         LL = math.log(L, base) if L > 0 else float("-inf")
         total = 0.0

@@ -116,6 +116,8 @@ def _materialize_num(m: int, ell: int, density: float) -> int:
     Exponents within 1e-9 of an integer are evaluated as exact integer
     powers so that e.g. density 0.55 at ell=20 yields exactly 3^11.
     """
+    if max(m, ell) >= 2**1000:
+        raise ValueError(f"m and ell must be below 2^1000, got m={m}, ell={ell}")
     e = float(density) * ell
     if not math.isfinite(e) or e * math.log2(2 * m - 1) >= 1024:
         raise ValueError(f"relator count {2 * m - 1}^{e:g} must be finite and below 2^1024")

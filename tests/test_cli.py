@@ -1,11 +1,21 @@
+import importlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from halfdensity import cli, thresholds, trivializer, words
-from halfdensity.manifest import RunManifest, manifest_digest
+from halfdensity.manifest import RunManifest, manifest_digest, write_json
+
+
+#: A number past the float range, given as a CLI count or length.
+BIG = 10**400
+#: The spade condition's argv up to its --ell-grid and --out.
+SPADE = ["conditions", "--which", "spade", "--k-expr", "threshold-k"]
 
 
 def run_ok(argv):
@@ -54,6 +64,12 @@ class TestSample:
         run_ok(["sample", "--m", "2", "--ell", "4", "--num", "2", "--out", str(out)])
         man = RunManifest.read(str(out) + ".manifest.json")
         assert isinstance(man.seed, int)
+
+
+def test_write_json_format(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"b": [1], "a": 2})
+    assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1\n  ]\n}\n'
 
 
 class TestReproducibility:
@@ -171,6 +187,30 @@ class TestRerunRejectsMalformedManifest:
         assert capsys.readouterr().err == (f"error: manifest {path} has params that trivialize "
                                            f"never records: {', '.join(sorted(extra))}\n")
         assert not again.exists() and not (tmp_path / "again.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("argv, key, message", [
+        (["diagrams", "tutte", "--n", "2"], "diagram_cmd", "unknown diagrams subcommand 'bogus'"),
+        (["conditions", "--which", "spade", "--k-expr", "threshold-k", "--ell-grid", "1024"],
+         "which", "unknown condition 'bogus'"),
+        (["sample", "--m", "2", "--ell", "4", "--num", "2", "--seed", "1"], None,
+         "manifest has unknown subcommand 'bogus'"),
+    ], ids=["diagram-command", "condition", "subcommand"])
+    def test_unknown_name_with_matching_digest(self, argv, key, message, tmp_path, capsys,
+                                               monkeypatch):
+        run_ok([*argv, "--out", str(tmp_path / "run.out")])
+        man = json.loads((tmp_path / "run.out.manifest.json").read_text())
+        if key is None:
+            man["subcommand"] = "bogus"
+        else:
+            man["params"][key] = "bogus"
+        man["digest"] = manifest_digest(man["subcommand"], man["params"], man["seed"])
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(man))
+        capsys.readouterr()
+        again = tmp_path / "again.out"
+        assert run_main(monkeypatch, ["rerun", "--manifest", str(path), "--out", str(again)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not again.exists() and not (tmp_path / "again.out.manifest.json").exists()
 
     @pytest.mark.parametrize("threads", [2.5, True, "2", 0, None],
                              ids=["float", "bool", "text", "zero", "null"])
@@ -371,6 +411,8 @@ class TestConditionsAndPhaseMap:
         (["--which", "star", "--k-expr", "bogus"], "star needs --k-expr and --f-expr"),
         (["--which", "star", "--k-expr", "bogus", "--f-expr", "zero"],
          "unknown rate expression 'bogus'"),
+        (["--which", "star", "--k-expr", "threshold-k", "--f-expr", "family:alpha"],
+         "malformed rate expression argument 'alpha'"),
     ])
     def test_missing_or_bad_expression_exits_one(self, argv, message, tmp_path, capsys,
                                                  monkeypatch):
@@ -392,6 +434,19 @@ class TestConditionsAndPhaseMap:
         assert run_main(monkeypatch, argv) == 1
         assert capsys.readouterr().err == f"error: k(1024) = {value} must be above -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*SPADE, "--ell-grid", "pow2:x:3"], "malformed ell grid 'pow2:x:3'"),
+        ([*SPADE, "--ell-grid", "pow2:5:3"], "malformed ell grid 'pow2:5:3'"),
+        ([*SPADE, "--ell-grid", "1,x"], "malformed ell grid '1,x'"),
+        ([*SPADE, "--ell-grid", ","], "empty ell grid ','"),
+        (["phase-map", "--alpha", "0:1"], "malformed grid range '0:1'; expected start:stop:step"),
+    ], ids=["pow2-not-a-number", "pow2-reversed", "list-not-a-number", "empty-list",
+            "range-without-step"])
+    def test_malformed_grid_exits_one(self, argv, message, tmp_path, capsys, monkeypatch):
+        assert run_main(monkeypatch, [*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_expression_the_condition_does_not_read_stays_unparsed(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -549,13 +604,35 @@ class TestErrors:
          "n must be >= 1, got 0"),
         (["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "10", "--c", "1/0"],
          "--c 1/0 has a zero denominator"),
-    ], ids=["count-past-float-range", "infinite-density", "no-boxes", "c-zero-denominator"])
+        # numbers past the float range, rejected before any float arithmetic reads them
+        (["sample", "--m", "2", "--ell", str(BIG), "--density", "0.5", "--seed", "1"],
+         f"m and ell must be below 2^1000, got m=2, ell={BIG}"),
+        (["sample", "--m", "2", "--ell", str(BIG), "--density", "0.0", "--seed", "1"],
+         f"m and ell must be below 2^1000, got m=2, ell={BIG}"),
+        (["sample", "--m", "2", "--ell", str(BIG), "--f-expr", "zero", "--seed", "1"],
+         f"evaluation needs ell >= 2 and below 2^1000, got {BIG}"),
+        (["trivialize", "--m", "2", "--ell", str(BIG), "--density", "0.5", "--seed", "1"],
+         f"m and ell must be below 2^1000, got m=2, ell={BIG}"),
+        (["trivialize", "--m", "2", "--ell", str(BIG), "--f-expr", "zero", "--seed", "1"],
+         f"evaluation needs ell >= 2 and below 2^1000, got {BIG}"),
+        (["diagrams", "fulfill", "--faces", "2", "--boundary", "2", "--ell", str(BIG),
+          "--density", "0.4"],
+         f"ell must be >= 1 and below 2^1000, got {BIG}"),
+        (["diagrams", "bound", "--faces", str(BIG), "--ell", "5"],
+         "need F and ell >= 1 and below 2^1000"),
+        (["conditions", "--which", "star", "--k-expr", "threshold-k", "--f-expr", "zero",
+          "--ell-grid", "pow2:1023:1023"],
+         f"evaluation needs ell >= 2 and below 2^1000, got {2**1023}"),
+    ], ids=["count-past-float-range", "infinite-density", "no-boxes", "c-zero-denominator",
+            "sample-density-big-ell", "sample-zero-density-big-ell", "sample-f-expr-big-ell",
+            "trivialize-density-big-ell", "trivialize-f-expr-big-ell", "fulfill-big-ell",
+            "bound-big-faces", "star-ell-2-to-the-1023"])
     def test_arithmetic_domain_errors_exit_one(self, argv, message, tmp_path, capsys,
                                                monkeypatch):
         out = tmp_path / "x"
         assert run_main(monkeypatch, [*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert not list(tmp_path.iterdir())
 
     def test_main_maps_soundness_error_to_exit_three(self, tmp_path, capsys, monkeypatch):
         def contradicted(*args, **kwargs):
@@ -587,3 +664,42 @@ class TestErrors:
         with pytest.raises(words.ResourceLimitError):
             cli.run(["sample", "--m", "2", "--ell", "100", "--num", "10000000",
                      "--seed", "1", "--out", str(tmp_path / "x.txt")])
+
+
+class TestConsoleScript:
+    """The CI console-script step without an install: the README's trivialize and
+    rerun pair through `python -m halfdensity.cli`, and the entry point that
+    pyproject.toml names."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def run_module(self, *argv, cwd):
+        path = os.pathsep.join(filter(None, [str(self.ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "halfdensity.cli", *argv], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                              text=True)
+
+    def test_readme_pair_reruns_byte_identical(self, tmp_path):
+        first = self.run_module("trivialize", "--m", "2", "--ell", "16", "--density", "0.55",
+                                "--seed", "7", "--out", "verdict.json",
+                                "--log", "derivation.txt", cwd=tmp_path)
+        assert first.returncode == 0, first.stderr
+        again = self.run_module("rerun", "--manifest", "verdict.json.manifest.json",
+                                "--out", "verdict2.json", cwd=tmp_path)
+        assert again.returncode == 0, again.stderr
+        verdicts = [(tmp_path / name).read_bytes() for name in ("verdict.json", "verdict2.json")]
+        assert verdicts[0] == verdicts[1]
+
+    def test_bad_argv_exits_one_with_one_line(self, tmp_path):
+        bad = self.run_module("sample", "--m", "1", "--ell", "4", "--num", "2", "--seed", "1",
+                              "--out", "x", cwd=tmp_path)
+        assert (bad.returncode, bad.stderr) == (1, "error: m must be >= 2, got 1\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_pyproject_script_is_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(self.ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["halfdensity"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.main

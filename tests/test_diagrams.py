@@ -27,6 +27,8 @@ class TestTutteCount:
     def test_validation(self):
         with pytest.raises(ValueError):
             dg.tutte_count(0)
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            dg.rooted_map_census(0)
 
 
 class TestRootedMapCensus:
@@ -113,6 +115,25 @@ class TestDiagramStats:
             dg.DiagramStats(0, 0, 10)
         with pytest.raises(ValueError):
             dg.DiagramStats(1, -1, 10)
+        with pytest.raises(ValueError, match="^ell must be >= 1"):
+            dg.DiagramStats(1, 0, 0)
+        with pytest.raises(ValueError, match="^need F"):
+            dg.log_diagram_bound(0, 5)
+        with pytest.raises(ValueError, match="^K must be >= 1, got 0$"):
+            dg.WindowParams(0, 5)
+        with pytest.raises(ValueError, match="^ell must be >= 1, got 0$"):
+            dg.WindowParams(5, 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: dg.DiagramStats(2**1000, 0, 10),
+        lambda: dg.DiagramStats(2, 2, 2**1000),
+        lambda: dg.log_diagram_bound(2**1000, 5),
+        lambda: dg.log_diagram_bound(2, 2**1000),
+    ], ids=["stats-faces", "stats-ell", "bound-faces", "bound-ell"])
+    def test_counts_past_two_to_the_1000_rejected(self, make):
+        # the bound and the fulfillability exponent would overflow a float
+        with pytest.raises(ValueError, match="below 2\\^1000"):
+            make()
 
 
 class TestFulfillabilityBound:

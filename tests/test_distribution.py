@@ -41,6 +41,12 @@ class TestLetterLaw:
         with pytest.raises(ValueError):
             dist.letter_law(2, 0, "same")
 
+    def test_oracle_validation(self):
+        with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
+            dist.letter_law_oracle(1, 3)
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            dist.letter_law_oracle(2, 0)
+
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             dist.letter_law(2, 2, "sideways")

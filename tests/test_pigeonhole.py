@@ -43,6 +43,12 @@ class TestConfig:
             ph.PigeonholeConfig(2, 1, 1, ph.uniform_measure(2))
         with pytest.raises(ValueError):
             ph.PigeonholeConfig(2, 2, 1, (F(1, 2), F(1, 3)))
+        with pytest.raises(ValueError, match="^z must be >= 1, got 0$"):
+            ph.PigeonholeConfig(2, 2, 0, ph.uniform_measure(2))
+        with pytest.raises(ValueError, match="^mu has length 3, expected n=2$"):
+            ph.PigeonholeConfig(2, 2, 1, ph.uniform_measure(3))
+        with pytest.raises(ValueError, match="^bound constant c must be positive$"):
+            ph.PigeonholeConfig(2, 2, 1, ph.uniform_measure(2), F(0))
 
     @pytest.mark.parametrize("at", [0, -1])
     def test_sum_is_exact_far_below_float_resolution(self, at):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from halfdensity.rng import RandomSource, as_generator
+from halfdensity import pigeonhole, trivializer
+from halfdensity.rng import RandomSource, as_generator, as_source
 
 
 def test_same_seed_same_stream():
@@ -32,6 +33,24 @@ def test_as_generator_coercions():
     assert as_generator(gen) is gen
     with pytest.raises(TypeError):
         as_generator("seed")
+
+
+def test_as_source_coercions():
+    source = RandomSource(5)
+    assert as_source(source) is source
+    for seed in (5, np.int64(5)):
+        assert (as_source(seed).generator().random(4) == source.generator().random(4)).all()
+    for bad in ("seed", 5.0, np.random.default_rng(5)):
+        with pytest.raises(TypeError, match="as a random source"):
+            as_source(bad)
+
+
+def test_int_seed_is_its_random_source_in_both_estimators():
+    cfg = pigeonhole.PigeonholeConfig.uniform(16, 2, 4)
+    assert (pigeonhole.coincidence_simulate(cfg, 500, 5)
+            == pigeonhole.coincidence_simulate(cfg, 500, RandomSource(5)))
+    assert (trivializer.planted_reduction_rate(2, 2, 300, 5)
+            == trivializer.planted_reduction_rate(2, 2, 300, RandomSource(5)))
 
 
 def test_explicit_seed_required():

@@ -30,6 +30,22 @@ class TestGrowthExpr:
         e = th.GrowthExpr.monomial(1, 1, 0, 2)  # 2 * ell * log3(ell)
         assert e.evaluate(9, m=2) == pytest.approx(2 * 9 * 2.0)
 
+    def test_evaluate_domain(self):
+        with pytest.raises(ValueError, match="^evaluation needs ell >= 2"):
+            th.GrowthExpr().evaluate(1)
+        # log3(2) < 1, so loglog(2) < 0 has no square root
+        with pytest.raises(ValueError, match="^loglog\\^1/2 undefined below ell = 3$"):
+            th.GrowthExpr.monomial(0, 0, F(1, 2), 1).evaluate(2)
+
+    def test_evaluate_rejects_ell_past_two_to_the_1000(self):
+        # each condition reads ell as a float: 2 ell f overflows from 2^1023
+        assert th.GrowthExpr().evaluate(2**1000 - 1) == 0.0
+        with pytest.raises(ValueError, match="below 2\\^1000"):
+            th.GrowthExpr().evaluate(2**1000)
+
+    def test_zero_repr(self):
+        assert repr(th.GrowthExpr()) == "GrowthExpr(0)"
+
     def test_limit_verdicts(self):
         assert th.GrowthExpr.monomial(0, 0, 1, 1).limit_verdict() == th.VERDICT_DIVERGES
         assert th.GrowthExpr.monomial(0, -1, 0, 9).limit_verdict() == th.VERDICT_BOUNDED
@@ -131,6 +147,10 @@ class TestAsteriskCondition:
         assert rep.verdict == th.VERDICT_INDETERMINATE and rep.symbolic is None
         assert rep.heuristic == th.heuristic_verdict(rep.trace)
 
+    def test_rejects_K_not_positive(self):
+        with pytest.raises(ValueError, match="^K\\(16\\) = -1.0 must be positive$"):
+            th.asterisk_condition(th.GrowthExpr.constant(-1), th.GrowthExpr(), [16])
+
     def test_zero_f_diverges_up(self):
         rep = th.asterisk_condition(th.hyperbolic_window_K(1), th.GrowthExpr(), GRID)
         assert rep.verdict == th.VERDICT_DIVERGES
@@ -142,6 +162,19 @@ class TestAsteriskCondition:
                                     th.family(F(1, 3), F(1, 3), 10**5), GRID)
         assert rep.heuristic is None
         assert rep.symbolic.terms[(F(2, 3), F(1, 3), 0)] == 3000 * F(4, 3) + 10**4 - 10**5
+
+
+class TestHeuristicVerdict:
+    @pytest.mark.parametrize("trace, verdict", [
+        ([(2, 1.0)], th.VERDICT_INDETERMINATE),  # too short to read
+        # only ell = 10^4 lies within three decades of the last ell, so the window
+        # is the last three values, here both, and their rise reads as divergence
+        ([(2, 1.0), (10**4, 2.0)], th.VERDICT_DIVERGES),
+        ([(2, 1.0), (3, 2.0), (4, 0.0)], th.VERDICT_TO_ZERO),  # last value negligible
+        ([(2, 0.0), (3, 10.0), (4, 1.0)], th.VERDICT_INDETERMINATE),  # not monotone or flat
+    ], ids=["one-point", "short-window", "negligible-last", "no-rule"])
+    def test_window_rules(self, trace, verdict):
+        assert th.heuristic_verdict(trace) == verdict
 
 
 class TestClassifyPhase:
@@ -164,6 +197,10 @@ class TestClassifyPhase:
 
     def test_zero_coefficient_is_classical_trivial(self):
         assert th.classify_phase(F(1, 3), F(1, 3), 0).outcome == "trivial"
+
+    def test_negative_coefficient_errors(self):
+        with pytest.raises(ValueError, match="^coefficient must be nonnegative$"):
+            th.classify_phase(1, 0, -1)
 
     def test_not_o1_errors(self):
         with pytest.raises(ValueError):
@@ -281,6 +318,10 @@ class TestDeltaConstant:
 
     def test_value(self):
         assert th.delta_constant(1.0, 2) == 960.0
+
+    def test_no_blocks_errors(self):
+        with pytest.raises(ValueError, match="^N must be >= 1, got 0$"):
+            th.delta_constant(2.0, 0)
 
     def test_delta_for_ell_scaling(self):
         base = th.delta_for_ell(1000) / 1000 ** (5 / 3)

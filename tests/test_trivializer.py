@@ -82,6 +82,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             tz.TrivializerConfig(m=2, ell=4, k=0)
 
+    def test_m_and_round_bounds(self):
+        with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
+            tz.TrivializerConfig(m=1, ell=4, k=1)
+        with pytest.raises(ValueError, match="^max_rounds must be >= 1, got 0$"):
+            tz.TrivializerConfig(m=2, ell=4, k=1, max_rounds=0)
+
 
 class TestFindTailCollisions:
     """The collision search trivialize runs."""

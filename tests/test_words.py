@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -175,6 +176,17 @@ class TestModelParams:
     def test_count_past_two_to_the_1024_rejected(self, m, ell, density):
         with pytest.raises(ValueError, match="below 2\\^1024"):
             ModelParams.from_density(m, ell, density)
+
+    @pytest.mark.parametrize("m, ell, density", [
+        (2, 10**400, 0.5), (2, 10**400, 0.0), (2, 2**1000, 0.0),
+        (10**400, 2, 0.25),  # a float power of an int past the float range
+    ], ids=["ell-10^400", "zero-density-ell-10^400", "ell-2^1000", "m-10^400"])
+    def test_m_or_ell_past_two_to_the_1000_rejected(self, m, ell, density):
+        with pytest.raises(ValueError, match="^m and ell must be below 2\\^1000"):
+            ModelParams.from_density(m, ell, density)
+
+    def test_negative_exponent_gives_one_relator(self):
+        assert ModelParams.from_density(2, 10, -0.5).num == 1
 
     def test_exact_count_below_two_to_the_1024(self):
         assert ModelParams.from_density(2, 1000, 0.6).num == 3**600
@@ -464,6 +476,11 @@ class TestSampling:
         c = sample_presentation(p, RandomSource(124))
         assert a.relators != c.relators
 
+    def test_rejects_empty_shapes(self):
+        for m, ell, num in [(1, 4, 3), (2, 0, 3), (2, 4, 0)]:
+            with pytest.raises(ValueError, match="^need m >= 2, ell >= 1, num >= 1$"):
+                sample_relator_matrix(m, ell, num, RandomSource(0))
+
     def test_rejects_m_beyond_int8(self):
         with pytest.raises(ValueError):
             sample_relator_matrix(128, 4, 3, RandomSource(0))
@@ -567,6 +584,7 @@ class TestMatrixBackedPresentation:
         assert pres.relator(0) == W("ab") and pres.relator(2) == ()
         assert pres == Presentation(2, [W("ab"), W("bAB"), ()])
         assert pres != Presentation(2, [W("ab"), W("bA"), ()])
+        assert pres != pres.relators
 
     @pytest.mark.parametrize("m,relators", [
         (2, [(), W("ab"), (), W("bAB"), ()]),
@@ -699,6 +717,15 @@ class TestTextFormat:
     def test_rejects_large_m(self):
         with pytest.raises(ValueError):
             presentation_to_text(Presentation(27, [(27,)]))
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=2\nab\n", "line 1: expected 'm=<int>' header, got 'n=2'"),
+        ("# note\nm=27\nab\n", "line 2: m must be in 1..26, got 27"),
+        ("# note only\n\n", "missing 'm=<int>' header line"),
+    ], ids=["other-header", "m-past-26", "no-header"])
+    def test_rejects_bad_header(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            presentation_from_text(text)
 
     @given(st.integers(2, 5), st.lists(raw_words.map(free_reduce).filter(len), max_size=8))
     def test_roundtrip_property(self, m, relators):

@@ -228,6 +228,19 @@ MUTANTS = [
            "(draws + (draws >= inverse)).astype(np.uint16)",
            "(draws + (draws >= inverse)).astype(np.int16)",
            ("tests/test_words.py",)),
+    # the relator count skips its m and ell bound, so an ell past the float range
+    # overflows instead of raising ValueError
+    Mutant("materialize-ell-range", "src/halfdensity/words.py",
+           "    if max(m, ell) >= 2**1000:\n", "    if False:\n",
+           ("tests/test_words.py",)),
+    # every int seed gives the stream of seed 0
+    Mutant("as-source-int-seed", "src/halfdensity/rng.py",
+           "return RandomSource(int(rng))", "return RandomSource(0)",
+           ("tests/test_rng.py",)),
+    # JSON files end without a newline
+    Mutant("write-json-newline", "src/halfdensity/manifest.py",
+           '        fh.write("\\n")\n', "",
+           ("tests/test_cli.py",)),
 ]
 
 

@@ -531,6 +531,15 @@ class TestConditionsAndPhaseMap:
             f"error: cannot parse rate expression {spec!r}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, merged", [
+        (["phase-map", "--beta"], ["phase-map", "--beta"]),
+        (["--beta", "--beta", "-1:2:0.5"], ["--beta=--beta", "-1:2:0.5"]),
+        (["--alpha", "-1:0:1", "--beta", "-2:0:1"], ["--alpha=-1:0:1", "--beta=-2:0:1"]),
+        (["--beta=-1:2:0.5"], ["--beta=-1:2:0.5"]),
+    ], ids=["option-last", "option-as-value", "both-options", "joined-already"])
+    def test_merge_dash_values(self, argv, merged):
+        assert cli._merge_dash_values(argv) == merged
+
     def test_negative_beta_value_form(self, tmp_path, capsys):
         out = tmp_path / "pm.csv"
         run_ok(["phase-map", "--alpha", "0:1:0.5", "--beta", "-1:0:0.5",

@@ -54,6 +54,19 @@ CLI_CASES = {
                              "window-K:cprime=2", "--f-expr",
                              "family:alpha=1/3,beta=1/3,c0=1e5"],
                             "a785c02ae4ac6545c23271d40ad6948cc0813837dd35d12eaa693264d5eaf42b"),
+    # spade's (2m-1)^(2k) for an integral exponent (exact) and a float one
+    "spade-const": (["conditions", "--which", "spade", "--k-expr", "const:2"],
+                    "e1882fac2913a92c9d7055ddf0778135ea2e58dc040588d6c9b7bb64dcd0c08b"),
+    "spade-float-power": (["conditions", "--which", "spade", "--k-expr",
+                           "family:alpha=0,beta=0,c0=3"],
+                          "75e7138196678748720afd2c867fc47d00fbcce308d22f52b021166d1d93595e"),
+    # asterisk with a unit coefficient of K (log c = 0) and a float one
+    "asterisk-unit-K": (["conditions", "--which", "asterisk", "--K-expr", "window-K",
+                         "--f-expr", "hyperbolic-threshold"],
+                        "1867a92f7d9da8e5874418ed3fbc544e6732d00e58ee9f7bf089599758056bd2"),
+    "asterisk-float-K": (["conditions", "--which", "asterisk", "--K-expr",
+                          "family:alpha=-1/3,beta=0,c0=3", "--f-expr", "hyperbolic-threshold"],
+                         "e7215d56c717e49516b8b5d65bfca539a8860b7deac6fa033c90db33ed45c2b1"),
     "phase-map": (["phase-map", "--alpha", "0:1.5:0.25", "--beta", "-1:2:0.5"],
                   "ab78f106ba38c489fb5edb5bcb2404821cffeaabeb91977c144db0fe01758dfb"),
 }

@@ -468,15 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_dash_values(argv: list) -> list:
     """Join option values that start with '-' (e.g. --beta -1:2:0.05)."""
     out = []
-    skip = False
-    for i, a in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (a in ("--beta", "--alpha") and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")):
-            out.append(f"{a}={argv[i + 1]}")
-            skip = True
+    for a in argv:
+        if out and out[-1] in ("--beta", "--alpha") and a.startswith("-"):
+            out[-1] += "=" + a
         else:
             out.append(a)
     return out

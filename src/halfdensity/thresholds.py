@@ -46,10 +46,6 @@ _LOG_KEY = (Fraction(0), Fraction(1), Fraction(0))
 _LOGLOG_KEY = (Fraction(0), Fraction(0), Fraction(1))
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class GrowthExpr:
     """Sum of terms coeff * ell^a * log^b * loglog^g, keyed by (a, b, g)."""
 
@@ -60,7 +56,7 @@ class GrowthExpr:
         summed, and zero sums dropped."""
         summed: dict = {}
         for key, coeff in terms.items() if isinstance(terms, dict) else terms or ():
-            key = tuple(_fr(v) for v in key)
+            key = tuple(Fraction(v) for v in key)
             summed[key] = summed.get(key, 0) + coeff
         self.terms = {k: c for k, c in summed.items() if c != 0}
 
@@ -124,15 +120,12 @@ class GrowthExpr:
             return VERDICT_DIVERGES if coeff > 0 else VERDICT_TO_MINUS_INF
         return VERDICT_BOUNDED
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def evaluate(self, ell: int, m: int = 2) -> float:
         base = 2 * m - 1
         if not 2 <= ell < 2**1000:
             raise ValueError(f"evaluation needs ell >= 2 and below 2^1000, got {ell}")
         L = math.log(ell, base)
-        LL = math.log(L, base) if L > 0 else float("-inf")
+        LL = math.log(L, base)
         total = 0.0
         for (a, b, g), c in self.terms.items():
             t = float(c) * ell ** float(a)
@@ -148,7 +141,7 @@ class GrowthExpr:
 
 def family(alpha, beta, coeff=1) -> GrowthExpr:
     """f(ell) = coeff * log^beta(ell) / ell^alpha."""
-    return GrowthExpr.monomial(-_fr(alpha), beta, 0, coeff)
+    return GrowthExpr.monomial(-Fraction(alpha), beta, 0, coeff)
 
 
 def trivial_threshold_f() -> GrowthExpr:
@@ -250,10 +243,7 @@ def _exp_base(expr: GrowthExpr, m: int):
     c0 = expr.terms.get(_ZERO_KEY, Fraction(0))
     if set(expr.terms) - _EXPONENT_KEYS:
         return None
-    base = 2 * m - 1
-    coeff = base ** c0 if (isinstance(c0, Fraction) and c0.denominator == 1) \
-        else float(base) ** float(c0)
-    return GrowthExpr.monomial(a, b, 0, coeff)
+    return GrowthExpr.monomial(a, b, 0, Fraction(2 * m - 1) ** c0)
 
 
 def spade_condition(k_fn: GrowthExpr, ell_grid: list, m: int = 2) -> ConditionReport:
@@ -290,17 +280,15 @@ def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
     base = 2 * m - 1
     symbolic = None
     verdict = VERDICT_INDETERMINATE
-    if K_fn.is_monomial():
+    if len(K_fn.terms) == 1:
         ((aK, bK, gK), cK), = K_fn.terms.items()
         if cK > 0 and gK == 0:
-            log_c = 0 if cK == 1 else math.log(float(cK), base)
-            log_Kl = GrowthExpr({_ZERO_KEY: log_c, _LOG_KEY: aK + 1, _LOGLOG_KEY: bK})
+            log_Kl = GrowthExpr({_ZERO_KEY: math.log(cK, base), _LOG_KEY: aK + 1,
+                                 _LOGLOG_KEY: bK})
             K2 = GrowthExpr.monomial(2 * aK, 2 * bK, 0, cK * cK)
             t1 = (K2 * log_Kl).scale(3000)
-            inv_c = 1 / cK if isinstance(cK, Fraction) else 1.0 / cK
-            t2 = GrowthExpr.monomial(1 - aK, -bK, 0, inv_c).scale(10**4)
-            t3 = f.shift_ell(1)
-            symbolic = t1 + t2 - t3
+            t2 = GrowthExpr.monomial(1 - aK, -bK, 0, 1 / cK).scale(10**4)
+            symbolic = t1 + t2 - f.shift_ell(1)
             verdict = symbolic.limit_verdict()
 
     trace = []
@@ -381,7 +369,7 @@ def phase_map(alphas, betas, coeff=1.0) -> list:
     rows = []
     for a in alphas:
         for b in betas:
-            a_f, b_f = _fr(a), _fr(b)
+            a_f, b_f = Fraction(a), Fraction(b)
             try:
                 v = classify_phase(a_f, b_f, coeff)
                 rows.append(PhaseMapCell(a_f, b_f, v.outcome, v.clause))
@@ -392,7 +380,7 @@ def phase_map(alphas, betas, coeff=1.0) -> list:
 
 def grid_range(start, stop, step) -> list:
     """Inclusive rational grid start, start+step, ..., up to stop."""
-    a, b, s = _fr(start), _fr(stop), _fr(step)
+    a, b, s = Fraction(start), Fraction(stop), Fraction(step)
     if s <= 0:
         raise ValueError("step must be positive")
     out = []

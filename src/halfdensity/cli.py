@@ -227,9 +227,11 @@ def _exec_pigeonhole(recorded, seed, out, digest, threads=1) -> str:
         c = Fraction(recorded["c"]) if recorded["c"] else None
     except ZeroDivisionError:
         raise CliError(f"--c {recorded['c']} has a zero denominator") from None
-    maker = (pigeonhole.PigeonholeConfig.uniform if recorded["mu"] == "uniform"
-             else pigeonhole.PigeonholeConfig.geometric)
-    cfg = maker(recorded["n"], recorded["q"], recorded["z"], c)
+    makers = {"uniform": pigeonhole.PigeonholeConfig.uniform,
+              "geometric": pigeonhole.PigeonholeConfig.geometric}
+    if recorded["mu"] not in makers:
+        raise CliError(f"unknown measure {recorded['mu']!r}")
+    cfg = makers[recorded["mu"]](recorded["n"], recorded["q"], recorded["z"], c)
     result = pigeonhole.coincidence_simulate(cfg, recorded["trials"],
                                              RandomSource(seed).child(0), threads=threads)
     bound = pigeonhole.coincidence_bound(cfg) if cfg.hypothesis_met else None

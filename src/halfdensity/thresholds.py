@@ -128,14 +128,12 @@ class GrowthExpr:
         LL = math.log(L, base)
         total = 0.0
         for (a, b, g), c in self.terms.items():
-            t = float(c) * ell ** float(a)
-            if b:
-                t *= L ** float(b)
-            if g:
-                if LL < 0 and g != int(g):
-                    raise ValueError(f"loglog^{g} undefined below ell = {base}")
-                t *= LL ** float(g)
-            total += t
+            if LL < 0 and g != int(g):
+                raise ValueError(f"loglog^{g} undefined below ell = {base}")
+            try:
+                total += float(c) * ell ** float(a) * L ** float(b) * LL ** float(g)
+            except OverflowError:
+                raise ValueError(f"{self!r} leaves the float range at ell = {ell}") from None
         return total
 
 
@@ -224,8 +222,8 @@ def heuristic_verdict(trace: list) -> str:
 def star_condition(k_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
                    m: int = 2) -> ConditionReport:
     """Does k(ell) - 2 ell f(ell) diverge?"""
-    symbolic = k_fn - f.shift_ell(1).scale(2)
     trace = [(ell, k_fn.evaluate(ell, m) - 2 * ell * f.evaluate(ell, m)) for ell in ell_grid]
+    symbolic = k_fn - f.shift_ell(1).scale(2)
     return ConditionReport("star", symbolic.limit_verdict(), symbolic, trace)
 
 
@@ -236,13 +234,16 @@ def _exp_base(expr: GrowthExpr, m: int):
     """(2m-1)^expr as a monomial, when expr uses only const/log/loglog terms.
 
     (2m-1)^(c log ell) = ell^c and (2m-1)^(c loglog ell) = log^c(ell), so the
-    result is coeff * ell^a * log^b.  Returns None when not representable.
+    result is coeff * ell^a * log^b.  Returns None when not representable, and
+    raises ValueError where (2m-1)^c0 passes 2^16384 (c0 = 2e30 would never finish).
     """
     a = expr.terms.get(_LOG_KEY, Fraction(0))
     b = expr.terms.get(_LOGLOG_KEY, Fraction(0))
     c0 = expr.terms.get(_ZERO_KEY, Fraction(0))
     if set(expr.terms) - _EXPONENT_KEYS:
         return None
+    if abs(c0) > 2**14 / math.log2(2 * m - 1):
+        raise ValueError(f"{2 * m - 1}^{c0} is far past the float range")
     return GrowthExpr.monomial(a, b, 0, Fraction(2 * m - 1) ** c0)
 
 
@@ -260,14 +261,17 @@ def spade_condition(k_fn: GrowthExpr, ell_grid: list, m: int = 2) -> ConditionRe
         log_b = math.log(max(ell - 2, 1)) - math.log(2 * k_val + 2) - 2 * k_val * ln_base
         trace.append((ell, math.exp(log_b) if log_b < 700 else float("inf")))
     two_k = k_fn.scale(2)
-    expo = _exp_base(two_k, m)
-    if expo is not None:
-        # the numerator ell - 2 leads with ell^1
-        dk, dc = ((two_k + GrowthExpr.constant(2)) * expo).leading_term()
-        ratio_key = (1 - dk[0], -dk[1], -dk[2])
-        symbolic = GrowthExpr.monomial(*ratio_key, 1.0 / float(dc))
-        verdict = VERDICT_TO_ZERO if ratio_key < _ZERO_KEY else symbolic.limit_verdict()
-    elif any(key[0] > 0 and c > 0 for key, c in two_k.terms.items()):
+    try:
+        expo = _exp_base(two_k, m)
+        if expo is not None:
+            # the numerator ell - 2 leads with ell^1
+            dk, dc = ((two_k + GrowthExpr.constant(2)) * expo).leading_term()
+            ratio_key = (1 - dk[0], -dk[1], -dk[2])
+            symbolic = GrowthExpr.monomial(*ratio_key, 1.0 / float(dc))
+            verdict = VERDICT_TO_ZERO if ratio_key < _ZERO_KEY else symbolic.limit_verdict()
+    except OverflowError:
+        raise ValueError(f"spade's coefficient for k = {k_fn!r} leaves the float range") from None
+    if expo is None and any(key[0] > 0 and c > 0 for key, c in two_k.terms.items()):
         # exponent has a positive power of ell: denominator outgrows
         # every polynomial, so the block count collapses to zero
         verdict = VERDICT_TO_ZERO
@@ -280,25 +284,27 @@ def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
     base = 2 * m - 1
     symbolic = None
     verdict = VERDICT_INDETERMINATE
-    if len(K_fn.terms) == 1:
-        ((aK, bK, gK), cK), = K_fn.terms.items()
-        if cK > 0 and gK == 0:
-            log_Kl = GrowthExpr({_ZERO_KEY: math.log(cK, base), _LOG_KEY: aK + 1,
-                                 _LOGLOG_KEY: bK})
-            K2 = GrowthExpr.monomial(2 * aK, 2 * bK, 0, cK * cK)
-            t1 = (K2 * log_Kl).scale(3000)
-            t2 = GrowthExpr.monomial(1 - aK, -bK, 0, 1 / cK).scale(10**4)
-            symbolic = t1 + t2 - f.shift_ell(1)
-            verdict = symbolic.limit_verdict()
-
     trace = []
-    for ell in ell_grid:
-        K_val = K_fn.evaluate(ell, m)
-        if K_val <= 0:
-            raise ValueError(f"K({ell}) = {K_val} must be positive")
-        val = (3000 * K_val**2 * math.log(K_val * ell, base)
-               + 10**4 * ell / K_val - ell * f.evaluate(ell, m))
-        trace.append((ell, val))
+    try:
+        if len(K_fn.terms) == 1:
+            ((aK, bK, gK), cK), = K_fn.terms.items()
+            if cK > 0 and gK == 0:
+                log_Kl = GrowthExpr({_ZERO_KEY: math.log(cK, base), _LOG_KEY: aK + 1,
+                                     _LOGLOG_KEY: bK})
+                K2 = GrowthExpr.monomial(2 * aK, 2 * bK, 0, cK * cK)
+                t1 = (K2 * log_Kl).scale(3000)
+                t2 = GrowthExpr.monomial(1 - aK, -bK, 0, 1 / cK).scale(10**4)
+                symbolic = t1 + t2 - f.shift_ell(1)
+                verdict = symbolic.limit_verdict()
+        for ell in ell_grid:
+            K_val = K_fn.evaluate(ell, m)
+            if K_val <= 0:
+                raise ValueError(f"K({ell}) = {K_val} must be positive")
+            val = (3000 * K_val**2 * math.log(K_val * ell, base)
+                   + 10**4 * ell / K_val - ell * f.evaluate(ell, m))
+            trace.append((ell, val))
+    except OverflowError:
+        raise ValueError(f"asterisk with K = {K_fn!r} leaves the float range") from None
     return ConditionReport("asterisk", verdict, symbolic, trace)
 
 

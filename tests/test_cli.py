@@ -14,6 +14,8 @@ from halfdensity.manifest import RunManifest, manifest_digest, write_json
 
 #: A number past the float range, given as a CLI count or length.
 BIG = 10**400
+#: A rate ell^400, past the float range from ell = 6.
+FAST_K = "family:alpha=-400,beta=0"
 #: The spade condition's argv up to its --ell-grid and --out.
 SPADE = ["conditions", "--which", "spade", "--k-expr", "threshold-k"]
 
@@ -194,7 +196,9 @@ class TestRerunRejectsMalformedManifest:
          "which", "unknown condition 'bogus'"),
         (["sample", "--m", "2", "--ell", "4", "--num", "2", "--seed", "1"], None,
          "manifest has unknown subcommand 'bogus'"),
-    ], ids=["diagram-command", "condition", "subcommand"])
+        (["pigeonhole", "--n", "4", "--q", "2", "--z", "4", "--trials", "10", "--seed", "1"],
+         "mu", "unknown measure 'bogus'"),
+    ], ids=["diagram-command", "condition", "subcommand", "measure"])
     def test_unknown_name_with_matching_digest(self, argv, key, message, tmp_path, capsys,
                                                monkeypatch):
         run_ok([*argv, "--out", str(tmp_path / "run.out")])
@@ -632,10 +636,35 @@ class TestErrors:
         (["conditions", "--which", "star", "--k-expr", "threshold-k", "--f-expr", "zero",
           "--ell-grid", "pow2:1023:1023"],
          f"evaluation needs ell >= 2 and below 2^1000, got {2**1023}"),
+        # rate values past the float range
+        (["conditions", "--which", "spade", "--k-expr", "const:1000000", "--ell-grid", "10"],
+         "3^2000000 is far past the float range"),
+        (["conditions", "--which", "spade", "--k-expr", "const:322"],
+         "spade's coefficient for k = GrowthExpr(322) leaves the float range"),
+        (["conditions", "--which", "spade", "--k-expr", FAST_K, "--ell-grid", "10"],
+         "GrowthExpr(1.0*ell^400) leaves the float range at ell = 10"),
+        (["conditions", "--which", "star", "--k-expr", FAST_K, "--f-expr", "zero",
+          "--ell-grid", "100"],
+         "GrowthExpr(1.0*ell^400) leaves the float range at ell = 100"),
+        (["trivialize", "--m", "2", "--ell", "16", "--f-expr", FAST_K, "--seed", "1"],
+         "GrowthExpr(1.0*ell^400) leaves the float range at ell = 16"),
+        (["conditions", "--which", "asterisk", "--K-expr", "const:1e200", "--f-expr", "zero",
+          "--ell-grid", "10"],
+         f"asterisk with K = GrowthExpr({10**200}) leaves the float range"),
+        (["conditions", "--which", "asterisk", "--K-expr", "family:alpha=-2,beta=0",
+          "--f-expr", "zero", "--ell-grid", "pow2:600:600"],
+         f"GrowthExpr(1.0*ell^2) leaves the float range at ell = {2**600}"),
+        (["conditions", "--which", "star", "--k-expr", "family:alpha=-1,beta=0",
+          "--f-expr", "const:1e400", "--ell-grid", "10"],
+         f"GrowthExpr({10**400}) leaves the float range at ell = 10"),
     ], ids=["count-past-float-range", "infinite-density", "no-boxes", "c-zero-denominator",
             "sample-density-big-ell", "sample-zero-density-big-ell", "sample-f-expr-big-ell",
             "trivialize-density-big-ell", "trivialize-f-expr-big-ell", "fulfill-big-ell",
-            "bound-big-faces", "star-ell-2-to-the-1023"])
+            "bound-big-faces", "star-ell-2-to-the-1023", "spade-power-far-past-float-range",
+            "spade-coefficient-past-float-range", "spade-k-past-float-range",
+            "star-k-past-float-range", "trivialize-f-past-float-range",
+            "asterisk-exact-K-past-float-range", "asterisk-K-past-float-range",
+            "star-f-past-float-range"])
     def test_arithmetic_domain_errors_exit_one(self, argv, message, tmp_path, capsys,
                                                monkeypatch):
         out = tmp_path / "x"

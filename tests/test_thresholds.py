@@ -43,6 +43,13 @@ class TestGrowthExpr:
         with pytest.raises(ValueError, match="below 2\\^1000"):
             th.GrowthExpr().evaluate(2**1000)
 
+    def test_evaluate_past_the_float_range_raises_value_error(self):
+        # 16^400 = 2^1600 is past the float range; the error names the rate and ell
+        with pytest.raises(ValueError,
+                           match="^GrowthExpr\\(1\\*ell\\^400\\) leaves the float range "
+                                 "at ell = 16$"):
+            th.family(-400, 0).evaluate(16)
+
     def test_zero_repr(self):
         assert repr(th.GrowthExpr()) == "GrowthExpr(0)"
 
@@ -118,6 +125,26 @@ class TestSpadeCondition:
         assert all(a < b for a, b in zip(vals[3:], vals[4:]))
 
 
+    def test_power_far_past_the_float_range_is_rejected_before_it_is_taken(self):
+        # 3^2000000 would take the exact power about half a second, 3^(2 10^30) forever
+        with pytest.raises(ValueError, match="^3\\^2000000 is far past the float range$"):
+            th.spade_condition(th.GrowthExpr.constant(10**6), [10])
+        with pytest.raises(ValueError, match="^5\\^20000 is far past the float range$"):
+            th.spade_condition(th.GrowthExpr.constant(10**4), [10], m=3)
+
+    @pytest.mark.parametrize("k", [F(321), 400.0])
+    def test_coefficient_past_the_float_range(self, k):
+        # the exact (2k+2) 3^(2k) is past the float range from k = 321; the float
+        # power 3^800.0 overflows itself
+        with pytest.raises(ValueError, match="^spade's coefficient for k = .* leaves the float"):
+            th.spade_condition(th.GrowthExpr.constant(k), [10])
+
+    def test_constant_k_below_the_float_range_reports(self):
+        rep = th.spade_condition(th.GrowthExpr.constant(320), [10])
+        assert rep.verdict == th.VERDICT_DIVERGES
+        assert rep.symbolic.terms[(1, 0, 0)] == 1.0 / float(642 * F(3) ** 640)
+
+
 class TestAsteriskCondition:
     def test_matched_pair_diverges_down(self):
         rep = th.asterisk_condition(th.hyperbolic_window_K(1),
@@ -150,6 +177,13 @@ class TestAsteriskCondition:
     def test_rejects_K_not_positive(self):
         with pytest.raises(ValueError, match="^K\\(16\\) = -1.0 must be positive$"):
             th.asterisk_condition(th.GrowthExpr.constant(-1), th.GrowthExpr(), [16])
+
+    @pytest.mark.parametrize("K", [F(10**200), 1e200])
+    def test_K_past_the_float_range(self, K):
+        # an exact K^2 leaves the float range in the symbolic products, a float one
+        # in the trace
+        with pytest.raises(ValueError, match="^asterisk with K = .* leaves the float range$"):
+            th.asterisk_condition(th.GrowthExpr.constant(K), th.GrowthExpr(), [10])
 
     def test_zero_f_diverges_up(self):
         rep = th.asterisk_condition(th.hyperbolic_window_K(1), th.GrowthExpr(), GRID)

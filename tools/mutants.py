@@ -237,6 +237,22 @@ MUTANTS = [
     Mutant("as-source-int-seed", "src/halfdensity/rng.py",
            "return RandomSource(int(rng))", "return RandomSource(0)",
            ("tests/test_rng.py",)),
+    # spade takes an exact power however far past the float range its exponent is
+    Mutant("exp-base-bound", "src/halfdensity/thresholds.py",
+           "    if abs(c0) > 2**14 / math.log2(2 * m - 1):\n", "    if False:\n",
+           ("tests/test_thresholds.py",)),
+    # a rate's term past the float range raises OverflowError, not ValueError
+    Mutant("evaluate-overflow", "src/halfdensity/thresholds.py",
+           "            except OverflowError:\n                raise ValueError(f\"{self!r}",
+           "            except ():\n                raise ValueError(f\"{self!r}",
+           ("tests/test_thresholds.py",)),
+    # a pigeonhole run reads an unknown measure as the geometric one
+    Mutant("measure-lookup-fallback", "src/halfdensity/cli.py",
+           '    if recorded["mu"] not in makers:\n'
+           '        raise CliError(f"unknown measure {recorded[\'mu\']!r}")\n'
+           '    cfg = makers[recorded["mu"]](',
+           '    cfg = makers.get(recorded["mu"], pigeonhole.PigeonholeConfig.geometric)(',
+           ("tests/test_cli.py",)),
     # JSON files end without a newline
     Mutant("write-json-newline", "src/halfdensity/manifest.py",
            '        fh.write("\\n")\n', "",

@@ -11,12 +11,11 @@ Usage: python3 calibration/run_pilot.py [--out calibration/efficacy.json]
 """
 
 import argparse
-import json
 import time
 from pathlib import Path
 
 from halfdensity import __version__, trivializer, words
-from halfdensity.manifest import manifest_digest, now_utc
+from halfdensity.manifest import manifest_digest, now_utc, write_json
 from halfdensity.rng import RandomSource
 
 M = 2
@@ -57,9 +56,7 @@ def main() -> None:
         "created_utc": now_utc(),
         "wall_clock_s": round(time.monotonic() - t0, 3),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(args.out, payload)
     print(f"wrote {args.out}: rates={rates} floor={floor}")
 
 

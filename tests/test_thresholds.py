@@ -124,9 +124,8 @@ class TestSpadeCondition:
         assert all(v > 0 for v in vals)
         assert all(a < b for a, b in zip(vals[3:], vals[4:]))
 
-
     def test_power_far_past_the_float_range_is_rejected_before_it_is_taken(self):
-        # 3^2000000 would take the exact power about half a second, 3^(2 10^30) forever
+        # the exact 3^2000000 takes about half a second, and 3^(2 10^30) never finishes
         with pytest.raises(ValueError, match="^3\\^2000000 is far past the float range$"):
             th.spade_condition(th.GrowthExpr.constant(10**6), [10])
         with pytest.raises(ValueError, match="^5\\^20000 is far past the float range$"):

@@ -8,6 +8,7 @@ CHANGES.md.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,28 @@ CLI_CASES = {
 }
 
 
+#: The line each CLI_CASES run prints, with its --out path as <out>.
+CLI_STDOUT = {
+    "asterisk-float-K": "conditions: asterisk verdict=diverges -> <out>",
+    "asterisk-unit-K": "conditions: asterisk verdict=converges-to-minus-infinity -> <out>",
+    "conditions": "conditions: spade verdict=diverges -> <out>",
+    "conditions-asterisk": "conditions: asterisk verdict=converges-to-minus-infinity -> <out>",
+    "diagrams-bound": "diagrams bound: -> <out>",
+    "diagrams-census": "diagrams census: n <= 3 -> <out>",
+    "diagrams-fulfill": "diagrams fulfill: -> <out>",
+    "diagrams-tutte": "diagrams tutte: -> <out>",
+    "phase-map": "phase-map: {'hyperbolic': 9, 'not-o1': 5, 'unknown': 17, 'trivial': 18} -> <out>",
+    "pigeonhole": "pigeonhole: estimate=1.000000 bound=0.22119921692859512 -> <out>",
+    "sample": "sample: wrote 243 relators to <out>",
+    "spade-const": "conditions: spade verdict=diverges -> <out>",
+    "spade-float-power": "conditions: spade verdict=diverges -> <out>",
+    "trivialize": "trivialize: outcome=trivial certificates=2 -> <out>",
+    "trivialize-k-override": "trivialize: outcome=unknown certificates=0 -> <out>",
+    "trivialize-m3-rounds2": "trivialize: outcome=unknown certificates=3 -> <out>",
+    "verify-dist": "verify-dist: m=2 n=4 -> <out>",
+}
+
+
 def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -82,6 +105,21 @@ def test_cli_output_bytes(name, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.run(argv + ["--out", str(out)]) == 0
     assert sha256_of(out) == expected
+    assert capsys.readouterr().out == CLI_STDOUT[name].replace("<out>", str(out)) + "\n"
+
+
+def test_cli_stdout_covers_every_case():
+    assert set(CLI_STDOUT) == set(CLI_CASES)
+
+
+def test_diagrams_stdout_bytes(capsys):
+    # with no --out, the JSON goes to stdout and no manifest is written
+    assert cli.run(["diagrams", "bound", "--faces", "2", "--ell", "5"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "asymptotic": 20.103401262900952,\n  "ell": 5,\n  "faces": 2,\n'
+        '  "format_version": 1,\n  "log_bound": 70.10340126290096,\n  "m": 2,\n'
+        '  "manifest_digest": '
+        '"6424d78612c84890f5d368d828c17130061b781e6dd1bc40709bfb7133109ff2"\n}\n')
 
 
 def test_trivialize_log_bytes(tmp_path, capsys):
@@ -90,6 +128,42 @@ def test_trivialize_log_bytes(tmp_path, capsys):
                     "--seed", "0", "--out", str(out), "--log", str(log)]) == 0
     assert sha256_of(out) == "8f6714c719acf36d3809a5952e3e8752a55c7e0bc031f4917a75043148f33183"
     assert sha256_of(log) == "fc221007ae57b1088fe100d7cbe652280b70b4c3c122105b7c39c1ba705320d1"
+    manifest = Path(str(out) + ".manifest.json").read_text()
+    manifest = manifest.replace(str(out), "<out>").replace(str(log), "<log>")
+    manifest = re.sub(r'"created_utc": "[^"]*"', '"created_utc": "<utc>"', manifest)
+    manifest = re.sub(r'"wall_clock_s": [^\n]*', '"wall_clock_s": "<s>"', manifest)
+    assert manifest == TRIVIALIZE_LOG_MANIFEST
+
+
+#: The manifest of test_trivialize_log_bytes's run, its paths and times masked.
+TRIVIALIZE_LOG_MANIFEST = """{
+  "created_utc": "<utc>",
+  "digest": "72e33ed0ce7622c6ac8ad1be255117f5372eae89396f3cdaabdde993c1680d25",
+  "format_version": 1,
+  "outputs": [
+    "<out>",
+    "<log>"
+  ],
+  "params": {
+    "density": 0.5499986960103814,
+    "density_arg": 0.55,
+    "ell": 16,
+    "f": -0.04999869601038143,
+    "k": 1,
+    "m": 2,
+    "max_letters": 134217728,
+    "max_rounds": 1,
+    "num": 15800,
+    "num_spec": "density"
+  },
+  "rng_algorithm": "numpy-pcg64",
+  "seed": 0,
+  "subcommand": "trivialize",
+  "threads": 1,
+  "tool_version": "0.1.0",
+  "wall_clock_s": "<s>"
+}
+"""
 
 
 # No CLI-reachable input fires the reduction stage, so the hand-built fixture

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from halfdensity import __version__, trivializer, words
-from halfdensity.manifest import manifest_digest, now_utc, write_json
+from halfdensity.manifest import json_text, manifest_digest, now_utc
 from halfdensity.rng import RandomSource
 
 M = 2
@@ -56,7 +56,7 @@ def main() -> None:
         "created_utc": now_utc(),
         "wall_clock_s": round(time.monotonic() - t0, 3),
     }
-    write_json(args.out, payload)
+    Path(args.out).write_text(json_text(payload), encoding="utf-8")
     print(f"wrote {args.out}: rates={rates} floor={floor}")
 
 

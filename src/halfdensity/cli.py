@@ -3,7 +3,8 @@
 Subcommands: sample, trivialize, verify-dist, pigeonhole, diagrams,
 conditions, phase-map, plus rerun (re-execute a recorded manifest).  Every
 output file embeds the digest of its manifest, and every run writes
-<out>.manifest.json next to its output.  Randomized runs with no --seed draw
+<out>.manifest.json next to its output.  Executors return their texts, and
+_run writes every file only once all of them are built.  Randomized runs with no --seed draw
 one from the OS and record it; there is deliberately no environment-variable
 seed fallback.  Exit codes: 0 success, 1 domain, 2 usage, 3 soundness error.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import io
 import math
 import secrets
 import sys
@@ -24,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__, diagrams, distribution, pigeonhole, thresholds, trivializer, words
-from .manifest import RunManifest, manifest_digest, now_utc, write_json
+from .manifest import RunManifest, json_text, manifest_digest, now_utc
 from .rng import RandomSource
 
 
@@ -150,18 +151,20 @@ def _resolve_seed(args) -> int | None:
 # output helpers
 
 
-def _csv_out(path: str, digest: str, header: list, rows: list, preamble=()) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in ["format_version=1", f"manifest_digest={digest}", *preamble]:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_text(digest: str, header: list, rows: list, preamble=()) -> str:
+    fh = io.StringIO()
+    for line in ["format_version=1", f"manifest_digest={digest}", *preamble]:
+        fh.write(f"# {line}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue()
 
 
 # ---------------------------------------------------------------------------
-# executors: run purely from (recorded params, seed, out); digest is the
-# manifest digest of (subcommand, recorded, seed) that every output embeds
+# executors: run purely from (recorded params, seed, out), write nothing, and
+# return (message, out text[, log text]); digest is the manifest digest of
+# (subcommand, recorded, seed) that every output embeds
 
 
 def _sample(recorded, seed) -> words.Presentation:
@@ -171,16 +174,13 @@ def _sample(recorded, seed) -> words.Presentation:
                                      max_letters=recorded["max_letters"])
 
 
-def _exec_sample(recorded, seed, out, digest) -> str:
-    text = words.presentation_to_text(_sample(recorded, seed))
-    lines = text.split("\n")
+def _exec_sample(recorded, seed, out, digest) -> tuple:
+    lines = words.presentation_to_text(_sample(recorded, seed)).split("\n")
     lines.insert(1, f"# manifest_digest={digest}")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-    return f"sample: wrote {recorded['num']} relators to {out}"
+    return f"sample: wrote {recorded['num']} relators to {out}", "\n".join(lines)
 
 
-def _exec_trivialize(recorded, seed, out, digest, log=None) -> str:
+def _exec_trivialize(recorded, seed, out, digest) -> tuple:
     cfg = trivializer.TrivializerConfig(
         m=recorded["m"], ell=recorded["ell"], k=recorded["k"], max_rounds=recorded["max_rounds"]
     )
@@ -192,17 +192,13 @@ def _exec_trivialize(recorded, seed, out, digest, log=None) -> str:
         "model": {k: recorded[k] for k in ("m", "ell", "num", "density", "f")},
         **verdict.to_json_dict(),
     }
-    write_json(out, payload)
-    if log:
-        with open(log, "w", encoding="utf-8") as fh:
-            fh.write(f"# manifest_digest={digest}\n")
-            for cert in verdict.certificates:
-                fh.write(cert.describe() + "\n\n")
+    log = "".join([f"# manifest_digest={digest}\n",
+                   *(cert.describe() + "\n\n" for cert in verdict.certificates)])
     return (f"trivialize: outcome={verdict.outcome} "
-            f"certificates={len(verdict.certificates)} -> {out}")
+            f"certificates={len(verdict.certificates)} -> {out}", json_text(payload), log)
 
 
-def _exec_verify_dist(recorded, seed, out, digest) -> str:
+def _exec_verify_dist(recorded, seed, out, digest) -> tuple:
     m, n, samples = recorded["m"], recorded["n"], recorded["samples"]
     counts = distribution.sample_relation_counts(m, n, samples,
                                                  RandomSource(seed).child(0))
@@ -218,11 +214,11 @@ def _exec_verify_dist(recorded, seed, out, digest) -> str:
         z = (emp - p) / se if se else 0.0
         rows.append([rel, str(exact[rel]), str(oracle_totals[rel]),
                      f"{emp:.8f}", f"{z:+.4f}"])
-    _csv_out(out, digest, ["relation", "exact", "oracle", "empirical", "zscore"], rows)
-    return f"verify-dist: m={m} n={n} -> {out}"
+    return (f"verify-dist: m={m} n={n} -> {out}",
+            _csv_text(digest, ["relation", "exact", "oracle", "empirical", "zscore"], rows))
 
 
-def _exec_pigeonhole(recorded, seed, out, digest, threads=1) -> str:
+def _exec_pigeonhole(recorded, seed, out, digest, threads=1) -> tuple:
     try:
         c = Fraction(recorded["c"]) if recorded["c"] else None
     except ZeroDivisionError:
@@ -251,17 +247,17 @@ def _exec_pigeonhole(recorded, seed, out, digest, threads=1) -> str:
         "bound": bound,
         "exact": exact_str,
     }
-    write_json(out, payload)
-    return f"pigeonhole: estimate={result.estimate:.6f} bound={bound} -> {out}"
+    return (f"pigeonhole: estimate={result.estimate:.6f} bound={bound} -> {out}",
+            json_text(payload))
 
 
-def _exec_diagrams(recorded, seed, out, digest) -> str:
+def _exec_diagrams(recorded, seed, out, digest) -> tuple:
     sub = recorded["diagram_cmd"]
     if sub == "census":
         rows = [[n, diagrams.tutte_count(n), diagrams.enumerate_rooted_maps(n)]
                 for n in range(1, recorded["max_n"] + 1)]
-        _csv_out(out, digest, ["n", "count", "oracle_count"], rows)
-        return f"diagrams census: n <= {recorded['max_n']} -> {out}"
+        return (f"diagrams census: n <= {recorded['max_n']} -> {out}",
+                _csv_text(digest, ["n", "count", "oracle_count"], rows))
     if sub == "tutte":
         payload = {"n": recorded["n"], "tutte_count": diagrams.tutte_count(recorded["n"])}
         if recorded["with_census"]:
@@ -281,11 +277,8 @@ def _exec_diagrams(recorded, seed, out, digest) -> str:
                    "exponent": diagrams.fulfillability_bound(stats, params)}
     else:
         raise CliError(f"unknown diagrams subcommand {sub!r}")
-    payload = {"format_version": 1, "manifest_digest": digest, **payload}
-    if out:
-        write_json(out, payload)
-        return f"diagrams {sub}: -> {out}"
-    return json.dumps(payload, sort_keys=True, indent=2)
+    text = json_text({"format_version": 1, "manifest_digest": digest, **payload})
+    return (f"diagrams {sub}: -> {out}" if out else text[:-1]), text
 
 
 #: Each condition's function and the rate flags it reads, in argument order.
@@ -296,7 +289,7 @@ _CONDITIONS = {
 }
 
 
-def _exec_conditions(recorded, seed, out, digest) -> str:
+def _exec_conditions(recorded, seed, out, digest) -> tuple:
     grid = parse_ell_grid(recorded["ell_grid"])
     which = recorded["which"]
     if which not in _CONDITIONS:
@@ -313,18 +306,18 @@ def _exec_conditions(recorded, seed, out, digest) -> str:
     if report.heuristic:  # the label of an indeterminate verdict
         preamble.append(f"heuristic={report.heuristic}")
     rows = [[ell, f"{val:.12g}"] for ell, val in report.trace]
-    _csv_out(out, digest, ["ell", "value"], rows, preamble)
-    return f"conditions: {report.condition} verdict={report.verdict} -> {out}"
+    return (f"conditions: {report.condition} verdict={report.verdict} -> {out}",
+            _csv_text(digest, ["ell", "value"], rows, preamble))
 
 
-def _exec_phase_map(recorded, seed, out, digest) -> str:
+def _exec_phase_map(recorded, seed, out, digest) -> tuple:
     alphas = parse_grid_range(recorded["alpha"])
     betas = parse_grid_range(recorded["beta"])
     cells = thresholds.phase_map(alphas, betas, recorded["coeff"])
     rows = [[f"{float(c.alpha):.6g}", f"{float(c.beta):.6g}", c.outcome, c.clause]
             for c in cells]
-    _csv_out(out, digest, ["alpha", "beta", "verdict", "clause"], rows)
-    return f"phase-map: {dict(Counter(c.outcome for c in cells))} -> {out}"
+    return (f"phase-map: {dict(Counter(c.outcome for c in cells))} -> {out}",
+            _csv_text(digest, ["alpha", "beta", "verdict", "clause"], rows))
 
 
 _EXECUTORS = {
@@ -339,31 +332,34 @@ _EXECUTORS = {
 
 
 def _run(subcommand, recorded, seed, out, threads=1, log=None) -> int:
-    """Execute from the recorded params and write the manifest beside out.
+    """Execute from the recorded params, then write out, log and the manifest
+    beside out; no file is opened until every text is built.
 
     threads reaches only the pigeonhole executor, the one subcommand that
-    splits its work; log is trivialize's optional derivation log.
+    splits its work; log is the path of trivialize's derivation log, if wanted.
     """
     if threads < 1:
         raise CliError(f"threads must be >= 1, got {threads}")
     t0 = time.monotonic()
     digest = manifest_digest(subcommand, recorded, seed)
     extra = {"threads": threads} if subcommand == "pigeonhole" else {}
-    if log:
-        extra["log"] = log
-    message = _EXECUTORS[subcommand](recorded, seed, out, digest, **extra)
-    if out:
+    message, *texts = _EXECUTORS[subcommand](recorded, seed, out, digest, **extra)
+    files = [(str(path), text) for path, text in zip([out, log], texts) if path]
+    if files:
         man = RunManifest(
             subcommand=subcommand,
             params=recorded,
             seed=seed,
             threads=threads,
-            outputs=[str(p) for p in [out] + ([log] if log else [])],
+            outputs=[path for path, _ in files],
             tool_version=__version__,
             created_utc=now_utc(),
             wall_clock_s=round(time.monotonic() - t0, 6),
         )
-        man.write(str(out) + ".manifest.json")
+        files.append((f"{out}.manifest.json", json_text(man.to_json_dict())))
+    for path, text in files:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     print(message)
     return 0
 

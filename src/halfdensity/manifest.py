@@ -21,11 +21,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_json(path, payload) -> None:
-    """Write payload to path as UTF-8 JSON: sorted keys, indent 2, trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def json_text(payload) -> str:
+    """payload as the JSON text of every output file: sorted keys, indent 2, trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def manifest_digest(subcommand: str, params: dict, seed: int | None) -> str:
@@ -51,9 +49,6 @@ class RunManifest:
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "format_version": FORMAT_VERSION, "digest": self.digest}
-
-    def write(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
     @classmethod
     def read(cls, path) -> "RunManifest":

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from halfdensity import cli, thresholds, trivializer, words
-from halfdensity.manifest import RunManifest, manifest_digest, write_json
+from halfdensity.manifest import RunManifest, json_text, manifest_digest
 
 
 #: A number past the float range, given as a CLI count or length.
@@ -68,10 +68,8 @@ class TestSample:
         assert isinstance(man.seed, int)
 
 
-def test_write_json_format(tmp_path):
-    path = tmp_path / "x.json"
-    write_json(path, {"b": [1], "a": 2})
-    assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1\n  ]\n}\n'
+def test_json_text_format():
+    assert json_text({"b": [1], "a": 2}) == '{\n  "a": 2,\n  "b": [\n    1\n  ]\n}\n'
 
 
 class TestReproducibility:

@@ -255,7 +255,7 @@ MUTANTS = [
            ("tests/test_cli.py",)),
     # JSON files end without a newline
     Mutant("write-json-newline", "src/halfdensity/manifest.py",
-           '        fh.write("\\n")\n', "",
+           'indent=2) + "\\n"', "indent=2)",
            ("tests/test_cli.py",)),
 ]
 

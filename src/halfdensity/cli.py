@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import secrets
 import sys
 import time
@@ -333,7 +334,8 @@ _EXECUTORS = {
 
 def _run(subcommand, recorded, seed, out, threads=1, log=None) -> int:
     """Execute from the recorded params, then write out, log and the manifest
-    beside out; no file is opened until every text is built.
+    beside out; no file is opened until every text is built, outputs may not
+    share a path, and an OSError removes the files this run has written.
 
     threads reaches only the pigeonhole executor, the one subcommand that
     splits its work; log is the path of trivialize's derivation log, if wanted.
@@ -357,9 +359,18 @@ def _run(subcommand, recorded, seed, out, threads=1, log=None) -> int:
             wall_clock_s=round(time.monotonic() - t0, 6),
         )
         files.append((f"{out}.manifest.json", json_text(man.to_json_dict())))
-    for path, text in files:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    if len({os.path.realpath(path) for path, _ in files}) < len(files):
+        raise CliError("outputs share a path: " + ", ".join(path for path, _ in files))
+    written = []
+    try:
+        for path, text in files:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
     print(message)
     return 0
 

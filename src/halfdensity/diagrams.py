@@ -162,6 +162,8 @@ def log_diagram_bound(F: int, ell: int, m: int = 2) -> DiagramBound:
     asymptotic 6 F log(ell) + 2 F log(F)."""
     if not (1 <= F < 2**1000 and 1 <= ell < 2**1000):
         raise ValueError("need F and ell >= 1 and below 2^1000")
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
     ln_base = math.log(2 * m - 1)
     log_bound = (
         F * math.log(2 * ell) + F * math.log(F) + 5 * F * math.log(ell)

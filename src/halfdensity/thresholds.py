@@ -121,6 +121,8 @@ class GrowthExpr:
         return VERDICT_BOUNDED
 
     def evaluate(self, ell: int, m: int = 2) -> float:
+        if m < 2:
+            raise ValueError(f"m must be >= 2, got {m}")
         base = 2 * m - 1
         if not 2 <= ell < 2**1000:
             raise ValueError(f"evaluation needs ell >= 2 and below 2^1000, got {ell}")
@@ -134,6 +136,8 @@ class GrowthExpr:
                 total += float(c) * ell ** float(a) * L ** float(b) * LL ** float(g)
             except OverflowError:
                 raise ValueError(f"{self!r} leaves the float range at ell = {ell}") from None
+            except ZeroDivisionError:  # loglog(base) = 0 to a negative power
+                raise ValueError(f"loglog^{g} undefined at ell = {base}") from None
         return total
 
 
@@ -223,7 +227,10 @@ def star_condition(k_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
                    m: int = 2) -> ConditionReport:
     """Does k(ell) - 2 ell f(ell) diverge?"""
     trace = [(ell, k_fn.evaluate(ell, m) - 2 * ell * f.evaluate(ell, m)) for ell in ell_grid]
-    symbolic = k_fn - f.shift_ell(1).scale(2)
+    try:
+        symbolic = k_fn - f.shift_ell(1).scale(2)
+    except OverflowError:
+        raise ValueError(f"star with k = {k_fn!r} and f = {f!r} leaves the float range") from None
     return ConditionReport("star", symbolic.limit_verdict(), symbolic, trace)
 
 
@@ -281,6 +288,8 @@ def spade_condition(k_fn: GrowthExpr, ell_grid: list, m: int = 2) -> ConditionRe
 def asterisk_condition(K_fn: GrowthExpr, f: GrowthExpr, ell_grid: list,
                        m: int = 2) -> ConditionReport:
     """Does 3000 K^2 log(K ell) + 10^4 ell/K - ell f go to minus infinity?"""
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
     base = 2 * m - 1
     symbolic = None
     verdict = VERDICT_INDETERMINATE

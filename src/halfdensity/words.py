@@ -144,6 +144,8 @@ class ModelParams:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
         if self.num < 1:
             raise ValueError(f"num must be >= 1, got {self.num}")
+        if max(self.m, self.ell) >= 2**1000:
+            raise ValueError(f"m and ell must be below 2^1000, got m={self.m}, ell={self.ell}")
 
     @property
     def density(self) -> float:

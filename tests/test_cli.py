@@ -18,6 +18,8 @@ BIG = 10**400
 FAST_K = "family:alpha=-400,beta=0"
 #: The spade condition's argv up to its --ell-grid and --out.
 SPADE = ["conditions", "--which", "spade", "--k-expr", "threshold-k"]
+#: A fast seeded trivialize run's argv up to its --out and --log.
+TRIVIALIZE_12 = ["trivialize", "--m", "2", "--ell", "12", "--density", "0.5", "--seed", "1"]
 
 
 def run_ok(argv):
@@ -655,6 +657,22 @@ class TestErrors:
         (["conditions", "--which", "star", "--k-expr", "family:alpha=-1,beta=0",
           "--f-expr", "const:1e400", "--ell-grid", "10"],
          f"GrowthExpr({10**400}) leaves the float range at ell = 10"),
+        # m = 1 would take logs of base 2m - 1 = 1
+        (["sample", "--m", "1", "--ell", "40", "--f-expr", FAST_K],
+         "m must be >= 2, got 1"),
+        (["conditions", "--which", "asterisk", "--m", "1", "--K-expr", "window-K",
+          "--f-expr", "zero", "--ell-grid", "2"],
+         "m must be >= 2, got 1"),
+        (["diagrams", "bound", "--faces", "5", "--ell", "3", "--m", "1"],
+         "m must be >= 2, got 1"),
+        # star's symbolic sum of a float coefficient of k and an exact one of 2 ell f
+        (["conditions", "--which", "star", "--k-expr", "family:alpha=-1,beta=0",
+          "--f-expr", "const:1e308", "--ell-grid", "10"],
+         f"star with k = GrowthExpr(1.0*ell^1) and f = GrowthExpr({10**308}) "
+         "leaves the float range"),
+        # an explicit --num never meets the relator count's bound on ell
+        (["trivialize", "--m", "40", "--ell", str(BIG), "--num", "10"],
+         f"m and ell must be below 2^1000, got m=40, ell={BIG}"),
     ], ids=["count-past-float-range", "infinite-density", "no-boxes", "c-zero-denominator",
             "sample-density-big-ell", "sample-zero-density-big-ell", "sample-f-expr-big-ell",
             "trivialize-density-big-ell", "trivialize-f-expr-big-ell", "fulfill-big-ell",
@@ -662,12 +680,30 @@ class TestErrors:
             "spade-coefficient-past-float-range", "spade-k-past-float-range",
             "star-k-past-float-range", "trivialize-f-past-float-range",
             "asterisk-exact-K-past-float-range", "asterisk-K-past-float-range",
-            "star-f-past-float-range"])
+            "star-f-past-float-range", "sample-f-expr-m-1", "asterisk-m-1", "bound-m-1",
+            "star-exact-f-past-float-range", "trivialize-num-big-ell"])
     def test_arithmetic_domain_errors_exit_one(self, argv, message, tmp_path, capsys,
                                                monkeypatch):
         out = tmp_path / "x"
         assert run_main(monkeypatch, [*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # the JSON text fails to build (Python's 4,300-digit int-to-str limit)
+        ["diagrams", "tutte", "--n", "4000", "--out", "o"],
+        # the log cannot be opened once the verdict is written
+        [*TRIVIALIZE_12, "--out", "tr.json", "--log", "nodir/x.log"],
+        # two outputs share a path
+        [*TRIVIALIZE_12, "--out", "x", "--log", "x"],
+        [*TRIVIALIZE_12, "--out", "x", "--log", "x.manifest.json"],
+    ], ids=["tutte-int-to-str-limit", "log-in-missing-directory", "log-is-out",
+            "log-is-manifest"])
+    def test_failed_run_writes_nothing(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_main(monkeypatch, argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
     def test_main_maps_soundness_error_to_exit_three(self, tmp_path, capsys, monkeypatch):

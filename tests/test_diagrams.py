@@ -119,6 +119,8 @@ class TestDiagramStats:
             dg.DiagramStats(1, 0, 0)
         with pytest.raises(ValueError, match="^need F"):
             dg.log_diagram_bound(0, 5)
+        with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
+            dg.log_diagram_bound(5, 3, m=1)
         with pytest.raises(ValueError, match="^K must be >= 1, got 0$"):
             dg.WindowParams(0, 5)
         with pytest.raises(ValueError, match="^ell must be >= 1, got 0$"):

@@ -36,6 +36,15 @@ class TestGrowthExpr:
         # log3(2) < 1, so loglog(2) < 0 has no square root
         with pytest.raises(ValueError, match="^loglog\\^1/2 undefined below ell = 3$"):
             th.GrowthExpr.monomial(0, 0, F(1, 2), 1).evaluate(2)
+        # loglog(3) = 0 at m = 2, which no negative power takes
+        with pytest.raises(ValueError, match="^loglog\\^-1 undefined at ell = 3$"):
+            th.GrowthExpr.monomial(0, 0, -1, 1).evaluate(3)
+
+    @pytest.mark.parametrize("m", [1, 0, -2])
+    def test_evaluate_needs_m_at_least_two(self, m):
+        # 2m - 1 <= 1 is no base for a log
+        with pytest.raises(ValueError, match=f"^m must be >= 2, got {m}$"):
+            th.GrowthExpr.constant(1).evaluate(40, m)
 
     def test_evaluate_rejects_ell_past_two_to_the_1000(self):
         # each condition reads ell as a float: 2 ell f overflows from 2^1023
@@ -77,6 +86,11 @@ class TestStarCondition:
         rep = th.star_condition(k, f, GRID)
         assert rep.verdict == th.VERDICT_TO_MINUS_INF
         assert rep.symbolic == th.GrowthExpr.monomial(0, 1, 0, -1.5)
+
+    def test_exact_f_past_the_float_range(self):
+        # 2 ell f's exact coefficient meets k's float one in the symbolic sum
+        with pytest.raises(ValueError, match="^star with k = .* leaves the float range$"):
+            th.star_condition(th.family(-1, 0, 1.0), th.GrowthExpr.constant(F(10**308)), [10])
 
     def test_trace_matches_evaluation(self):
         rep = th.star_condition(th.threshold_head_k(), th.trivial_threshold_f(), [3**4])
@@ -176,6 +190,11 @@ class TestAsteriskCondition:
     def test_rejects_K_not_positive(self):
         with pytest.raises(ValueError, match="^K\\(16\\) = -1.0 must be positive$"):
             th.asterisk_condition(th.GrowthExpr.constant(-1), th.GrowthExpr(), [16])
+
+    def test_needs_m_at_least_two(self):
+        # the symbolic log(K ell) is taken before any evaluation checks m
+        with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
+            th.asterisk_condition(th.hyperbolic_window_K(1), th.GrowthExpr(), [2], m=1)
 
     @pytest.mark.parametrize("K", [F(10**200), 1e200])
     def test_K_past_the_float_range(self, K):

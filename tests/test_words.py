@@ -185,6 +185,13 @@ class TestModelParams:
         with pytest.raises(ValueError, match="^m and ell must be below 2\\^1000"):
             ModelParams.from_density(m, ell, density)
 
+    @pytest.mark.parametrize("m, ell", [(40, 10**400), (10**400, 4), (2, 2**1000)],
+                             ids=["ell-10^400", "m-10^400", "ell-2^1000"])
+    def test_explicit_count_with_m_or_ell_past_two_to_the_1000_rejected(self, m, ell):
+        # an explicit num never meets _materialize_num, and density would overflow
+        with pytest.raises(ValueError, match="^m and ell must be below 2\\^1000"):
+            ModelParams(m, ell, 10)
+
     def test_negative_exponent_gives_one_relator(self):
         assert ModelParams.from_density(2, 10, -0.5).num == 1
 

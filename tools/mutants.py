@@ -253,6 +253,19 @@ MUTANTS = [
            '    cfg = makers[recorded["mu"]](',
            '    cfg = makers.get(recorded["mu"], pigeonhole.PigeonholeConfig.geometric)(',
            ("tests/test_cli.py",)),
+    # two outputs that share a path are both written, and the later one wins
+    Mutant("output-path-collision", "src/halfdensity/cli.py",
+           "    if len({os.path.realpath(path) for path, _ in files}) < len(files):\n",
+           "    if False:\n",
+           ("tests/test_cli.py",)),
+    # a run whose log cannot be written keeps the files it wrote before it
+    Mutant("write-error-cleanup", "src/halfdensity/cli.py",
+           "            os.remove(path)\n", "            pass\n",
+           ("tests/test_cli.py",)),
+    # a rate evaluated at m = 1 takes logs of base 1 and divides by zero
+    Mutant("evaluate-m-check", "src/halfdensity/thresholds.py",
+           "        if m < 2:\n", "        if False:\n",
+           ("tests/test_thresholds.py", "tests/test_cli.py")),
     # JSON files end without a newline
     Mutant("write-json-newline", "src/halfdensity/manifest.py",
            'indent=2) + "\\n"', "indent=2)",

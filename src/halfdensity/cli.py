@@ -3,10 +3,10 @@
 Subcommands: sample, trivialize, verify-dist, pigeonhole, diagrams,
 conditions, phase-map, plus rerun (re-execute a recorded manifest).  Every
 output file embeds the digest of its manifest, and every run writes
-<out>.manifest.json next to its output.  Executors return their texts, and
-_run writes every file only once all of them are built.  Randomized runs with no --seed draw
-one from the OS and record it; there is deliberately no environment-variable
-seed fallback.  Exit codes: 0 success, 1 domain, 2 usage, 3 soundness error.
+<out>.manifest.json next to its output, once every text is built.
+Randomized runs with no --seed draw one from the OS and record it; there is
+deliberately no environment-variable seed fallback.  Exit codes: 0 success,
+1 domain, 2 usage, 3 soundness error.
 
 Each command parses argv into a flat "recorded" parameter dict and then
 executes from that dict alone, so rerun reproduces outputs byte for byte.
@@ -369,7 +369,8 @@ def _run(subcommand, recorded, seed, out, threads=1, log=None) -> int:
                 fh.write(text)
     except OSError:
         for path in written:
-            os.remove(path)
+            if os.path.isfile(path) and not os.path.islink(path):  # not /dev/stdout
+                os.remove(path)
         raise
     print(message)
     return 0

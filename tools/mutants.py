@@ -260,7 +260,7 @@ MUTANTS = [
            ("tests/test_cli.py",)),
     # a run whose log cannot be written keeps the files it wrote before it
     Mutant("write-error-cleanup", "src/halfdensity/cli.py",
-           "            os.remove(path)\n", "            pass\n",
+           "                os.remove(path)\n", "                pass\n",
            ("tests/test_cli.py",)),
     # a rate evaluated at m = 1 takes logs of base 1 and divides by zero
     Mutant("evaluate-m-check", "src/halfdensity/thresholds.py",

@@ -706,6 +706,14 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    def test_failed_write_leaves_a_link_in_place(self, tmp_path, capsys, monkeypatch):
+        # the clean-up removes regular files only, never a link such as /dev/stdout
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.json").symlink_to("real.json")
+        argv = [*TRIVIALIZE_12, "--out", "link.json", "--log", "nodir/x.log"]
+        assert run_main(monkeypatch, argv) == 1
+        assert (tmp_path / "link.json").is_symlink()
+
     def test_main_maps_soundness_error_to_exit_three(self, tmp_path, capsys, monkeypatch):
         def contradicted(*args, **kwargs):
             raise trivializer.SoundnessError("derived 'trivial' for an infinite group")
